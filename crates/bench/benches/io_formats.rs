@@ -1,7 +1,9 @@
-//! Criterion bench: interchange-format throughput (Liberty parsing and
-//! clock tree text round-trips).
+//! Criterion bench: interchange-format throughput (Liberty parsing,
+//! clock tree text round-trips, and SDF parsing and import).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use wavemin::design::Design;
+use wavemin::io::{export_sdf, import_sdf, sdf};
 use wavemin_cells::{liberty, CellLibrary};
 use wavemin_clocktree::{io as tree_io, Benchmark};
 
@@ -31,5 +33,21 @@ fn bench_tree_io(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_liberty, bench_tree_io);
+fn bench_sdf(c: &mut Criterion) {
+    // The seed-42 scale10k export: 10k sinks, about a quarter of which
+    // exhaust the importer's sink-cap walk.
+    let design = Design::from_benchmark(&Benchmark::scale("scale10k", 10_000), 42);
+    let text = export_sdf(&design).unwrap();
+    let mut group = c.benchmark_group("sdf_scale10k");
+    group.sample_size(10);
+    group.bench_function("parse", |b| {
+        b.iter(|| sdf::parse(std::hint::black_box(&text)).unwrap());
+    });
+    group.bench_function("import", |b| {
+        b.iter(|| import_sdf(std::hint::black_box(&text), CellLibrary::nangate45()).unwrap());
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_liberty, bench_tree_io, bench_sdf);
 criterion_main!(benches);

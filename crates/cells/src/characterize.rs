@@ -173,14 +173,19 @@ impl Default for Characterizer {
     }
 }
 
-/// Internal description of one pulse emitted by one stage.
-struct StagePulse {
+/// One stage of the inverting chain, as [`Characterizer::stages`] hands
+/// it to its visitor: everything the pulse model needs beyond the delay
+/// and slew arithmetic.
+struct Stage {
+    /// When the stage's input crosses 50 %, from the cell input edge.
     start: Picoseconds,
-    width: Picoseconds,
-    peak: MicroAmps,
-    /// Rail of the *main* pulse; the crossover goes to the other rail.
-    rail: Rail,
-    crossover: f64,
+    drive: u32,
+    output_rising: bool,
+    /// Gate plus diffusion load the stage switches.
+    c_total: Femtofarads,
+    rc: Picoseconds,
+    /// Input slew of this stage.
+    slew_in: Picoseconds,
 }
 
 impl Characterizer {
@@ -235,7 +240,9 @@ impl Characterizer {
     /// edge, skipping waveform construction.
     ///
     /// This is the fast path used by tree timing analysis, where thousands
-    /// of (cell, load) evaluations are needed but no current data.
+    /// of (cell, load) evaluations are needed but no current data. It runs
+    /// the same stage arithmetic as [`characterize`](Self::characterize),
+    /// so the two agree bit for bit.
     #[must_use]
     pub fn timing(
         &self,
@@ -245,33 +252,29 @@ impl Characterizer {
         vdd: Volts,
         edge: ClockEdge,
     ) -> (Picoseconds, Picoseconds) {
-        let (t_d, slew, _, _) = self.event(cell, load, slew_in, vdd, edge);
-        (t_d, slew)
+        self.stages(cell, load, slew_in, vdd, edge, |_| {})
     }
 
-    /// Simulates one input-edge event through the stage chain.
-    ///
-    /// Returns `(T_D, slew_out, I_DD, I_SS)`.
-    fn event(
+    /// Walks one input-edge event through the stage chain, handing each
+    /// stage to `visit`, and returns `(T_D, slew_out)`.
+    fn stages(
         &self,
         cell: &CellSpec,
         load: Femtofarads,
         slew_in: Picoseconds,
         vdd: Volts,
         edge: ClockEdge,
-    ) -> (Picoseconds, Picoseconds, Waveform, Waveform) {
+        mut visit: impl FnMut(&Stage),
+    ) -> (Picoseconds, Picoseconds) {
         let drives = cell.stage_drives();
         let n = drives.len();
         let d_factor = self.supply.delay_factor(vdd);
-        let i_factor = self.supply.current_factor(vdd);
-        let q_factor = self.supply.charge_factor(vdd);
 
         let mut t_cursor = Picoseconds::ZERO;
         let mut slew = slew_in;
         // The signal direction at the *output* of each stage: the chain
         // input follows `edge`, and every stage inverts.
         let mut input_rising = matches!(edge, ClockEdge::Rise);
-        let mut pulses: Vec<StagePulse> = Vec::with_capacity(n);
 
         for (idx, &drive) in drives.iter().enumerate() {
             let output_rising = !input_rising;
@@ -303,57 +306,71 @@ impl Characterizer {
             let intrinsic_slew = (2.2 * rc * edge_mult) * d_factor;
             let stage_slew = Picoseconds::new(intrinsic_slew.value().hypot(0.45 * slew.value()));
 
-            // Pulse on the rail this stage switches against.
-            let q_ref = c_total.value() * self.supply.v_ref().value(); // fC at V_ref
-            let width_ref = self
-                .width_factor
-                .mul_add(0.69 * rc.value(), self.slew_fraction * slew.value());
-            // Current flows for at least the input transition time.
-            let width_ref = width_ref.max(slew.value()).max(1.0);
-            // Triangle area = Q: I_pk = 2Q/w, with µA·ps = 1e-3 fC.
-            // Charging (rising-output) pulses peak slightly higher — the
-            // paper's characterization (Tables I/II) shows I_DD peaks
-            // above I_SS for buffers.
-            let pulse_mult = if output_rising { 1.10 } else { 0.92 };
-            let i_pk_ref = 2000.0 * q_ref / width_ref;
-            let i_sat = self.sat_per_drive.value() * drive as f64 * pulse_mult;
-            let i_pk = (i_pk_ref * pulse_mult).min(i_sat) * i_factor;
-            // Charge conservation at the actual supply fixes the width.
-            let q = q_ref * q_factor;
-            let width = Picoseconds::new((2000.0 * q / i_pk).max(0.5));
-
-            pulses.push(StagePulse {
+            visit(&Stage {
                 start: t_cursor,
-                width,
-                peak: MicroAmps::new(i_pk),
-                rail: if output_rising { Rail::Vdd } else { Rail::Gnd },
-                crossover: cell.crossover(),
+                drive,
+                output_rising,
+                c_total,
+                rc,
+                slew_in: slew,
             });
 
             t_cursor += t_stage;
             slew = stage_slew;
             input_rising = output_rising;
         }
+        (t_cursor, slew)
+    }
 
+    /// Simulates one input-edge event through the stage chain.
+    ///
+    /// Returns `(T_D, slew_out, I_DD, I_SS)`.
+    fn event(
+        &self,
+        cell: &CellSpec,
+        load: Femtofarads,
+        slew_in: Picoseconds,
+        vdd: Volts,
+        edge: ClockEdge,
+    ) -> (Picoseconds, Picoseconds, Waveform, Waveform) {
+        let i_factor = self.supply.current_factor(vdd);
+        let q_factor = self.supply.charge_factor(vdd);
         let mut idd = Waveform::zero();
         let mut iss = Waveform::zero();
-        for p in &pulses {
-            let apex = p.start + p.width * self.asymmetry;
-            let end = p.start + p.width;
-            let main = Waveform::triangle(p.start, apex, end, p.peak);
-            let cross = main.scaled(p.crossover);
-            match p.rail {
-                Rail::Vdd => {
-                    idd = idd.plus(&main);
-                    iss = iss.plus(&cross);
-                }
-                Rail::Gnd => {
-                    iss = iss.plus(&main);
-                    idd = idd.plus(&cross);
-                }
+        let (t_d, slew) = self.stages(cell, load, slew_in, vdd, edge, |st| {
+            // Pulse on the rail this stage switches against.
+            let q_ref = st.c_total.value() * self.supply.v_ref().value(); // fC at V_ref
+            let width_ref = self.width_factor.mul_add(
+                0.69 * st.rc.value(),
+                self.slew_fraction * st.slew_in.value(),
+            );
+            // Current flows for at least the input transition time.
+            let width_ref = width_ref.max(st.slew_in.value()).max(1.0);
+            // Triangle area = Q: I_pk = 2Q/w, with µA·ps = 1e-3 fC.
+            // Charging (rising-output) pulses peak slightly higher — the
+            // paper's characterization (Tables I/II) shows I_DD peaks
+            // above I_SS for buffers.
+            let pulse_mult = if st.output_rising { 1.10 } else { 0.92 };
+            let i_pk_ref = 2000.0 * q_ref / width_ref;
+            let i_sat = self.sat_per_drive.value() * st.drive as f64 * pulse_mult;
+            let i_pk = (i_pk_ref * pulse_mult).min(i_sat) * i_factor;
+            // Charge conservation at the actual supply fixes the width.
+            let q = q_ref * q_factor;
+            let width = Picoseconds::new((2000.0 * q / i_pk).max(0.5));
+
+            let apex = st.start + width * self.asymmetry;
+            let end = st.start + width;
+            let main = Waveform::triangle(st.start, apex, end, MicroAmps::new(i_pk));
+            let cross = main.scaled(cell.crossover());
+            if st.output_rising {
+                idd = idd.plus(&main);
+                iss = iss.plus(&cross);
+            } else {
+                iss = iss.plus(&main);
+                idd = idd.plus(&cross);
             }
-        }
-        (t_cursor, slew, idd, iss)
+        });
+        (t_d, slew, idd, iss)
     }
 
     /// The total load a cell presents at its input (used by tree delay

@@ -158,14 +158,31 @@ impl CellSpec {
     /// the paper's ADI (Fig. 4) is a three-inverter chain whose first stage
     /// is the minimum feature size.
     #[must_use]
-    pub fn stage_drives(&self) -> Vec<u32> {
-        match self.kind {
-            CellKind::Inverter => vec![self.drive],
-            CellKind::Buffer | CellKind::Adb => {
-                vec![(self.drive / 2).max(1), self.drive]
-            }
-            CellKind::Adi => vec![1, (self.drive / 2).max(1), self.drive],
-        }
+    pub fn stage_drives(&self) -> StageDrives {
+        let half = (self.drive / 2).max(1);
+        let (drives, len) = match self.kind {
+            CellKind::Inverter => ([self.drive, 0, 0], 1),
+            CellKind::Buffer | CellKind::Adb => ([half, self.drive, 0], 2),
+            CellKind::Adi => ([1, half, self.drive], 3),
+        };
+        StageDrives { drives, len }
+    }
+}
+
+/// A cell's per-stage drive strengths, held inline (a cell has at most
+/// three stages) so the timing hot path allocates nothing. Derefs to the
+/// `[u32]` slice of drives, input stage first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageDrives {
+    drives: [u32; 3],
+    len: usize,
+}
+
+impl std::ops::Deref for StageDrives {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.drives[..self.len]
     }
 }
 
@@ -284,11 +301,11 @@ mod tests {
     #[test]
     fn stage_drives_reflect_topology() {
         let inv = CellSpec::builder("INV_X8", CellKind::Inverter, 8).build();
-        assert_eq!(inv.stage_drives(), vec![8]);
+        assert_eq!(*inv.stage_drives(), [8]);
         let buf = CellSpec::builder("BUF_X8", CellKind::Buffer, 8).build();
-        assert_eq!(buf.stage_drives(), vec![4, 8]);
+        assert_eq!(*buf.stage_drives(), [4, 8]);
         let adi = CellSpec::builder("ADI_X8", CellKind::Adi, 8).build();
-        assert_eq!(adi.stage_drives(), vec![1, 4, 8]);
+        assert_eq!(*adi.stage_drives(), [1, 4, 8]);
         // ADI first stage is minimum size regardless of drive (paper Sec. VII-E).
         let adi_big = CellSpec::builder("ADI_X32", CellKind::Adi, 32).build();
         assert_eq!(adi_big.stage_drives()[0], 1);

@@ -518,6 +518,11 @@ fn import_cmd(flags: &Flags) -> Result<(), CliError> {
         imported.sink_arrivals.len(),
         imported.recovered_skew.value()
     );
+    eprintln!(
+        "inexact sinks: {} of {} (lowered arrival not bit-equal to the SDF chain)",
+        imported.inexact_sinks,
+        imported.sink_arrivals.len()
+    );
     write_out(
         flags,
         "(no -o given, dumping imported tree to stdout)",

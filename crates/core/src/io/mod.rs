@@ -5,11 +5,13 @@
 //! `IOPATH` + net delays from the root) from a signoff SDF file, then
 //! lowers it into the workspace's native [`Design`]: zero-length wires, a
 //! default sink load, and a per-node `delay_trim` that makes the analytic
-//! timing model reproduce the SDF arrival at **every sink bit-for-bit**.
+//! timing model reproduce the SDF arrival at each sink bit-for-bit.
 //! The trim solve uses [`exact_addend`]-style ulp nudging so the imported
 //! design's `Timing::analyze` output equals the SDF-declared arrivals
 //! exactly, not just to a tolerance — which is what makes the
-//! export → import round-trip a usable oracle.
+//! export → import round-trip a usable oracle. A sink the floating-point
+//! chain cannot land on keeps the nearest arrival it can reach and is
+//! counted in [`ImportedDesign::inexact_sinks`].
 //!
 //! [`export_sdf`] is the inverse: it renders a design's mode-0 timing as
 //! the minimal SDF subset the importer reads, with `IOPATH`/`INTERCONNECT`
@@ -26,8 +28,7 @@ pub mod sdf;
 use crate::design::Design;
 use crate::error::WaveMinError;
 use sdf::{SdfCell, SdfError, SdfFile, SdfInterconnect, SdfIoPath};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use wavemin_cells::characterize::ClockEdge;
 use wavemin_cells::units::{Femtofarads, Microns, Picoseconds, Volts};
 use wavemin_cells::{CellLibrary, CellSpec, Polarity};
@@ -43,11 +44,16 @@ pub struct ImportedDesign {
     pub instances: Vec<String>,
     /// Per-sink `(instance, arrival)` recovered from the SDF delay chain,
     /// in arena order. The lowered design's own timing analysis
-    /// reproduces these exactly.
+    /// reproduces these exactly, except at the [`inexact_sinks`](Self::inexact_sinks).
     pub sink_arrivals: Vec<(String, Picoseconds)>,
     /// Max − min sink arrival: the skew the SDF describes. A useful
     /// sanity anchor for choosing `--kappa`.
     pub recovered_skew: Picoseconds,
+    /// Sinks whose lowered arrival still differs from the SDF chain
+    /// target after the sink-cap walk (see the trim solve in
+    /// [`import_sdf`]). On the seed-42 scale exports each one is off by
+    /// a single ulp.
+    pub inexact_sinks: usize,
 }
 
 /// The next representable f64 toward `+inf` (bit-level; total-order walk
@@ -99,14 +105,6 @@ fn exact_addend(base: f64, target: f64) -> f64 {
     start
 }
 
-/// Per-instance data recovered from the SDF `CELL` entries.
-struct Inst {
-    celltype: String,
-    /// `IOPATH` delay when the output rises / falls.
-    rise: f64,
-    fall: f64,
-}
-
 fn flip(edge: ClockEdge) -> ClockEdge {
     match edge {
         ClockEdge::Rise => ClockEdge::Fall,
@@ -132,130 +130,121 @@ fn flip(edge: ClockEdge) -> ClockEdge {
 /// valid SDF but unusable inputs.
 pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMinError> {
     let file = sdf::parse(text).map_err(WaveMinError::Sdf)?;
+    let cells = &file.cells;
 
-    // Instance table and the global interconnect list. Top-scope entries
-    // (empty INSTANCE) contribute nets only.
-    let mut insts: BTreeMap<String, Inst> = BTreeMap::new();
-    let mut nets: Vec<SdfInterconnect> = Vec::new();
-    for cell in &file.cells {
-        nets.extend(cell.interconnects.iter().cloned());
+    // Intern every declared instance once, as its index into `cells`.
+    // Top-scope entries (empty INSTANCE) contribute nets only.
+    let mut index: HashMap<&str, usize> = HashMap::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
         if cell.instance.is_empty() {
             continue;
         }
         if cell.celltype.is_empty() {
-            return Err(WaveMinError::Sdf(SdfError::EmptyCellType(
-                cell.instance.clone(),
-            )));
+            return Err(SdfError::EmptyCellType(cell.instance.clone()).into());
         }
-        if insts.contains_key(&cell.instance) {
-            return Err(WaveMinError::Sdf(SdfError::DuplicateInstance(
-                cell.instance.clone(),
-            )));
+        if index.insert(&cell.instance, i).is_some() {
+            return Err(SdfError::DuplicateInstance(cell.instance.clone()).into());
         }
-        let (rise, fall) = cell
-            .iopaths
-            .first()
-            .map_or((0.0, 0.0), |io| (io.rise, io.fall));
-        insts.insert(
-            cell.instance.clone(),
-            Inst {
-                celltype: cell.celltype.clone(),
-                rise,
-                fall,
-            },
-        );
     }
-    if insts.is_empty() {
-        return Err(WaveMinError::Sdf(SdfError::NoCells));
+    if index.is_empty() {
+        return Err(SdfError::NoCells.into());
     }
 
-    // Tree edges: child → (parent, net delay). One driver per load.
-    let mut driver: BTreeMap<String, (String, f64)> = BTreeMap::new();
-    let mut fanout: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for net in &nets {
-        let p = sdf::instance_of(&net.from).to_owned();
-        let c = sdf::instance_of(&net.to).to_owned();
-        if !insts.contains_key(&p) {
-            return Err(WaveMinError::Sdf(SdfError::UnknownInstance(p)));
+    // Tree edges, in file order: each load's (driver, net delay) and each
+    // driver's loads. One driver per load.
+    let mut driver: Vec<Option<(usize, f64)>> = vec![None; cells.len()];
+    let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); cells.len()];
+    for net in cells.iter().flat_map(|c| &c.interconnects) {
+        let lookup = |port: &str| {
+            let name = sdf::instance_of(port);
+            index
+                .get(name)
+                .copied()
+                .ok_or_else(|| SdfError::UnknownInstance(name.to_owned()))
+        };
+        let p = lookup(&net.from)?;
+        let c = lookup(&net.to)?;
+        if driver[c].is_some() {
+            return Err(SdfError::MultipleDrivers(cells[c].instance.clone()).into());
         }
-        if !insts.contains_key(&c) {
-            return Err(WaveMinError::Sdf(SdfError::UnknownInstance(c)));
-        }
-        if driver.contains_key(&c) {
-            return Err(WaveMinError::Sdf(SdfError::MultipleDrivers(c)));
-        }
-        driver.insert(c.clone(), (p.clone(), net.delay));
-        fanout.entry(p).or_default().push(c);
+        driver[c] = Some((p, net.delay));
+        fanout[p].push(c);
     }
+    let name_of = |i: &usize| cells[*i].instance.as_str();
 
-    // Exactly one undriven instance: the clock root.
-    let mut undriven = insts.keys().filter(|k| !driver.contains_key(*k));
-    let root_name = undriven.next().ok_or(WaveMinError::Sdf(SdfError::NoRoot))?;
-    if let Some(second) = undriven.next() {
-        return Err(WaveMinError::Sdf(SdfError::MultipleRoots(
-            root_name.clone(),
-            second.clone(),
-        )));
-    }
+    // Exactly one undriven instance: the clock root. Errors name the
+    // smallest names, so they do not depend on CELL-entry order.
+    let mut undriven: Vec<usize> = index
+        .values()
+        .copied()
+        .filter(|&i| driver[i].is_none())
+        .collect();
+    undriven.sort_unstable_by_key(name_of);
+    let root = match undriven[..] {
+        [] => return Err(SdfError::NoRoot.into()),
+        [root] => root,
+        [a, b, ..] => {
+            return Err(SdfError::MultipleRoots(
+                cells[a].instance.clone(),
+                cells[b].instance.clone(),
+            )
+            .into())
+        }
+    };
 
     // BFS from the root, children sorted by instance name so arena order
     // (and therefore zones, sampling, goldens) is deterministic under
     // CELL-entry reordering. Placement is a synthetic depth × index grid:
     // unique coordinates per node (the duplicate-sink validation keys on
     // location bits), no geometric meaning.
-    let cell_of = |name: &str| -> Result<&Inst, WaveMinError> {
-        insts
-            .get(name)
-            .ok_or_else(|| WaveMinError::Sdf(SdfError::UnknownInstance(name.to_owned())))
-    };
+    for kids in &mut fanout {
+        kids.sort_unstable_by_key(name_of);
+    }
     let polarity_of = |celltype: &str| -> Result<Polarity, WaveMinError> {
         lib.get(celltype)
             .map(CellSpec::polarity)
             .ok_or_else(|| WaveMinError::MissingCell(celltype.to_owned()))
     };
 
-    let root_inst = cell_of(root_name)?;
-    let mut tree = ClockTree::new(Point::new(0.0, 0.0), root_inst.celltype.clone());
-    let mut instances: Vec<String> = vec![root_name.clone()];
+    let mut tree = ClockTree::new(Point::new(0.0, 0.0), cells[root].celltype.clone());
+    let mut instances: Vec<String> = vec![cells[root].instance.clone()];
+    let mut reached = vec![false; cells.len()];
+    reached[root] = true;
     // Per-arena-id arrival targets from the SDF delay chain.
     let mut target_in: Vec<f64> = vec![0.0];
     let mut target_out: Vec<f64> = vec![0.0];
     let mut edge_in: Vec<ClockEdge> = vec![ClockEdge::Rise];
 
-    let mut queue: VecDeque<(String, NodeId, usize)> = VecDeque::new();
-    queue.push_back((root_name.clone(), tree.root(), 0));
-    while let Some((name, id, depth)) = queue.pop_front() {
-        let inst = cell_of(&name)?;
-        let out_edge = match polarity_of(&inst.celltype)? {
+    let mut queue: VecDeque<(usize, NodeId, usize)> = VecDeque::new();
+    queue.push_back((root, tree.root(), 0));
+    while let Some((inst, id, depth)) = queue.pop_front() {
+        let cell = &cells[inst];
+        let out_edge = match polarity_of(&cell.celltype)? {
             Polarity::Positive => edge_in[id.0],
             Polarity::Negative => flip(edge_in[id.0]),
         };
+        let (rise, fall) = cell
+            .iopaths
+            .first()
+            .map_or((0.0, 0.0), |io| (io.rise, io.fall));
         let iopath = match out_edge {
-            ClockEdge::Rise => inst.rise,
-            ClockEdge::Fall => inst.fall,
+            ClockEdge::Rise => rise,
+            ClockEdge::Fall => fall,
         };
         target_out[id.0] = target_in[id.0] + iopath;
 
-        let mut child_names = fanout.get(&name).cloned().unwrap_or_default();
-        child_names.sort();
-        for child in child_names {
-            let child_inst = cell_of(&child)?;
-            let is_leaf = !fanout.contains_key(&child);
+        for &child in &fanout[inst] {
+            let celltype = cells[child].celltype.clone();
             let arena = tree.len();
             let location = Point::new((depth + 1) as f64 * 100.0, arena as f64 * 10.0);
-            let child_id = if is_leaf {
-                tree.add_leaf(
-                    id,
-                    location,
-                    child_inst.celltype.clone(),
-                    Microns::ZERO,
-                    Femtofarads::new(4.0),
-                )
+            let child_id = if fanout[child].is_empty() {
+                tree.add_leaf(id, location, celltype, Microns::ZERO, Femtofarads::new(4.0))
             } else {
-                tree.add_internal(id, location, child_inst.celltype.clone(), Microns::ZERO)
+                tree.add_internal(id, location, celltype, Microns::ZERO)
             };
-            let net_delay = driver.get(&child).map_or(0.0, |(_, d)| *d);
-            instances.push(child.clone());
+            let net_delay = driver[child].map_or(0.0, |(_, d)| d);
+            instances.push(cells[child].instance.clone());
+            reached[child] = true;
             target_in.push(target_out[id.0] + net_delay);
             target_out.push(0.0);
             edge_in.push(out_edge);
@@ -266,11 +255,13 @@ pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMi
 
     // Anything not reached from the root means the nets form a cycle or
     // a detached island — not a clock tree.
-    if instances.len() != insts.len() {
-        let reached: std::collections::BTreeSet<&str> =
-            instances.iter().map(String::as_str).collect();
-        if let Some(missing) = insts.keys().find(|k| !reached.contains(k.as_str())) {
-            return Err(WaveMinError::Sdf(SdfError::NotATree(missing.clone())));
+    if instances.len() != index.len() {
+        if let Some(missing) = index
+            .values()
+            .filter(|&&i| !reached[i])
+            .min_by_key(|&i| name_of(i))
+        {
+            return Err(SdfError::NotATree(cells[*missing].instance.clone()).into());
         }
     }
 
@@ -285,6 +276,7 @@ pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMi
     let supply = design.power.supply_for(&design.tree, 0);
     let n = design.tree.len();
     let mut out_actual = vec![0.0f64; n];
+    let mut inexact_sinks = 0usize;
     let order = design.tree.topological_order();
     for id in order {
         let node = design.tree.node(id);
@@ -308,13 +300,20 @@ pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMi
         if is_leaf {
             // Pin the *output* (the sink arrival) with a two-level solve:
             // first an input that adds with t_d to the target, then a trim
-            // that lands on that input. Some targets are unreachable for a
-            // given t_d — when the exact sum `in + t_d` falls on a
-            // round-to-nearest-even tie, only every other representable is
-            // producible. The sink capacitance is this leaf's only load
-            // (zero wire, no children), so nudging it by an ulp perturbs
-            // t_d without disturbing the parent or any sibling; walk it
-            // until the addition chain lands bit-for-bit.
+            // that lands on that input. The sink capacitance is this
+            // leaf's only load (zero wire, no children), so nudging it by
+            // an ulp perturbs t_d without disturbing the parent or any
+            // sibling; walk it until the addition chain lands bit-for-bit.
+            //
+            // Not every sink can land. When the parent output sits at a
+            // half-ulp offset in the sink input's binade (the parent is
+            // in a lower binade, with a finer ulp) and the trim needs
+            // that coarser ulp too, `out_p + trim` is always a
+            // round-to-nearest-even tie, so only even inputs can be
+            // produced. One cap ulp moves t_d by about a seventh of a t_d
+            // ulp, far below an input ulp, so the walk cannot move
+            // in_desired either. Such sinks keep the nearest arrival and
+            // are counted in `inexact_sinks`.
             let target = target_out[id.0];
             let out_p = out_actual[parent.0];
             let slew = timing.input_slew[id.0];
@@ -332,14 +331,25 @@ pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMi
                 let (nudged, _) = design
                     .chr
                     .timing(cell, Femtofarads::new(cap), slew, vdd, edge);
+                // Most steps leave t_d's bits, hence in_desired and trim
+                // (pure functions of them), unchanged.
+                if nudged.value().to_bits() == t_d.to_bits() {
+                    continue;
+                }
                 t_d = nudged.value();
-                in_desired = exact_addend(t_d, target);
-                trim = exact_addend(out_p, in_desired);
+                let next_in = exact_addend(t_d, target);
+                if next_in.to_bits() != in_desired.to_bits() {
+                    in_desired = next_in;
+                    trim = exact_addend(out_p, in_desired);
+                }
             }
             let node = design.tree.node_mut(id);
             node.sink_cap = Femtofarads::new(cap);
             node.delay_trim = Picoseconds::new(trim);
             out_actual[id.0] = (out_p + trim) + t_d;
+            if out_actual[id.0] != target {
+                inexact_sinks += 1;
+            }
         } else {
             let trim = exact_addend(out_actual[parent.0], target_in[id.0]);
             design.tree.node_mut(id).delay_trim = Picoseconds::new(trim);
@@ -372,6 +382,7 @@ pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMi
         instances,
         sink_arrivals,
         recovered_skew,
+        inexact_sinks,
     })
 }
 
@@ -436,6 +447,7 @@ pub fn export_sdf(design: &Design) -> Result<String, WaveMinError> {
 mod tests {
     use super::*;
     use crate::design::Design;
+    use std::collections::BTreeMap;
     use wavemin_clocktree::prelude::Benchmark;
 
     #[test]
@@ -496,6 +508,55 @@ mod tests {
             imp.recovered_skew.value(),
             (20.0 + 5.0 + 15.5) - (20.0 + 6.5 + 13.25)
         );
+    }
+
+    /// `root → mid → s0..s7`, with sink nets long enough that each sink
+    /// input lies two binades above `mid`'s output.
+    fn half_ulp_sdf() -> String {
+        let mut text = String::from(
+            "(DELAYFILE (TIMESCALE 1ps)
+  (CELL (CELLTYPE \"BUF_X16\") (INSTANCE root) (DELAY (ABSOLUTE (IOPATH A Z (300.0)))))
+  (CELL (CELLTYPE \"BUF_X8\") (INSTANCE mid) (DELAY (ABSOLUTE (IOPATH A Z (25.0)))))\n",
+        );
+        let mut nets = String::from("    (INTERCONNECT root/Z mid/A (280.0))\n");
+        for i in 0..8 {
+            text += &format!(
+                "  (CELL (CELLTYPE \"BUF_X32\") (INSTANCE s{i}) \
+                 (DELAY (ABSOLUTE (IOPATH A Z (20.0)))))\n"
+            );
+            nets += &format!("    (INTERCONNECT mid/Z s{i}/A (1400.{i}))\n");
+        }
+        text + "  (CELL (CELLTYPE \"top\") (INSTANCE) (DELAY (ABSOLUTE\n" + &nets + "))))\n"
+    }
+
+    #[test]
+    fn half_ulp_parent_leaves_some_sinks_inexact_and_counts_them() {
+        let imp = import_sdf(&half_ulp_sdf(), CellLibrary::nangate45()).unwrap();
+        let timing = imp.design.timing(0).unwrap();
+        // mid's output lies in [512, 1024), an odd multiple of its ulp:
+        // half an ulp of the sink inputs' binade [1024, 2048), where the
+        // trims live too. Every `out_p + trim` is then a tie that rounds
+        // to an even input.
+        let mid = imp.instances.iter().position(|n| n == "mid").unwrap();
+        let out_p = timing.output_arrival[mid].value();
+        assert!((512.0..1024.0).contains(&out_p));
+        assert_eq!(out_p.to_bits() & 1, 1, "mid output is an odd multiple");
+        let mut inexact = Vec::new();
+        for ((name, chain), id) in imp.sink_arrivals.iter().zip(imp.design.tree.leaves()) {
+            let input = timing.input_arrival[id.0].value();
+            assert!((1024.0..2048.0).contains(&input));
+            assert_eq!(input.to_bits() & 1, 0, "{name}: only even inputs exist");
+            let got = timing.output_arrival[id.0].value();
+            if got != chain.value() {
+                // The walk used up all 256 cap ulps without landing.
+                let cap = imp.design.tree.node(id).sink_cap.value();
+                assert_eq!(cap.to_bits() - 4.0f64.to_bits(), 256, "{name}");
+                assert_eq!(got.to_bits().abs_diff(chain.value().to_bits()), 1, "{name}");
+                inexact.push(name.as_str());
+            }
+        }
+        assert_eq!(inexact, ["s2", "s3", "s7"]);
+        assert_eq!(imp.inexact_sinks, inexact.len());
     }
 
     #[test]

@@ -198,101 +198,110 @@ pub fn instance_of(port_path: &str) -> &str {
         .map_or(port_path, |(inst, _)| inst)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
+/// One token, borrowing its text from the input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
     LParen,
     RParen,
-    Atom(String),
-    Str(String),
+    Atom(&'a str),
+    Str(&'a str),
 }
 
-fn atom_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || "_.$/\\:+-[]".contains(c)
+fn atom_byte(b: u8) -> bool {
+    matches!(
+        b,
+        b'a'..=b'z'
+            | b'A'..=b'Z'
+            | b'0'..=b'9'
+            | b'_'
+            | b'.'
+            | b'$'
+            | b'/'
+            | b'\\'
+            | b':'
+            | b'+'
+            | b'-'
+            | b'['
+            | b']'
+    )
 }
 
-fn tokenize(input: &str) -> Result<Vec<(Token, usize)>, SdfError> {
+/// Splits `input` into tokens, each tagged with its 1-based line (for a
+/// quoted string, the line it ends on). Atoms and strings are spans of
+/// `input`; nothing is copied.
+fn tokenize(input: &str) -> Result<Vec<(Token<'_>, usize)>, SdfError> {
+    let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut line = 1usize;
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
+    let mut i = 0usize;
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b'\n' => {
                 line += 1;
-                chars.next();
+                i += 1;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
+            b'/' => {
                 // Could be a comment (`//` at statement level) or the
                 // start of an atom is impossible ('/' only occurs inside
                 // port paths, never first) — treat `//` as a comment and
                 // a lone '/' as a divider atom (DIVIDER statements).
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c2 in chars.by_ref() {
-                        if c2 == '\n' {
+                if bytes.get(i + 1) == Some(&b'/') {
+                    match bytes[i..].iter().position(|&c| c == b'\n') {
+                        Some(nl) => {
                             line += 1;
-                            break;
+                            i += nl + 1;
                         }
+                        None => i = bytes.len(),
                     }
                 } else {
-                    tokens.push((Token::Atom("/".to_owned()), line));
+                    tokens.push((Token::Atom(&input[i..=i]), line));
+                    i += 1;
                 }
             }
-            '(' => {
-                chars.next();
+            b'(' => {
                 tokens.push((Token::LParen, line));
+                i += 1;
             }
-            ')' => {
-                chars.next();
+            b')' => {
                 tokens.push((Token::RParen, line));
+                i += 1;
             }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                let mut closed = false;
-                for c2 in chars.by_ref() {
-                    if c2 == '"' {
-                        closed = true;
-                        break;
-                    }
-                    if c2 == '\n' {
-                        line += 1;
-                    }
-                    s.push(c2);
-                }
-                if !closed {
+            b'"' => {
+                let body = &input[i + 1..];
+                let Some(len) = body.find('"') else {
                     return Err(SdfError::UnexpectedEof);
-                }
-                tokens.push((Token::Str(s), line));
+                };
+                let text = &body[..len];
+                line += text.matches('\n').count();
+                tokens.push((Token::Str(text), line));
+                i += len + 2;
             }
-            c if atom_char(c) => {
-                let mut s = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if atom_char(c2) {
-                        s.push(c2);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push((Token::Atom(s), line));
+            b if atom_byte(b) => {
+                let len = bytes[i..].iter().take_while(|&&c| atom_byte(c)).count();
+                tokens.push((Token::Atom(&input[i..i + len]), line));
+                i += len;
             }
-            other => return Err(SdfError::UnexpectedChar { line, found: other }),
+            _ => {
+                // Anything else must be (possibly non-ASCII) whitespace.
+                let c = input[i..].chars().next().unwrap_or_default();
+                if !c.is_whitespace() {
+                    return Err(SdfError::UnexpectedChar { line, found: c });
+                }
+                i += c.len_utf8();
+            }
         }
     }
     Ok(tokens)
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|&(t, _)| t)
     }
 
     fn line(&self) -> usize {
@@ -301,8 +310,8 @@ impl Parser {
             .map_or(0, |(_, l)| *l)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -334,10 +343,10 @@ impl Parser {
     }
 
     /// An atom or quoted string.
-    fn word(&mut self, what: &'static str) -> Result<String, SdfError> {
+    fn word(&mut self, what: &'static str) -> Result<&'a str, SdfError> {
         let line = self.line();
         match self.next() {
-            Some(Token::Atom(s)) | Some(Token::Str(s)) => Ok(s),
+            Some(Token::Atom(s) | Token::Str(s)) => Ok(s),
             Some(t) => Err(SdfError::UnexpectedToken {
                 line,
                 expected: what,
@@ -367,14 +376,14 @@ impl Parser {
 
     /// A port name: a bare atom, or an `(posedge X)`-style edge
     /// specifier whose last atom is the port.
-    fn port(&mut self) -> Result<String, SdfError> {
+    fn port(&mut self) -> Result<&'a str, SdfError> {
         match self.peek() {
             Some(Token::LParen) => {
                 self.next();
                 let mut last = None;
                 loop {
                     match self.next() {
-                        Some(Token::Atom(s)) | Some(Token::Str(s)) => last = Some(s),
+                        Some(Token::Atom(s) | Token::Str(s)) => last = Some(s),
                         Some(Token::RParen) => break,
                         Some(t) => {
                             return Err(SdfError::UnexpectedToken {
@@ -402,7 +411,7 @@ impl Parser {
         let line = self.line();
         let text = self.word("delay value")?;
         self.expect_rparen("')' closing a delay value")?;
-        parse_triple(&text, line)
+        parse_triple(text, line)
     }
 }
 
@@ -411,10 +420,10 @@ fn parse_triple(text: &str, line: usize) -> Result<f64, SdfError> {
         line,
         value: text.to_owned(),
     };
-    let parts: Vec<&str> = text.split(':').collect();
-    let typ = match parts.as_slice() {
-        [one] => one,
-        [_, typ, _] => typ,
+    let mut parts = text.split(':');
+    let typ = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(one), None, _, _) => one,
+        (Some(_), Some(typ), Some(_), None) => typ,
         _ => return Err(bad()),
     };
     let v: f64 = typ.trim().parse().map_err(|_| bad())?;
@@ -440,8 +449,8 @@ fn parse_iopath(p: &mut Parser) -> Result<SdfIoPath, SdfError> {
     }
     p.expect_rparen("')' closing IOPATH")?;
     Ok(SdfIoPath {
-        from,
-        to,
+        from: from.to_owned(),
+        to: to.to_owned(),
         rise,
         fall,
     })
@@ -455,7 +464,11 @@ fn parse_interconnect(p: &mut Parser) -> Result<SdfInterconnect, SdfError> {
         p.triple()?;
     }
     p.expect_rparen("')' closing INTERCONNECT")?;
-    Ok(SdfInterconnect { from, to, delay })
+    Ok(SdfInterconnect {
+        from: from.to_owned(),
+        to: to.to_owned(),
+        delay,
+    })
 }
 
 fn parse_absolute(p: &mut Parser, cell: &mut SdfCell) -> Result<(), SdfError> {
@@ -468,10 +481,12 @@ fn parse_absolute(p: &mut Parser, cell: &mut SdfCell) -> Result<(), SdfError> {
             Some(Token::LParen) => {
                 p.next();
                 let kw = p.word("delay entry keyword")?;
-                match kw.to_ascii_uppercase().as_str() {
-                    "IOPATH" => cell.iopaths.push(parse_iopath(p)?),
-                    "INTERCONNECT" => cell.interconnects.push(parse_interconnect(p)?),
-                    _ => p.skip_balanced()?,
+                if kw.eq_ignore_ascii_case("IOPATH") {
+                    cell.iopaths.push(parse_iopath(p)?);
+                } else if kw.eq_ignore_ascii_case("INTERCONNECT") {
+                    cell.interconnects.push(parse_interconnect(p)?);
+                } else {
+                    p.skip_balanced()?;
                 }
             }
             Some(t) => {
@@ -525,21 +540,20 @@ fn parse_cell(p: &mut Parser) -> Result<SdfCell, SdfError> {
             Some(Token::LParen) => {
                 p.next();
                 let kw = p.word("CELL section keyword")?;
-                match kw.to_ascii_uppercase().as_str() {
-                    "CELLTYPE" => {
-                        cell.celltype = p.word("cell type name")?;
-                        p.expect_rparen("')' closing CELLTYPE")?;
+                if kw.eq_ignore_ascii_case("CELLTYPE") {
+                    cell.celltype = p.word("cell type name")?.to_owned();
+                    p.expect_rparen("')' closing CELLTYPE")?;
+                } else if kw.eq_ignore_ascii_case("INSTANCE") {
+                    if matches!(p.peek(), Some(Token::RParen)) {
+                        p.next(); // `(INSTANCE)` — the top scope.
+                    } else {
+                        cell.instance = p.word("instance path")?.to_owned();
+                        p.expect_rparen("')' closing INSTANCE")?;
                     }
-                    "INSTANCE" => {
-                        if matches!(p.peek(), Some(Token::RParen)) {
-                            p.next(); // `(INSTANCE)` — the top scope.
-                        } else {
-                            cell.instance = p.word("instance path")?;
-                            p.expect_rparen("')' closing INSTANCE")?;
-                        }
-                    }
-                    "DELAY" => parse_delay(p, &mut cell)?,
-                    _ => p.skip_balanced()?,
+                } else if kw.eq_ignore_ascii_case("DELAY") {
+                    parse_delay(p, &mut cell)?;
+                } else {
+                    p.skip_balanced()?;
                 }
             }
             Some(t) => {
@@ -569,7 +583,7 @@ pub fn parse(input: &str) -> Result<SdfFile, SdfError> {
     p.expect_lparen("'(' opening DELAYFILE")?;
     let kw = p.word("DELAYFILE keyword")?;
     if !kw.eq_ignore_ascii_case("DELAYFILE") {
-        return Err(SdfError::NotADelayFile(kw));
+        return Err(SdfError::NotADelayFile(kw.to_owned()));
     }
     let mut file = SdfFile::default();
     loop {
@@ -581,27 +595,26 @@ pub fn parse(input: &str) -> Result<SdfFile, SdfError> {
             Some(Token::LParen) => {
                 p.next();
                 let kw = p.word("header or CELL keyword")?;
-                match kw.to_ascii_uppercase().as_str() {
-                    "CELL" => file.cells.push(parse_cell(&mut p)?),
-                    "DESIGN" => {
-                        if !matches!(p.peek(), Some(Token::RParen)) {
-                            file.design = Some(p.word("design name")?);
-                        }
-                        p.skip_balanced()?;
+                if kw.eq_ignore_ascii_case("CELL") {
+                    file.cells.push(parse_cell(&mut p)?);
+                } else if kw.eq_ignore_ascii_case("DESIGN") {
+                    if !matches!(p.peek(), Some(Token::RParen)) {
+                        file.design = Some(p.word("design name")?.to_owned());
                     }
-                    "TIMESCALE" => {
-                        let mut scale = String::new();
-                        while let Some(Token::Atom(s) | Token::Str(s)) = p.peek() {
-                            if !scale.is_empty() {
-                                scale.push(' ');
-                            }
-                            scale.push_str(s);
-                            p.next();
+                    p.skip_balanced()?;
+                } else if kw.eq_ignore_ascii_case("TIMESCALE") {
+                    let mut scale = String::new();
+                    while let Some(Token::Atom(s) | Token::Str(s)) = p.peek() {
+                        if !scale.is_empty() {
+                            scale.push(' ');
                         }
-                        file.timescale = Some(scale);
-                        p.expect_rparen("')' closing TIMESCALE")?;
+                        scale.push_str(s);
+                        p.next();
                     }
-                    _ => p.skip_balanced()?,
+                    file.timescale = Some(scale);
+                    p.expect_rparen("')' closing TIMESCALE")?;
+                } else {
+                    p.skip_balanced()?;
                 }
             }
             Some(t) => {

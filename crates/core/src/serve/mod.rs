@@ -79,11 +79,13 @@ impl Default for ServeOptions {
     }
 }
 
-/// Set by the signal handler; polled by the accept loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Set by the signal handler; polled by every daemon's accept loop. A
+/// signal stops the whole process, so it is process-wide; the `shutdown`
+/// command stops only its own daemon ([`ServerState::shutdown`]).
+static SIGNALED: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn request_shutdown(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+    SIGNALED.store(true, Ordering::SeqCst);
 }
 
 extern "C" {
@@ -167,6 +169,9 @@ struct ServerState {
     /// Daemon-lifetime registry: finished jobs' histograms are absorbed
     /// here, so the `metrics` verb sees latency across all jobs.
     metrics: MetricsRegistry,
+    /// Set by this daemon's `shutdown` command; other daemons in the
+    /// process keep running.
+    shutdown: AtomicBool,
 }
 
 impl ServerState {
@@ -237,7 +242,6 @@ impl ServerState {
 /// Socket bind/configuration failures. Per-connection and per-job
 /// failures are reported to the client, never escalated here.
 pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
-    SHUTDOWN.store(false, Ordering::SeqCst);
     let socket_path = opts.socket_path.clone();
     // A stale socket file from an unclean previous exit blocks bind.
     let _ = std::fs::remove_file(&socket_path);
@@ -261,6 +265,7 @@ pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
         jobs_completed: AtomicU64::new(0),
         jobs_failed: AtomicU64::new(0),
         metrics: MetricsRegistry::enabled(false),
+        shutdown: AtomicBool::new(false),
     });
     log_json(
         &state,
@@ -281,7 +286,7 @@ pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
         );
     }
 
-    while !SHUTDOWN.load(Ordering::SeqCst) {
+    while !state.shutdown.load(Ordering::SeqCst) && !SIGNALED.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let st = Arc::clone(&state);
@@ -570,9 +575,10 @@ fn render_prometheus(state: &ServerState) -> String {
 }
 
 /// Builds the session design from the request's source: a synthesized
-/// benchmark, or an imported SDF file (with an optional Liberty library).
-/// The protocol parser guarantees exactly one source is present.
-fn load_request_design(req: &LoadRequest) -> Result<Design, String> {
+/// benchmark, or an imported SDF file (with an optional Liberty library)
+/// together with its [`ImportedDesign::inexact_sinks`](crate::io::ImportedDesign::inexact_sinks)
+/// count. The protocol parser guarantees exactly one source is present.
+fn load_request_design(req: &LoadRequest) -> Result<(Design, Option<usize>), String> {
     if let Some(path) = &req.sdf {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let lib = match &req.lib {
@@ -585,18 +591,18 @@ fn load_request_design(req: &LoadRequest) -> Result<Design, String> {
             }
         };
         let imported = crate::io::import_sdf(&text, lib).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(imported.design);
+        return Ok((imported.design, Some(imported.inexact_sinks)));
     }
     let name = req.benchmark.as_deref().unwrap_or_default();
     let Some(bench) = Benchmark::all().into_iter().find(|b| b.name == name) else {
         return Err(format!("unknown benchmark {name:?}"));
     };
-    Ok(Design::from_benchmark(&bench, req.seed))
+    Ok((Design::from_benchmark(&bench, req.seed), None))
 }
 
 fn execute_load(state: &ServerState, req: &LoadRequest) -> String {
-    let mut design = match load_request_design(req) {
-        Ok(d) => d,
+    let (mut design, inexact_sinks) = match load_request_design(req) {
+        Ok(loaded) => loaded,
         Err(e) => return err_response(&e),
     };
     for edit in &req.edits {
@@ -652,6 +658,10 @@ fn execute_load(state: &ServerState, req: &LoadRequest) -> String {
         ("zones".to_string(), Value::UInt(zones as u64)),
         ("intervals".to_string(), Value::UInt(intervals as u64)),
         ("sinks".to_string(), Value::UInt(sinks as u64)),
+        (
+            "inexact_sinks".to_string(),
+            inexact_sinks.map_or(Value::Null, |n| Value::UInt(n as u64)),
+        ),
         ("eco_hint".to_string(), eco_hint),
     ])
 }
@@ -744,7 +754,7 @@ fn serve_connection(state: &ServerState, stream: UnixStream) {
                 }
             }
             Ok(Request::Shutdown) => {
-                SHUTDOWN.store(true, Ordering::SeqCst);
+                state.shutdown.store(true, Ordering::SeqCst);
                 let bye = ok_response(vec![("shutting_down".to_string(), Value::Bool(true))]);
                 let _ = writeln!(writer, "{bye}");
                 let _ = writer.flush();
@@ -794,6 +804,7 @@ pub fn client_request(socket_path: &str, line: &str) -> Result<String, std::io::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn job_queue_orders_by_priority_then_fifo() {
@@ -820,13 +831,61 @@ mod tests {
         assert_eq!(order, vec![(5, 1), (5, 2), (1, 3), (0, 0)]);
     }
 
+    /// Starts a daemon on a fresh socket in the temp dir and waits for it
+    /// to bind.
+    fn spawn_daemon(tag: &str) -> (String, std::thread::JoinHandle<Result<(), std::io::Error>>) {
+        let socket =
+            std::env::temp_dir().join(format!("wavemin-serve-{tag}-{}.sock", std::process::id()));
+        let socket_path = socket.to_string_lossy().to_string();
+        let opts = ServeOptions {
+            socket_path: socket_path.clone(),
+            workers: 1,
+            cache_bytes: 16 << 20,
+            threads: Some(1),
+            log_json: false,
+        };
+        let server = std::thread::spawn(move || run(opts));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !socket.exists() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        (socket_path, server)
+    }
+
+    #[test]
+    fn daemons_in_one_process_shut_down_independently() {
+        let (a, server_a) = spawn_daemon("independent-a");
+        let (b, server_b) = spawn_daemon("independent-b");
+        let ask = |socket: &str, line: &str| client_request(socket, line).expect("request");
+
+        let bye = ask(&a, r#"{"cmd":"shutdown"}"#);
+        assert!(bye.contains("\"shutting_down\":true"), "{bye}");
+        server_a
+            .join()
+            .expect("server a thread")
+            .expect("clean shutdown of a");
+        assert!(!Path::new(&a).exists(), "a unlinks its socket");
+
+        // b outlives a's shutdown and still serves requests. The pause
+        // spans several 25 ms accept polls, so a flag shared with a would
+        // have stopped b by now.
+        std::thread::sleep(Duration::from_millis(100));
+        let pong = ask(&b, r#"{"cmd":"ping"}"#);
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+        assert!(!server_b.is_finished(), "b must keep running");
+
+        let bye = ask(&b, r#"{"cmd":"shutdown"}"#);
+        assert!(bye.contains("\"shutting_down\":true"), "{bye}");
+        server_b
+            .join()
+            .expect("server b thread")
+            .expect("clean shutdown of b");
+    }
+
     #[test]
     fn load_from_sdf_over_a_socket() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let socket = dir.join(format!("wavemin-serve-sdf-test-{pid}.sock"));
-        let socket_path = socket.to_string_lossy().to_string();
-        let sdf = dir.join(format!("wavemin-serve-sdf-test-{pid}.sdf"));
+        let sdf =
+            std::env::temp_dir().join(format!("wavemin-serve-sdf-test-{}.sdf", std::process::id()));
         std::fs::write(
             &sdf,
             r#"(DELAYFILE (SDFVERSION "3.0") (DESIGN "tiny") (TIMESCALE 1ps)
@@ -843,19 +902,7 @@ mod tests {
 "#,
         )
         .expect("write sdf");
-        SHUTDOWN.store(false, Ordering::SeqCst);
-        let opts = ServeOptions {
-            socket_path: socket_path.clone(),
-            workers: 1,
-            cache_bytes: 16 << 20,
-            threads: Some(1),
-            log_json: false,
-        };
-        let server = std::thread::spawn(move || run(opts));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !socket.exists() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let (socket_path, server) = spawn_daemon("sdf-test");
         let ask = |line: &str| client_request(&socket_path, line).expect("request");
 
         let sdf_json = sdf.to_string_lossy().replace('\\', "\\\\");
@@ -864,6 +911,7 @@ mod tests {
         ));
         assert!(loaded.contains("\"ok\":true"), "{loaded}");
         assert!(loaded.contains("\"sinks\":2"), "{loaded}");
+        assert!(loaded.contains("\"inexact_sinks\":0"), "{loaded}");
 
         let solved = ask(r#"{"cmd":"solve","session":"sdf"}"#);
         assert!(solved.contains("\"ok\":true"), "{solved}");
@@ -889,7 +937,6 @@ mod tests {
         let dir = std::env::temp_dir();
         let socket = dir.join(format!("wavemin-serve-test-{}.sock", std::process::id()));
         let socket_path = socket.to_string_lossy().to_string();
-        SHUTDOWN.store(false, Ordering::SeqCst);
         let opts = ServeOptions {
             socket_path: socket_path.clone(),
             workers: 2,
