@@ -71,7 +71,7 @@ struct MetricsSummary {
     dominance_skipped: u64,
 }
 
-/// One streaming scale run (synthesized `scale*` tree, budgeted).
+/// One budgeted scale run (synthesized `scale*` tree).
 #[derive(Serialize)]
 struct ScaleSample {
     name: String,
@@ -204,10 +204,10 @@ fn multi_zone_measurements(seed: u64) -> Vec<ThreadSample> {
     out
 }
 
-/// One budgeted streaming run per scale tree. The budgets are sized for
-/// this record's reference box (single-core, 128 GB): generous enough to
-/// finish, tight enough that the 100k/1M runs exercise the archive spill
-/// path when the working set grows past them.
+/// One budgeted run per scale tree. The budgets are sized for this
+/// record's reference box (single-core, 128 GB): generous enough to
+/// finish, tight enough that the 100k/1M runs exercise the zone store's
+/// spill path when the working set grows past them.
 #[allow(clippy::expect_used)]
 fn scale_measurements(seed: u64, full: bool) -> Vec<ScaleSample> {
     let mut sweeps = vec![

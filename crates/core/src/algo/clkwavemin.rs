@@ -498,19 +498,20 @@ impl MospZoneSolver {
         extra: &crate::noise_table::BackgroundAccumulator,
         salvage: bool,
     ) -> Result<ZoneSolution, WaveMinError> {
-        let mut background = zone.background.clone();
-        zone.plan.accumulate_background_into(&mut background, extra);
+        let spec = zone.spec();
+        let mut background = spec.background.clone();
+        spec.plan.accumulate_background_into(&mut background, extra);
         let (choices, cost) = solve_zone_mosp_generic(
             &self.ladder,
-            zone.id,
-            zone.sinks.len(),
+            spec.id,
+            spec.sinks.len(),
             |local, option| {
-                let si = zone.sinks[local];
+                let si = spec.sinks[local];
                 let o = &table.sinks[si].options[option];
                 o.delay_code_for(interval.t_lo, interval.t_hi)
                     .map(|code| (code, zone.option_vector(table, local, option, code)))
             },
-            &interval.allowed_for(&zone.sinks),
+            &interval.allowed_for(&spec.sinks),
             &background,
             salvage,
         )?;

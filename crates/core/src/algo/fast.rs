@@ -85,14 +85,15 @@ impl ZoneSolver for GreedyZoneSolver {
     ) -> Result<ZoneSolution, WaveMinError> {
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
-        let rows = zone.sinks.len();
-        let allowed = interval.allowed_for(&zone.sinks);
+        let spec = zone.spec();
+        let rows = spec.sinks.len();
+        let allowed = interval.allowed_for(&spec.sinks);
         // Candidate (row, option, code, vector) tuples.
         let mut candidates: Vec<Vec<(usize, Picoseconds, Vec<f64>)>> = Vec::with_capacity(rows);
         for (local, opts) in allowed.iter().enumerate() {
             let mut row = Vec::new();
             for &opt in opts.iter() {
-                let si = zone.sinks[local];
+                let si = spec.sinks[local];
                 let o = &table.sinks[si].options[opt];
                 if let Some(code) = o.delay_code_for(interval.t_lo, interval.t_hi) {
                     row.push((opt, code, zone.option_vector(table, local, opt, code)));
@@ -104,8 +105,8 @@ impl ZoneSolver for GreedyZoneSolver {
             candidates.push(row);
         }
 
-        let mut sum = zone.background.clone();
-        zone.plan.accumulate_background_into(&mut sum, extra);
+        let mut sum = spec.background.clone();
+        spec.plan.accumulate_background_into(&mut sum, extra);
         let mut choices = vec![(usize::MAX, Picoseconds::ZERO); rows];
         let mut remaining: Vec<usize> = (0..rows).collect();
         while !remaining.is_empty() {
@@ -133,7 +134,7 @@ impl ZoneSolver for GreedyZoneSolver {
         let cost = wavemin_mosp::kernels::max_component(&sum).max(0.0);
         if let Some(started) = started {
             self.registry.record_zone_solve(
-                zone.id,
+                spec.id,
                 &ZoneSolveRecord {
                     stats: SolveStats {
                         labels_created: rows as u64,

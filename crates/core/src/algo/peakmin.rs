@@ -87,15 +87,16 @@ impl ZoneSolver for BalanceZoneSolver {
         // non-leaf background — that is the limitation WaveMin fixes.
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
-        let rows = zone.sinks.len();
-        let allowed = interval.allowed_for(&zone.sinks);
+        let sinks = &zone.spec().sinks;
+        let rows = sinks.len();
+        let allowed = interval.allowed_for(sinks);
         // Candidate tuples: (option, code, polarity, standalone peak).
         let mut candidates: Vec<Vec<(usize, Picoseconds, Polarity, f64)>> =
             Vec::with_capacity(rows);
         for (local, opts) in allowed.iter().enumerate() {
             let mut row = Vec::new();
             for &opt in opts.iter() {
-                let si = zone.sinks[local];
+                let si = sinks[local];
                 let o = &table.sinks[si].options[opt];
                 if let Some(code) = o.delay_code_for(interval.t_lo, interval.t_hi) {
                     row.push((opt, code, o.kind.polarity(), o.waves.peak().value()));
@@ -150,7 +151,7 @@ impl ZoneSolver for BalanceZoneSolver {
             .collect();
         if let Some(started) = started {
             self.registry.record_zone_solve(
-                zone.id,
+                zone.spec().id,
                 &ZoneSolveRecord {
                     stats: SolveStats {
                         labels_created: rows as u64,
@@ -248,6 +249,7 @@ mod tests {
             // The zone cost can never exceed assigning everything to one
             // polarity.
             let worst_one_sided: f64 = zone
+                .spec()
                 .sinks
                 .iter()
                 .map(|&si| {

@@ -66,10 +66,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// change to either invalidates every checkpoint entry.
 ///
 /// Run-plumbing fields that cannot change a zone's solution — the worker
-/// count, observability switches, and the checkpoint/resume flags
-/// themselves — are normalized out before hashing, so an interrupted run
-/// and its `--resume` continuation (or a re-run with `--trace` added)
-/// agree on the fingerprint. Everything semantic stays in, including the
+/// count, observability switches, the memory budget (zone residency never
+/// changes results), and the checkpoint/resume flags themselves — are
+/// normalized out before hashing, so an interrupted run and its
+/// `--resume` continuation (or a re-run with `--trace` added) agree on
+/// the fingerprint. Everything semantic stays in, including the
 /// fault plan (injection changes solve results) and the time budget.
 ///
 /// # Errors
@@ -98,6 +99,7 @@ pub fn config_fingerprint(config: &WaveMinConfig) -> Result<u64, WaveMinError> {
     canon.trace_spans = false;
     canon.checkpoint_path = None;
     canon.resume = false;
+    canon.memory_budget_mb = None;
     let c = serde_json::to_string(&canon)
         .map_err(|e| WaveMinError::Checkpoint(format!("config fingerprint: {e}")))?;
     Ok(fnv1a(c.as_bytes()))
@@ -744,7 +746,8 @@ mod tests {
             .with_checkpoint("some/path.ckpt")
             .with_resume(true)
             .with_threads(4)
-            .with_metrics(true);
+            .with_metrics(true)
+            .with_memory_budget_mb(512);
         assert_eq!(
             design_fingerprint(&d, &resumed).expect("fingerprint"),
             fp,

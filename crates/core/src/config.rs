@@ -112,22 +112,14 @@ pub struct WaveMinConfig {
     /// without a checkpoint path.
     #[serde(default)]
     pub resume: bool,
-    /// Stream zone problems instead of materializing every zone's
-    /// sampled vectors up front: each zone is characterized when an
-    /// interval first needs it, archived compactly (see
-    /// [`wavemin_mosp::CompactCosts`]), and re-widened — or recomputed
-    /// after eviction — on later use. At the default f64 storage
-    /// precision a streaming run is bit-identical to a materialized one.
-    /// Implied by [`Self::memory_budget_mb`].
-    #[serde(default)]
-    pub streaming: bool,
-    /// Total process memory budget in MB for a streaming run. The zone
-    /// archive is sized to what remains after the measured baseline
-    /// (noise table, intervals) and one hot zone; archived zones are
-    /// evicted LRU (`zones_spilled`) and recomputed on next use
-    /// (`zone_recomputes`). A budget the minimal working set cannot fit
+    /// Total process memory budget in MB. Zone problems are built when an
+    /// interval first needs them and kept resident in a store sized to
+    /// what remains after the measured baseline (noise table, intervals)
+    /// and one hot zone; resident zones are evicted LRU (`zones_spilled`)
+    /// and rebuilt on next use (`zone_recomputes`). Residency never
+    /// changes results. A budget the minimal working set cannot fit
     /// fails with [`WaveMinError::MemoryBudget`] before any zone is
-    /// solved. `None` = unbounded.
+    /// solved. `None` = unbounded: every zone stays resident.
     #[serde(default)]
     pub memory_budget_mb: Option<usize>,
 }
@@ -160,7 +152,6 @@ impl Default for WaveMinConfig {
             fault_plan: FaultPlan::from_env(),
             checkpoint_path: None,
             resume: false,
-            streaming: false,
             memory_budget_mb: None,
         }
     }
@@ -250,26 +241,11 @@ impl WaveMinConfig {
         self
     }
 
-    /// Returns the config with streaming zone solves switched on or off.
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Returns the config with a total-process memory budget in MB
-    /// (implies streaming).
+    /// Returns the config with a total-process memory budget in MB.
     #[must_use]
     pub fn with_memory_budget_mb(mut self, mb: usize) -> Self {
         self.memory_budget_mb = Some(mb);
         self
-    }
-
-    /// `true` when zones should be streamed rather than materialized:
-    /// either requested directly or implied by a memory budget.
-    #[must_use]
-    pub fn streaming_enabled(&self) -> bool {
-        self.streaming || self.memory_budget_mb.is_some()
     }
 
     /// The worker count the solve pipeline will actually use: the
@@ -413,12 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_implies_streaming() {
+    fn memory_budget_builder_sets_the_cap() {
         let c = WaveMinConfig::default();
-        assert!(!c.streaming_enabled());
-        assert!(c.clone().with_streaming(true).streaming_enabled());
+        assert_eq!(c.memory_budget_mb, None);
         let budgeted = c.with_memory_budget_mb(256);
-        assert!(budgeted.streaming_enabled());
         assert_eq!(budgeted.memory_budget_mb, Some(256));
         assert_eq!(budgeted.validate(), Ok(()));
     }

@@ -49,9 +49,9 @@ pub enum WaveMinError {
     /// The checkpoint journal could not be written, read, or validated;
     /// the message names the file and the reason.
     Checkpoint(String),
-    /// The streaming pipeline's minimal working set (process baseline
-    /// plus one hot zone and its archived copy) does not fit the
-    /// configured memory budget.
+    /// The minimal working set (process baseline plus two of the
+    /// largest zone's vectors) does not fit the configured memory
+    /// budget.
     MemoryBudget {
         /// The configured `--memory-budget-mb` value.
         budget_mb: usize,

@@ -237,7 +237,7 @@ impl ClkWaveMinM {
         let degenerate_zones = zones
             .iter()
             .flatten()
-            .filter(|z| z.plan.is_degenerate())
+            .filter(|z| z.spec().plan.is_degenerate())
             .count();
 
         // Intersections are independent of each other (each chains its own
@@ -320,13 +320,12 @@ impl ClkWaveMinM {
         let mut accumulated = vec![crate::noise_table::BackgroundAccumulator::zero(); modes];
         // Largest zones first.
         let mut zone_ids: Vec<usize> = (0..zone_count).collect();
-        zone_ids.sort_by_key(|&z| std::cmp::Reverse(zones[0][z].sinks.len()));
+        zone_ids.sort_by_key(|&z| std::cmp::Reverse(zones[0][z].spec().sinks.len()));
 
         for zi in zone_ids {
-            let zone0 = &zones[0][zi];
-            let rows = zone0.sinks.len();
-            let allowed: Vec<&[usize]> = zone0
-                .sinks
+            let sinks0 = &zones[0][zi].spec().sinks;
+            let rows = sinks0.len();
+            let allowed: Vec<&[usize]> = sinks0
                 .iter()
                 .map(|&si| intersection.allowed[si].as_slice())
                 .collect();
@@ -334,9 +333,9 @@ impl ClkWaveMinM {
             // assigned zones, per mode).
             let mut background = Vec::new();
             for m in 0..modes {
-                let mut bg = zones[m][zi].background.clone();
-                zones[m][zi]
-                    .plan
+                let spec = zones[m][zi].spec();
+                let mut bg = spec.background.clone();
+                spec.plan
                     .accumulate_background_into(&mut bg, &accumulated[m]);
                 background.extend_from_slice(&bg);
             }
@@ -345,7 +344,7 @@ impl ClkWaveMinM {
                 let mut codes = Vec::with_capacity(modes);
                 let mut vector = Vec::new();
                 for m in 0..modes {
-                    let si = zones[m][zi].sinks[local];
+                    let si = zones[m][zi].spec().sinks[local];
                     let o = &tables[m].sinks[si].options[opt];
                     let (lo, hi) = intersection.windows[m];
                     let code = o.delay_code_for(lo, hi)?;
@@ -385,12 +384,12 @@ impl ClkWaveMinM {
             };
             cost = cost.max(zone_cost);
             for (local, (opt, codes)) in choices.iter().enumerate() {
-                let si = zone0.sinks[local];
+                let si = sinks0[local];
                 let entry = &tables[0].sinks[si];
                 let option = &entry.options[*opt];
                 assignment.set(entry.node, option.cell.clone());
                 for m in 0..modes {
-                    let o = &tables[m].sinks[zones[m][zi].sinks[local]].options[*opt];
+                    let o = &tables[m].sinks[zones[m][zi].spec().sinks[local]].options[*opt];
                     let code = codes.get(m).copied().unwrap_or(Picoseconds::ZERO);
                     accumulated[m].push(&o.waves.shifted(code));
                 }

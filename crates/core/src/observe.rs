@@ -489,16 +489,15 @@ impl MetricsRegistry {
         }
     }
 
-    /// Counts one archived zone evicted from the streaming archive to
-    /// stay under the memory budget.
+    /// Counts one resident zone evicted from the zone store to stay
+    /// under the memory budget.
     pub fn record_zone_spill(&self) {
         if let Some(inner) = self.inner.as_ref() {
             inner.counters.zones_spilled.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Counts one zone re-characterized after its archived copy was
-    /// spilled.
+    /// Counts one zone rebuilt after it was spilled.
     pub fn record_zone_recompute(&self) {
         if let Some(inner) = self.inner.as_ref() {
             inner
@@ -948,13 +947,13 @@ pub struct RunCounters {
     /// re-solved (`--resume`).
     #[serde(default)]
     pub zones_reused: u64,
-    /// Archived zones evicted from the streaming archive to stay under
-    /// the memory budget. Environment-dependent (eviction order follows
+    /// Resident zones evicted from the zone store to stay under the
+    /// memory budget. Environment-dependent (eviction order follows
     /// worker interleaving) — zeroed by [`RunReport::normalized`].
     #[serde(default)]
     pub zones_spilled: u64,
-    /// Zones re-characterized after their archived copy was spilled.
-    /// Environment-dependent — zeroed by [`RunReport::normalized`].
+    /// Zones rebuilt after they were spilled (never more than
+    /// `zones_spilled`). Environment-dependent — zeroed by [`RunReport::normalized`].
     #[serde(default)]
     pub zone_recomputes: u64,
     /// Largest process RSS (bytes) sampled at a pipeline checkpoint; 0
@@ -1491,10 +1490,10 @@ impl RunReport {
         let mut out = self.clone();
         out.threads = 0;
         out.kernel = String::new();
-        // Streaming-archive traffic and the RSS gauge depend on worker
-        // interleaving and the process environment, not on the problem:
-        // a streaming and a materialized run of the same instance must
-        // compare equal once normalized.
+        // Zone-store traffic and the RSS gauge depend on worker
+        // interleaving, the memory budget and the process environment,
+        // not on the problem: runs of the same instance under any budget
+        // must compare equal once normalized.
         out.counters.zones_spilled = 0;
         out.counters.zone_recomputes = 0;
         out.counters.peak_rss_bytes = 0;

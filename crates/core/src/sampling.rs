@@ -102,13 +102,16 @@ impl SamplePlan {
     #[must_use]
     pub fn vector_of(&self, waves: &EventWaveforms) -> Vec<f64> {
         let mut v = Vec::with_capacity(self.dims());
+        self.sample_into(waves, &mut v);
+        v
+    }
+
+    /// Appends [`Self::vector_of`]`(waves)` to `out`.
+    pub(crate) fn sample_into(&self, waves: &EventWaveforms, out: &mut Vec<f64>) {
         for (rail, event) in EventWaveforms::SLOTS {
             let w = waves.get(rail, event);
-            for &t in &self.times {
-                v.push(w.sample(t).value());
-            }
+            out.extend(self.times.iter().map(|&t| w.sample(t).value()));
         }
-        v
     }
 
     /// Adds an interval's accumulated background (every resident merge

@@ -303,6 +303,107 @@ mod tests {
         assert_eq!(hot.assignment, warm.assignment);
     }
 
+    /// Solves one session with an unlimited zone store, then again with
+    /// a store that holds about one zone, and asserts the residency
+    /// never shows in the results.
+    fn assert_residency_invisible(design: Design, config: WaveMinConfig, label: &str) {
+        let mut session = CharacterizedDesign::new(design, config).expect("characterize");
+        let opts = SolveOptions {
+            collect_metrics: true,
+            ..SolveOptions::default()
+        };
+        let unlimited = session.solve(&opts).expect("unlimited solve");
+        let zones = &session.prep.zones;
+        let one_zone = (0..zones.len())
+            .map(|z| zones.spec(z).hot_bytes(&session.prep.table))
+            .max()
+            .unwrap_or(0);
+        session.prep.zones.reset(one_zone.max(1));
+        let tight = session.solve(&opts).expect("tight solve");
+
+        assert_eq!(
+            unlimited.assignment, tight.assignment,
+            "{label}: assignment"
+        );
+        assert_eq!(
+            unlimited.estimated_cost.to_bits(),
+            tight.estimated_cost.to_bits(),
+            "{label}: cost bits"
+        );
+        assert_eq!(unlimited.peak_after, tight.peak_after, "{label}: peak");
+        assert_eq!(unlimited.skew_after, tight.skew_after, "{label}: skew");
+        assert_eq!(
+            unlimited.intervals_tried, tight.intervals_tried,
+            "{label}: intervals"
+        );
+        assert_eq!(
+            unlimited.degenerate_zones, tight.degenerate_zones,
+            "{label}: degenerate zones"
+        );
+        assert_eq!(
+            unlimited.faulted_zones, tight.faulted_zones,
+            "{label}: faulted zones"
+        );
+        let (u, t) = (
+            unlimited.report.expect("unlimited report"),
+            tight.report.expect("tight report"),
+        );
+        u.validate().expect("unlimited report consistency");
+        t.validate().expect("tight report consistency");
+        assert_eq!(u.counters.zones_spilled, 0, "{label}: unlimited spilled");
+        assert!(
+            t.counters.zones_spilled > 0,
+            "{label}: tight store never spilled"
+        );
+        assert!(
+            t.counters.zone_recomputes <= t.counters.zones_spilled,
+            "{label}: recomputes without spills"
+        );
+        assert_eq!(
+            u.normalized(),
+            t.normalized(),
+            "{label}: normalized reports"
+        );
+    }
+
+    #[test]
+    fn residency_never_changes_results_across_threads() {
+        for bench in [Benchmark::s15850(), Benchmark::s13207()] {
+            for threads in [1, 4] {
+                let mut cfg = WaveMinConfig::default()
+                    .with_sample_count(16)
+                    .with_threads(threads)
+                    .with_fault_plan(None);
+                cfg.max_intervals = Some(6);
+                let design = Design::from_benchmark(&bench, 7);
+                assert_residency_invisible(design, cfg, &format!("{} x{threads}", bench.name));
+            }
+        }
+    }
+
+    #[test]
+    fn residency_never_changes_results_under_fault_injection() {
+        for (seed, rate) in [(1, 1.0), (5, 0.25)] {
+            let mut cfg = WaveMinConfig::default()
+                .with_sample_count(12)
+                .with_fault_plan(Some(crate::fault::FaultPlan { seed, rate }));
+            cfg.max_intervals = Some(4);
+            let design = Design::from_benchmark(&Benchmark::s15850(), 3);
+            assert_residency_invisible(design, cfg, &format!("faults {seed}:{rate}"));
+        }
+    }
+
+    #[test]
+    fn residency_never_changes_results_on_a_scale_fixture() {
+        // Hundreds of zones: the tight store evicts on nearly every acquire.
+        let mut cfg = WaveMinConfig::default()
+            .with_sample_count(8)
+            .with_fault_plan(None);
+        cfg.max_intervals = Some(3);
+        let design = Design::from_benchmark(&Benchmark::scale("stream_diff", 300), 5);
+        assert_residency_invisible(design, cfg, "scale300");
+    }
+
     #[test]
     fn eco_probe_sink_is_a_characterized_leaf() {
         let design = small_design();

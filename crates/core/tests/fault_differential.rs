@@ -251,3 +251,37 @@ fn checkpoint_under_faults_resumes_identically() {
     assert_eq!(counters.zone_solves, 0, "nothing left to re-solve");
     assert_eq!(counters.zone_faults, 0, "reused zones cannot fault");
 }
+
+#[test]
+fn checkpoint_resumes_under_a_different_memory_budget() {
+    // Zone residency never changes results, so the memory budget is run
+    // plumbing: a journal written under one budget resumes under another.
+    let d = Design::from_benchmark(&Benchmark::s15850(), 7);
+    let cfg = base_config().with_threads(1).with_metrics(true);
+
+    let path = scratch("budget-resume.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let full = ClkWaveMin::new(
+        cfg.clone()
+            .with_memory_budget_mb(4096)
+            .with_checkpoint(&path),
+    )
+    .run(&d)
+    .expect("budgeted checkpointed run");
+
+    let resumed = ClkWaveMin::new(cfg.with_checkpoint(&path).with_resume(true))
+        .run(&d)
+        .expect("unbudgeted resume");
+    assert_eq!(full.assignment, resumed.assignment, "assignment");
+    assert_eq!(
+        full.estimated_cost.to_bits(),
+        resumed.estimated_cost.to_bits(),
+        "cost bits"
+    );
+    let counters = &resumed.report.as_ref().expect("report").counters;
+    assert!(
+        counters.zones_reused > 0,
+        "the budgeted run's journal must be reused"
+    );
+    assert_eq!(counters.zone_solves, 0, "nothing left to re-solve");
+}

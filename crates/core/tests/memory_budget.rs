@@ -1,6 +1,6 @@
 //! Memory-budget behaviour: an infeasible budget fails up front with a
 //! typed error, and a budgeted scale run stays within its cap while
-//! spilling archived zones (the `#[ignore]`d regression is driven
+//! spilling resident zones (the `#[ignore]`d regression is driven
 //! explicitly by the CI scale job).
 
 use wavemin::prelude::*;
@@ -12,7 +12,6 @@ use wavemin::prelude::*;
 fn infeasible_budget_fails_with_typed_error() {
     let design = Design::from_benchmark(&Benchmark::s15850(), 1);
     let cfg = WaveMinConfig::default().with_memory_budget_mb(1);
-    assert!(cfg.streaming_enabled(), "a budget implies streaming");
     match ClkWaveMin::new(cfg).run(&design) {
         Err(WaveMinError::MemoryBudget {
             budget_mb,
@@ -34,16 +33,16 @@ fn infeasible_budget_fails_with_typed_error() {
     }
 }
 
-/// The 100k-sink regression: a streaming run under a deliberately tight
+/// The 100k-sink regression: a run under a deliberately tight
 /// budget must finish, keep its end-of-solve RSS within the budget, and
 /// actually exercise the spill path (nonzero `zones_spilled`).
 ///
 /// The budget is derived at runtime: a 1 MB probe run reports the
 /// minimal working set via the typed error, and the real run gets that
-/// plus a fixed archive allowance small enough to force eviction. The
+/// plus a fixed store allowance small enough to force eviction. The
 /// budget governs the solve phase (zone residency + interval
 /// accumulation); the final whole-design validation pass is measured
-/// via `peak_rss_bytes` but sits outside the budgeted archive, so the
+/// via `peak_rss_bytes` but sits outside the budgeted store, so the
 /// cap is asserted against `solve_rss_bytes`.
 #[test]
 #[ignore = "scale regression (~minutes): run explicitly or via the CI scale job"]
@@ -61,7 +60,7 @@ fn scale100k_stays_within_budget_and_spills() {
         other => panic!("probe should report the minimal working set, got {other:?}"),
     };
 
-    // ~16 MB of archive headroom: far below the full archive for 100k
+    // ~16 MB of store headroom: far below the full store for 100k
     // sinks at 16 samples, so the LRU must evict. If allocator retention
     // from the probe shifted the baseline, widen once and retry.
     let mut budget_mb = required_mb + 16;
@@ -80,11 +79,11 @@ fn scale100k_stays_within_budget_and_spills() {
     report.validate().expect("report consistency");
     assert!(
         report.counters.zones_spilled > 0,
-        "a {budget_mb} MB budget on 100k sinks must evict archived zones"
+        "a {budget_mb} MB budget on 100k sinks must evict resident zones"
     );
     if outcome.intervals_tried > 1 {
         // A second interval revisits zones the first one's evictions
-        // pushed out of the archive.
+        // pushed out of the store.
         assert!(
             report.counters.zone_recomputes > 0,
             "evicted zones revisited on later intervals must be recomputed"

@@ -95,108 +95,6 @@ pub fn active() -> Kernel {
     }
 }
 
-/// Environment variable consulted (once) for the default cost-vector
-/// *storage* precision: `f32` selects the compact half-width slab,
-/// anything else selects `f64`.
-pub const PRECISION_ENV: &str = "WAVEMIN_PRECISION";
-
-/// How archived cost vectors are stored (see
-/// [`crate::storage::CompactCosts`]). Selection mirrors the kernel-family
-/// plumbing: a process-wide [`force_precision`] override, else the
-/// [`PRECISION_ENV`] environment variable (read once), else [`F64`].
-///
-/// Precision governs **storage only** — every arithmetic kernel above
-/// always runs in f64, widening compact rows on read. `F64` storage
-/// round-trips bit-for-bit; `F32` halves the bytes with the error bound
-/// documented on [`CostPrecision::rel_error_bound`].
-///
-/// [`F64`]: CostPrecision::F64
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostPrecision {
-    /// Full-width storage: reads return the stored bits exactly.
-    F64,
-    /// Half-width storage: each component is rounded to the nearest f32
-    /// on write and widened exactly on read.
-    F32,
-}
-
-impl CostPrecision {
-    /// Stable lowercase name, as reported in `RunReport` and benches.
-    #[inline]
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CostPrecision::F64 => "f64",
-            CostPrecision::F32 => "f32",
-        }
-    }
-
-    /// The worst-case relative round-trip error of one stored component
-    /// whose magnitude lies inside the normal f32 range:
-    ///
-    /// * `F64`: `0.0` — storage is exact.
-    /// * `F32`: `2⁻²⁴` — IEEE round-to-nearest to 24 significand bits
-    ///   perturbs a finite `x` by at most `|x| · 2⁻²⁴` (half an ulp).
-    ///
-    /// Consequence for dominance: a strict componentwise comparison
-    /// survives the round trip whenever every component pair's relative
-    /// gap exceeds `2 · 2⁻²⁴ = 2⁻²³` (each side moves at most half an
-    /// f32 ulp toward the other). Ties and sub-`2⁻²³` gaps may collapse
-    /// to equality, which *weakens* dominance (drops a strict
-    /// inequality) but never inverts it — rounding is monotonic, so
-    /// `a <= b` implies `round(a) <= round(b)`.
-    #[inline]
-    #[must_use]
-    pub fn rel_error_bound(self) -> f64 {
-        match self {
-            CostPrecision::F64 => 0.0,
-            CostPrecision::F32 => (2.0_f64).powi(-24),
-        }
-    }
-
-    /// Bytes one stored component occupies.
-    #[inline]
-    #[must_use]
-    pub fn bytes_per_component(self) -> usize {
-        match self {
-            CostPrecision::F64 => 8,
-            CostPrecision::F32 => 4,
-        }
-    }
-}
-
-/// 0 = no override (fall back to the environment), 1 = f64, 2 = f32.
-static FORCED_PRECISION: AtomicU8 = AtomicU8::new(0);
-static PRECISION_FROM_ENV: OnceLock<CostPrecision> = OnceLock::new();
-
-/// Overrides the storage precision process-wide (`None` restores the
-/// environment-driven default). Takes effect on the next
-/// [`crate::storage::CompactCosts::with_active`] construction; existing
-/// slabs keep the precision they were built with.
-#[inline]
-pub fn force_precision(precision: Option<CostPrecision>) {
-    let code = match precision {
-        None => 0,
-        Some(CostPrecision::F64) => 1,
-        Some(CostPrecision::F32) => 2,
-    };
-    FORCED_PRECISION.store(code, Ordering::Relaxed);
-}
-
-/// The storage precision newly built compact slabs use.
-#[inline]
-#[must_use]
-pub fn active_precision() -> CostPrecision {
-    match FORCED_PRECISION.load(Ordering::Relaxed) {
-        1 => CostPrecision::F64,
-        2 => CostPrecision::F32,
-        _ => *PRECISION_FROM_ENV.get_or_init(|| match std::env::var(PRECISION_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("f32") => CostPrecision::F32,
-            _ => CostPrecision::F64,
-        }),
-    }
-}
-
 /// The scalar reference implementations — the permanent differential
 /// oracle. Every function here defines the semantics its [`vector`]
 /// counterpart must reproduce bit-for-bit.
@@ -350,33 +248,6 @@ pub mod scalar {
     #[must_use]
     pub fn invalid_weight(v: &[f64]) -> Option<f64> {
         v.iter().copied().find(|w| !w.is_finite() || *w < 0.0)
-    }
-
-    /// `out[i] = src[i] as f64` — exact widening of a compact f32 row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn widen_into(out: &mut [f64], src: &[f32]) {
-        assert_eq!(out.len(), src.len(), "kernel output length mismatch");
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = f64::from(x);
-        }
-    }
-
-    /// `out[i] = src[i] as f32` — round-to-nearest narrowing for compact
-    /// storage (see `CostPrecision::rel_error_bound` for the bound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn narrow_into(out: &mut [f32], src: &[f64]) {
-        assert_eq!(out.len(), src.len(), "kernel output length mismatch");
-        for (o, &x) in out.iter_mut().zip(src) {
-            *o = x as f32;
-        }
     }
 
     #[inline]
@@ -661,49 +532,6 @@ pub mod vector {
         }
         rem.iter().copied().find(|w| !w.is_finite() || *w < 0.0)
     }
-
-    /// Chunked exact widening; see [`super::scalar::widen_into`].
-    /// Per-element casts cannot depend on chunking, so the families are
-    /// trivially bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn widen_into(out: &mut [f64], src: &[f32]) {
-        assert_eq!(out.len(), src.len(), "kernel output length mismatch");
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cs = src.chunks_exact(LANES);
-        for (o, x) in (&mut co).zip(&mut cs) {
-            for i in 0..LANES {
-                o[i] = f64::from(x[i]);
-            }
-        }
-        for (o, &x) in co.into_remainder().iter_mut().zip(cs.remainder()) {
-            *o = f64::from(x);
-        }
-    }
-
-    /// Chunked round-to-nearest narrowing; see
-    /// [`super::scalar::narrow_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn narrow_into(out: &mut [f32], src: &[f64]) {
-        assert_eq!(out.len(), src.len(), "kernel output length mismatch");
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cs = src.chunks_exact(LANES);
-        for (o, x) in (&mut co).zip(&mut cs) {
-            for i in 0..LANES {
-                o[i] = x[i] as f32;
-            }
-        }
-        for (o, &x) in co.into_remainder().iter_mut().zip(cs.remainder()) {
-            *o = x as f32;
-        }
-    }
 }
 
 macro_rules! dispatch {
@@ -811,26 +639,6 @@ pub fn scaled_leq_any(slab: &[i64], dim: usize, rows: usize, cand: &[i64]) -> Op
 #[must_use]
 pub fn invalid_weight(v: &[f64]) -> Option<f64> {
     dispatch!(invalid_weight(v))
-}
-
-/// Dispatching exact widening; see [`scalar::widen_into`].
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn widen_into(out: &mut [f64], src: &[f32]) {
-    dispatch!(widen_into(out, src));
-}
-
-/// Dispatching round-to-nearest narrowing; see [`scalar::narrow_into`].
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn narrow_into(out: &mut [f32], src: &[f64]) {
-    dispatch!(narrow_into(out, src));
 }
 
 #[cfg(test)]
@@ -982,48 +790,5 @@ mod tests {
     fn add_into_rejects_length_mismatch() {
         let mut out = [0.0; 2];
         vector::add_into(&mut out, &[1.0, 2.0], &[1.0]);
-    }
-
-    #[test]
-    fn widen_and_narrow_families_agree() {
-        for len in [0usize, 1, 7, 8, 9, 16, 17] {
-            let src: Vec<f64> = (0..len).map(|i| (i as f64) * 0.3 + 0.1).collect();
-            let mut ns = vec![0.0f32; len];
-            let mut nv = vec![0.0f32; len];
-            scalar::narrow_into(&mut ns, &src);
-            vector::narrow_into(&mut nv, &src);
-            assert_eq!(
-                ns.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                nv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "narrow len {len}"
-            );
-            let mut ws = vec![0.0f64; len];
-            let mut wv = vec![0.0f64; len];
-            scalar::widen_into(&mut ws, &ns);
-            vector::widen_into(&mut wv, &nv);
-            assert_eq!(
-                ws.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                wv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "widen len {len}"
-            );
-            // Round-trip error bound: half an f32 ulp relative.
-            for (&orig, &rt) in src.iter().zip(&ws) {
-                let bound = orig.abs() * CostPrecision::F32.rel_error_bound();
-                assert!((rt - orig).abs() <= bound, "|{rt} - {orig}| > {bound}");
-            }
-        }
-    }
-
-    #[test]
-    fn forced_precision_overrides_environment() {
-        force_precision(Some(CostPrecision::F32));
-        assert_eq!(active_precision(), CostPrecision::F32);
-        assert_eq!(active_precision().name(), "f32");
-        assert_eq!(active_precision().bytes_per_component(), 4);
-        force_precision(Some(CostPrecision::F64));
-        assert_eq!(active_precision(), CostPrecision::F64);
-        assert_eq!(active_precision().rel_error_bound(), 0.0);
-        force_precision(None);
-        let _ = active_precision();
     }
 }

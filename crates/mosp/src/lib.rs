@@ -40,11 +40,9 @@ pub mod graph;
 pub mod kernels;
 pub mod pareto;
 pub mod solve;
-pub mod storage;
 
 pub use budget::{Budget, Exhaustion};
 pub use graph::{MospError, MospGraph, VertexId};
-pub use kernels::{CostPrecision, Kernel};
+pub use kernels::Kernel;
 pub use pareto::{ParetoFront, ParetoPath, ParetoSet, SolveStats};
 pub use solve::SolveObserver;
-pub use storage::CompactCosts;

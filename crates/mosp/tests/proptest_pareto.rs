@@ -1,10 +1,11 @@
 //! Property-based tests for the MOSP solvers: the exact solver must
-//! return exactly the nondominated path set, and Warburton must stay
-//! within its (1+ε) guarantee.
+//! return exactly the nondominated path set, Warburton must stay
+//! within its (1+ε) guarantee, and [`ParetoFront`] must keep its core
+//! invariants (mutual nondominance, no lost candidates).
 
 use proptest::prelude::*;
 use wavemin_mosp::pareto::dominates;
-use wavemin_mosp::{solve, MospGraph, VertexId};
+use wavemin_mosp::{solve, MospGraph, ParetoFront, VertexId};
 
 /// A random layered DAG shaped like a WaveMin zone instance.
 #[derive(Debug, Clone)]
@@ -167,6 +168,39 @@ proptest! {
         // Transitive.
         if dominates(&a, &b) && dominates(&b, &c) {
             prop_assert!(dominates(&a, &c));
+        }
+    }
+
+    #[test]
+    fn pareto_front_invariants_hold_for_raw_rows(
+        rows in proptest::collection::vec(
+            proptest::collection::vec(-1e30f64..1e30, 4), 1..40),
+    ) {
+        let mut front = ParetoFront::new(4);
+        for (i, r) in rows.iter().enumerate() {
+            front.insert(r, i);
+        }
+        prop_assert!(front.len() <= rows.len());
+        prop_assert!(!front.is_empty(), "a nonempty insert stream keeps >= 1");
+        // Mutual nondominance: no member strictly dominates another.
+        let members: Vec<Vec<f64>> =
+            front.iter().map(|(c, _)| c.to_vec()).collect();
+        for x in &members {
+            for y in &members {
+                prop_assert!(
+                    x == y || !dominates(x, y),
+                    "front members {:?} and {:?} are not mutually nondominated",
+                    x, y
+                );
+            }
+        }
+        // No lost candidates: every inserted row is weakly dominated by
+        // some front member.
+        for r in &rows {
+            let covered = members.iter().any(|m| {
+                m.iter().zip(r).all(|(mc, rc)| mc <= rc)
+            });
+            prop_assert!(covered, "row {:?} escaped the front", r);
         }
     }
 }
