@@ -62,3 +62,17 @@ fn multimode_s15850_matches_golden() {
     let out = ClkWaveMinM::new(cfg).run(&d).expect("optimize");
     check("multimode_s15850", &out);
 }
+
+/// Multi-mode with ADB embedding: the 12 ps bound forces ADBs, and the
+/// snapshot records the adjustable delay codes of every mode (including
+/// zero codes), which the ADB-free `multimode_s15850` golden cannot pin.
+#[test]
+fn multimode_s15850_adb_matches_golden() {
+    let d = Design::from_benchmark_multimode(&Benchmark::s15850(), 3, 4, 4);
+    let cfg = WaveMinConfig::default()
+        .with_skew_bound(wavemin_cells::units::Picoseconds::new(12.0))
+        .with_sample_count(8);
+    let out = ClkWaveMinM::new(cfg).run(&d).expect("optimize");
+    assert!(out.adb_count > 0, "the 12 ps bound must embed ADBs");
+    check("multimode_s15850_adb", &out);
+}
