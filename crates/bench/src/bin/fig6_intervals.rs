@@ -135,7 +135,7 @@ fn main() {
     let tables: Vec<NoiseTable> = (0..2)
         .map(|m| NoiseTable::build(&mm, &mm_cfg, m).expect("table"))
         .collect();
-    match wavemin::multimode::IntersectionSet::generate(&mm, &mm_cfg, &tables, 6) {
+    match wavemin::multimode::IntersectionSet::generate(&mm_cfg, &tables, 6) {
         Ok(set) => {
             println!(
                 "{} feasible intersections (beam 6); per-sink feasibility of the best:\n",

@@ -9,13 +9,12 @@ use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::eval::NoiseEvaluator;
 use crate::fault::{FaultKind, FaultObserver, FaultPlan, FaultSite};
-use crate::intervals::FeasibleInterval;
-use crate::noise_table::NoiseTable;
+use crate::multimode::FeasibleIntersection;
+use crate::noise_table::{BackgroundAccumulator, NoiseTable};
 use crate::observe::{MetricsRegistry, PeakAttribution, ReportContext, ZoneSolveRecord};
 use crate::trace::TraceJournal;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-#[cfg(test)]
 use wavemin_cells::units::Picoseconds;
 use wavemin_mosp::{
     solve, Budget, Exhaustion, MospError, MospGraph, ParetoSet, SolveObserver, VertexId,
@@ -175,10 +174,10 @@ pub(crate) struct MospLadder {
     /// can poison the lock, never corrupt this).
     last_rung: AtomicUsize,
     /// The run's deterministic fault schedule (`None` in production);
-    /// consulted by [`solve_zone_mosp_generic`] on non-salvage solves.
+    /// consulted by [`solve_zone_mosp`] on non-salvage solves.
     pub(crate) fault_plan: Option<FaultPlan>,
     /// Metrics sink shared with the run's driver; rung transitions and
-    /// (through [`solve_zone_mosp_generic`]) zone solves land here.
+    /// (through [`solve_zone_mosp`]) zone solves land here.
     pub(crate) registry: MetricsRegistry,
     /// Event journal shared with the run's driver; zone/layer/batch spans
     /// and rung/budget instants land here (disabled by default).
@@ -275,6 +274,7 @@ impl MospLadder {
     }
 
     /// A ladder that never descends (no limits set) and records nothing.
+    #[cfg(test)]
     pub(crate) fn unbudgeted(config: &WaveMinConfig) -> Self {
         Self::new(config, Budget::unlimited(), MetricsRegistry::disabled())
     }
@@ -426,23 +426,6 @@ impl MospLadder {
         }
     }
 
-    /// The zones recorded as fault-contained so far, sorted and deduped.
-    pub(crate) fn faulted_zones(&self) -> Vec<usize> {
-        let st = self.state();
-        let mut zones: Vec<usize> = st
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                DegradationStep::ZoneFaultContained { zone } => Some(*zone),
-                _ => None,
-            })
-            .collect();
-        drop(st);
-        zones.sort_unstable();
-        zones.dedup();
-        zones
-    }
-
     /// The salvage solver: greedy single-label completion (the ladder's
     /// last rung) without touching the ladder state or firing any
     /// injection. Always terminates, still a valid assignment.
@@ -490,54 +473,49 @@ impl MospZoneSolver {
 }
 
 impl MospZoneSolver {
+    /// Solves one zone in one k-mode window: per-mode option vectors and
+    /// backgrounds are joined end to end into one MOSP weight (Fig. 12),
+    /// so a single mode is exactly ClkWaveMin.
     fn solve_zone_inner(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
+        window: &FeasibleIntersection,
+        extra: &[BackgroundAccumulator],
         salvage: bool,
     ) -> Result<ZoneSolution, WaveMinError> {
         let spec = zone.spec();
-        let mut background = spec.background.clone();
-        spec.plan.accumulate_background_into(&mut background, extra);
-        let (choices, cost) = solve_zone_mosp_generic(
+        solve_zone_mosp(
             &self.ladder,
             spec.id,
             spec.sinks.len(),
-            |local, option| {
-                let si = spec.sinks[local];
-                let o = &table.sinks[si].options[option];
-                o.delay_code_for(interval.t_lo, interval.t_hi)
-                    .map(|code| (code, zone.option_vector(table, local, option, code)))
-            },
-            &interval.allowed_for(&spec.sinks),
-            &background,
+            |local, option| zone.option_data(tables, window, local, option),
+            &window.allowed_for(&spec.sinks),
+            &zone.background(extra),
             salvage,
-        )?;
-        Ok(ZoneSolution { choices, cost })
+        )
     }
 }
 
 impl ZoneSolver for MospZoneSolver {
     fn solve_zone(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
+        window: &FeasibleIntersection,
+        extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        self.solve_zone_inner(table, zone, interval, extra, false)
+        self.solve_zone_inner(tables, zone, window, extra, false)
     }
 
     fn salvage_zone(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
+        window: &FeasibleIntersection,
+        extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        self.solve_zone_inner(table, zone, interval, extra, true)
+        self.solve_zone_inner(tables, zone, window, extra, true)
     }
 
     fn note_zone_fault(&self, zone: usize, _payload: &str) {
@@ -549,45 +527,32 @@ impl ZoneSolver for MospZoneSolver {
     }
 }
 
-impl FeasibleInterval {
-    /// The allowed-option lists of the given sinks (indices into the full
-    /// sink list), borrowed straight from the interval — the hot path
-    /// builds one of these per (zone, interval) pair, so no per-sink
-    /// clones.
-    pub(crate) fn allowed_for(&self, sinks: &[usize]) -> Vec<&[usize]> {
-        sinks
-            .iter()
-            .map(|&si| self.allowed[si].as_slice())
-            .collect()
-    }
-}
-
 /// Builds the MOSP graph of Algorithm 1 and solves it.
 ///
 /// * `rows` — number of sinks in the zone;
-/// * `option_data(local, option)` — the delay-code payload and sampled
-///   noise vector of an option, or `None` when it cannot fit the interval;
+/// * `option_data(local, option)` — the delay code and sampled noise
+///   vector of an option, or `None` when it cannot fit the window;
 /// * `allowed[local]` — candidate option indices per sink;
 /// * `background` — the non-leaf noise vector carried by the arcs into
 ///   `dest` (Observation 1).
 ///
-/// Generic over the payload `C` so the multi-mode flow can carry one delay
-/// code per power mode.
-///
 /// With `salvage` set, the solve runs greedy (single label), bypasses the
 /// ladder state, and ignores the fault plan — the containment layer's
 /// injection-free retry path.
-pub(crate) fn solve_zone_mosp_generic<C: Clone + Default>(
+fn solve_zone_mosp(
     ladder: &MospLadder,
     zone_id: usize,
     rows: usize,
-    mut option_data: impl FnMut(usize, usize) -> Option<(C, Vec<f64>)>,
+    mut option_data: impl FnMut(usize, usize) -> Option<(Picoseconds, Vec<f64>)>,
     allowed: &[&[usize]],
     background: &[f64],
     salvage: bool,
-) -> Result<(Vec<(usize, C)>, f64), WaveMinError> {
+) -> Result<ZoneSolution, WaveMinError> {
     if rows == 0 {
-        return Ok((Vec::new(), background.iter().copied().fold(0.0, f64::max)));
+        return Ok(ZoneSolution {
+            choices: Vec::new(),
+            cost: background.iter().copied().fold(0.0, f64::max),
+        });
     }
     let plan = if salvage { None } else { ladder.fault_plan };
     if let Some(p) = plan {
@@ -607,7 +572,8 @@ pub(crate) fn solve_zone_mosp_generic<C: Clone + Default>(
     let mut graph = MospGraph::new(dims);
     let src = graph.add_vertex();
     // Registry: vertex -> (row, option index, payload).
-    let mut registry: Vec<(usize, usize, C)> = vec![(usize::MAX, usize::MAX, C::default())];
+    let mut registry: Vec<(usize, usize, Picoseconds)> =
+        vec![(usize::MAX, usize::MAX, Picoseconds::ZERO)];
     let mut prev_row: Vec<VertexId> = vec![src];
     let mut row_vectors: Vec<(VertexId, Vec<f64>)> = Vec::new();
 
@@ -643,7 +609,7 @@ pub(crate) fn solve_zone_mosp_generic<C: Clone + Default>(
     }
 
     let dest = graph.add_vertex();
-    registry.push((usize::MAX, usize::MAX, C::default()));
+    registry.push((usize::MAX, usize::MAX, Picoseconds::ZERO));
     for &u in &prev_row {
         graph.add_arc_slice(u, dest, background)?;
     }
@@ -690,15 +656,18 @@ pub(crate) fn solve_zone_mosp_generic<C: Clone + Default>(
         );
     }
     let best = set.min_max().ok_or(WaveMinError::NoFeasibleInterval)?;
-    let mut choices: Vec<(usize, C)> = vec![(usize::MAX, C::default()); rows];
+    let mut choices = vec![(usize::MAX, Picoseconds::ZERO); rows];
     for v in &best.vertices {
-        let (row, opt, ref code) = registry[v.0];
+        let (row, opt, code) = registry[v.0];
         if row != usize::MAX {
-            choices[row] = (opt, code.clone());
+            choices[row] = (opt, code);
         }
     }
     debug_assert!(choices.iter().all(|(o, _)| *o != usize::MAX));
-    Ok((choices, best.max_component()))
+    Ok(ZoneSolution {
+        choices,
+        cost: best.max_component(),
+    })
 }
 
 /// Converts the ingest guard's rejection of a deliberately poisoned
@@ -712,29 +681,6 @@ fn poison_ingest_error(e: MospError, zone: usize, poisoned: bool) -> WaveMinErro
         },
         other => other.into(),
     }
-}
-
-/// Single-mode wrapper around [`solve_zone_mosp_generic`] (the production
-/// drivers call the generic directly; tests exercise this entry).
-#[cfg(test)]
-pub(crate) fn solve_zone_mosp(
-    ladder: &MospLadder,
-    zone_id: usize,
-    rows: usize,
-    option_data: impl FnMut(usize, usize) -> Option<(Picoseconds, Vec<f64>)>,
-    allowed: &[&[usize]],
-    background: &[f64],
-) -> Result<ZoneSolution, WaveMinError> {
-    let (choices, cost) = solve_zone_mosp_generic(
-        ladder,
-        zone_id,
-        rows,
-        option_data,
-        allowed,
-        background,
-        false,
-    )?;
-    Ok(ZoneSolution { choices, cost })
 }
 
 #[cfg(test)]
@@ -849,6 +795,7 @@ mod tests {
             |l, o| Some((Picoseconds::ZERO, vectors[l][o].clone())),
             &allowed,
             &[0.0, 0.0],
+            false,
         )
         .unwrap();
         assert_eq!(sol.cost, 10.0);
@@ -872,6 +819,7 @@ mod tests {
             |l, o| Some((Picoseconds::ZERO, vectors[l][o].clone())),
             &allowed,
             &[20.0, 0.0],
+            false,
         )
         .unwrap();
         assert_eq!(sol.choices[0].0, 1);
@@ -889,6 +837,7 @@ mod tests {
             |_, _| None,
             &[],
             &[3.0, 7.0],
+            false,
         )
         .unwrap();
         assert_eq!(sol.cost, 7.0);
@@ -935,6 +884,7 @@ mod tests {
                 |_, _| Some((Picoseconds::ZERO, vec![1.0])),
                 &allowed,
                 &[0.0],
+                false,
             )
         }));
         let p = caught.expect_err("a rate-1.0 plan must fire");
@@ -944,7 +894,7 @@ mod tests {
             "payload '{payload}' lacks the marker"
         );
         // The salvage retry runs with injection disarmed and succeeds.
-        let (choices, _) = solve_zone_mosp_generic::<Picoseconds>(
+        let sol = solve_zone_mosp(
             &ladder,
             3,
             1,
@@ -954,6 +904,6 @@ mod tests {
             true,
         )
         .expect("salvage solve is injection-free");
-        assert_eq!(choices.len(), 1);
+        assert_eq!(sol.choices.len(), 1);
     }
 }

@@ -4,8 +4,8 @@ use crate::algo::{run_interval_framework, Outcome, ZoneProblem, ZoneSolution, Zo
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::intervals::FeasibleInterval;
-use crate::noise_table::NoiseTable;
+use crate::multimode::FeasibleIntersection;
+use crate::noise_table::{BackgroundAccumulator, NoiseTable};
 use crate::observe::{MetricsRegistry, ReportContext, ZoneSolveRecord};
 use wavemin_cells::units::Picoseconds;
 use wavemin_mosp::SolveStats;
@@ -78,25 +78,23 @@ impl GreedyZoneSolver {
 impl ZoneSolver for GreedyZoneSolver {
     fn solve_zone(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
+        window: &FeasibleIntersection,
+        extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
         let spec = zone.spec();
         let rows = spec.sinks.len();
-        let allowed = interval.allowed_for(&spec.sinks);
+        let allowed = window.allowed_for(&spec.sinks);
         // Candidate (row, option, code, vector) tuples.
         let mut candidates: Vec<Vec<(usize, Picoseconds, Vec<f64>)>> = Vec::with_capacity(rows);
         for (local, opts) in allowed.iter().enumerate() {
             let mut row = Vec::new();
             for &opt in opts.iter() {
-                let si = spec.sinks[local];
-                let o = &table.sinks[si].options[opt];
-                if let Some(code) = o.delay_code_for(interval.t_lo, interval.t_hi) {
-                    row.push((opt, code, zone.option_vector(table, local, opt, code)));
+                if let Some((code, vector)) = zone.option_data(tables, window, local, opt) {
+                    row.push((opt, code, vector));
                 }
             }
             if row.is_empty() {
@@ -105,8 +103,7 @@ impl ZoneSolver for GreedyZoneSolver {
             candidates.push(row);
         }
 
-        let mut sum = spec.background.clone();
-        spec.plan.accumulate_background_into(&mut sum, extra);
+        let mut sum = zone.background(extra);
         let mut choices = vec![(usize::MAX, Picoseconds::ZERO); rows];
         let mut remaining: Vec<usize> = (0..rows).collect();
         while !remaining.is_empty() {
@@ -161,20 +158,20 @@ impl ZoneSolver for GreedyZoneSolver {
 #[allow(clippy::items_after_test_module)]
 fn greedy_vs_mosp_zone_cost(
     config: &WaveMinConfig,
-    table: &NoiseTable,
+    tables: &[NoiseTable],
     zone: &ZoneProblem,
-    interval: &FeasibleInterval,
+    window: &FeasibleIntersection,
 ) -> Result<(f64, f64), WaveMinError> {
     use crate::algo::clkwavemin::MospZoneSolver;
-    let zero = crate::noise_table::BackgroundAccumulator::zero();
+    let zero = [BackgroundAccumulator::zero()];
     let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled())
-        .solve_zone(table, zone, interval, &zero)?;
+        .solve_zone(tables, zone, window, &zero)?;
     let mosp = MospZoneSolver::new(
         config,
         wavemin_mosp::Budget::unlimited(),
         MetricsRegistry::disabled(),
     )
-    .solve_zone(table, zone, interval, &zero)?;
+    .solve_zone(tables, zone, window, &zero)?;
     Ok((greedy.cost, mosp.cost))
 }
 
@@ -209,13 +206,16 @@ mod tests {
     fn greedy_never_beats_mosp_per_zone() {
         let d = small_design();
         let cfg = WaveMinConfig::default().with_sample_count(16);
-        let table = NoiseTable::build(&d, &cfg, 0).unwrap();
-        let intervals = IntervalSet::generate(&table, cfg.skew_bound, Some(4));
-        let zones = ZoneProblem::build_all(&d, &cfg, &table);
+        let tables = [NoiseTable::build(&d, &cfg, 0).unwrap()];
+        let intervals = IntervalSet::generate(&tables[0], cfg.skew_bound, Some(4));
+        let specs = crate::algo::ZoneSpec::build_specs(&d, &cfg, &tables[0]);
+        let store = crate::algo::streaming::ZoneStorage::new(specs, 1, usize::MAX);
         let mut compared = 0;
-        for interval in intervals.intervals() {
-            for zone in &zones {
-                if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &table, zone, interval) {
+        for interval in intervals.into_intervals() {
+            let window = FeasibleIntersection::from(interval);
+            for zi in 0..store.len() {
+                let zone = store.acquire(zi, &tables, &MetricsRegistry::disabled());
+                if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &tables, &zone, &window) {
                     // The Warburton grid rounds within epsilon: allow that
                     // much slack in the comparison.
                     assert!(

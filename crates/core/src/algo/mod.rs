@@ -39,8 +39,9 @@ use crate::config::{BackgroundMode, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::eval::NoiseEvaluator;
-use crate::intervals::{FeasibleInterval, IntervalSet};
-use crate::noise_table::NoiseTable;
+use crate::intervals::IntervalSet;
+use crate::multimode::FeasibleIntersection;
+use crate::noise_table::{BackgroundAccumulator, NoiseTable};
 use crate::observe::{MetricsRegistry, RunReport, Stage};
 use crate::sampling::SamplePlan;
 use crate::trace::TraceJournal;
@@ -343,22 +344,22 @@ impl ZoneSpec {
 
     /// Samples this zone's option vectors: per local sink, one flat
     /// row-major `Vec` with one `plan.dims()` row per candidate option.
-    /// Deterministic: materializing the same spec twice produces
-    /// bit-identical vectors, which is what lets the zone store rebuild
-    /// evicted zones without changing results.
-    pub(crate) fn materialize(&self, table: &NoiseTable) -> Arc<[Vec<f64>]> {
+    /// Deterministic: sampling the same spec twice produces bit-identical
+    /// vectors, which is what lets the zone store rebuild evicted zones
+    /// without changing results.
+    pub(crate) fn sample_rows<'a>(
+        &'a self,
+        table: &'a NoiseTable,
+    ) -> impl Iterator<Item = Vec<f64>> + 'a {
         let dims = self.plan.dims();
-        self.sinks
-            .iter()
-            .map(|&si| {
-                let options = &table.sinks[si].options;
-                let mut rows = Vec::with_capacity(options.len() * dims);
-                for o in options {
-                    self.plan.sample_into(&o.waves, &mut rows);
-                }
-                rows
-            })
-            .collect()
+        self.sinks.iter().map(move |&si| {
+            let options = &table.sinks[si].options;
+            let mut rows = Vec::with_capacity(options.len() * dims);
+            for o in options {
+                self.plan.sample_into(&o.waves, &mut rows);
+            }
+            rows
+        })
     }
 
     /// Bytes this zone's materialized `vectors` occupy while resident
@@ -423,80 +424,101 @@ impl ZoneSpec {
     }
 }
 
-/// A zone's precomputed sampled noise data, shared by all inner solvers.
+/// A zone's sampled noise data in every mode, shared by all inner
+/// solvers.
 #[derive(Debug)]
 pub(crate) struct ZoneProblem {
-    /// Every zone's spec in the partition; this zone's is `specs[zi]`.
+    /// Every zone's spec in every mode, mode-major (see
+    /// [`streaming::ZoneStorage`]); this zone's mode-`m` spec is
+    /// `specs[m * zones + zi]`.
     specs: Arc<[ZoneSpec]>,
     zi: usize,
-    /// [`ZoneSpec::materialize`]'s vectors (unshifted). Read through
-    /// [`Self::option_vector`].
+    zones: usize,
+    /// Unshifted sampled rows, one per (mode, local sink), mode-major.
+    /// Read through [`Self::option_data`].
     vectors: Arc<[Vec<f64>]>,
 }
 
 impl ZoneProblem {
-    /// Builds every zone's problem for a noise table up front (for the
-    /// flows that keep every zone hot, such as the multi-mode solve).
-    pub(crate) fn build_all(
-        design: &Design,
-        config: &WaveMinConfig,
-        table: &NoiseTable,
-    ) -> Vec<ZoneProblem> {
-        let specs: Arc<[ZoneSpec]> = ZoneSpec::build_specs(design, config, table).into();
-        (0..specs.len())
-            .map(|zi| ZoneProblem {
-                vectors: specs[zi].materialize(table),
-                specs: Arc::clone(&specs),
-                zi,
-            })
-            .collect()
-    }
-
-    /// The zone's partition data: sinks, sampling plan, background.
+    /// The zone's mode-0 partition data: sinks, sampling plan, background.
     pub(crate) fn spec(&self) -> &ZoneSpec {
-        &self.specs[self.zi]
+        self.spec_in(0)
     }
 
-    /// The sampled vector of one option, delay-shifted when a nonzero
-    /// adjustable code applies.
-    pub(crate) fn option_vector(
+    /// The zone's partition data in power mode `mode`.
+    pub(crate) fn spec_in(&self, mode: usize) -> &ZoneSpec {
+        &self.specs[mode * self.zones + self.zi]
+    }
+
+    /// One option's delay code in mode 0 (the code the checkpoint journal
+    /// records) and its sampled vectors in every mode, joined end to end
+    /// (Fig. 12) and delay-shifted where a nonzero adjustable code
+    /// applies; `None` when the option misses any mode's window.
+    pub(crate) fn option_data(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
+        window: &FeasibleIntersection,
         local: usize,
         option: usize,
-        code: Picoseconds,
-    ) -> Vec<f64> {
-        let spec = self.spec();
-        if code == Picoseconds::ZERO {
-            let dims = spec.plan.dims();
-            self.vectors[local][option * dims..(option + 1) * dims].to_vec()
-        } else {
+    ) -> Option<(Picoseconds, Vec<f64>)> {
+        let rows = self.spec().sinks.len();
+        let dims: usize = (0..tables.len()).map(|m| self.spec_in(m).plan.dims()).sum();
+        let mut vector = Vec::with_capacity(dims);
+        let mut code0 = Picoseconds::ZERO;
+        for (m, (table, &(lo, hi))) in tables.iter().zip(&window.windows).enumerate() {
+            let spec = self.spec_in(m);
             let o = &table.sinks[spec.sinks[local]].options[option];
-            spec.plan.vector_of(&o.waves.shifted(code))
+            let code = o.delay_code_for(lo, hi)?;
+            if code == Picoseconds::ZERO {
+                let dims = spec.plan.dims();
+                let row = &self.vectors[m * rows + local];
+                vector.extend_from_slice(&row[option * dims..(option + 1) * dims]);
+            } else {
+                spec.plan.sample_into(&o.waves.shifted(code), &mut vector);
+            }
+            if m == 0 {
+                code0 = code;
+            }
         }
+        Some((code0, vector))
+    }
+
+    /// The zone's background in every mode, joined end to end: the
+    /// static non-leaf noise plus `extra[m]`, the accumulated noise of
+    /// the zones already assigned in this window.
+    pub(crate) fn background(&self, extra: &[BackgroundAccumulator]) -> Vec<f64> {
+        let mut out = Vec::new();
+        for (m, acc) in extra.iter().enumerate() {
+            let spec = self.spec_in(m);
+            let start = out.len();
+            out.extend_from_slice(&spec.background);
+            spec.plan.accumulate_background_into(&mut out[start..], acc);
+        }
+        out
     }
 }
 
-/// One zone's solution: the chosen option (and delay code) per local sink,
-/// plus the min–max objective value including the background.
+/// One zone's solution: the chosen option and its mode-0 delay code per
+/// local sink, plus the min–max objective value including the
+/// background. Other modes' codes follow from the window.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ZoneSolution {
     pub choices: Vec<(usize, Picoseconds)>,
     pub cost: f64,
 }
 
-/// An inner solver assigns one zone's sinks inside one interval. `extra`
-/// carries the accumulated noise of zones already assigned in this
-/// interval (the paper optimizes zones "one by one"). Solvers must be
-/// `Sync`: independent intervals are solved concurrently on a worker
-/// pool, all through one shared solver instance.
+/// An inner solver assigns one zone's sinks inside one k-mode window.
+/// `extra[m]` carries the mode-`m` accumulated noise of zones already
+/// assigned in this window (the paper optimizes zones "one by one").
+/// Solvers must be `Sync`: independent windows are solved concurrently
+/// on a worker pool, all through one shared solver instance.
 pub(crate) trait ZoneSolver: Sync {
     fn solve_zone(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
+        window: &FeasibleIntersection,
+        extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError>;
 
     /// The containment layer's one retry after [`Self::solve_zone`]
@@ -504,12 +526,12 @@ pub(crate) trait ZoneSolver: Sync {
     /// injection-free. The default just retries the normal solve.
     fn salvage_zone(
         &self,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
+        window: &FeasibleIntersection,
+        extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        self.solve_zone(table, zone, interval, extra)
+        self.solve_zone(tables, zone, window, extra)
     }
 
     /// Notification that `zone`'s solve faulted (before the salvage
@@ -542,71 +564,115 @@ pub(crate) fn run_interval_framework<S: ZoneSolver>(
 }
 
 /// Everything the interval framework derives from a design before any
-/// zone is solved: the characterized noise table, the feasible intervals,
-/// the zone partition with solve order, and each zone's content hash.
-/// Holding one of these resident is what makes a serve-mode session
-/// cheap to re-solve — repeated jobs skip straight to the solve phase.
+/// zone is solved: the characterized noise table of every power mode,
+/// the feasible windows, the zone partition with solve order, and each
+/// zone's content hash. Holding one of these resident is what makes a
+/// serve-mode session cheap to re-solve — repeated jobs skip straight to
+/// the solve phase.
 pub(crate) struct PreparedRun {
-    /// The characterized noise table (mode 0).
-    pub table: NoiseTable,
-    /// The feasible time intervals under the tightened window.
-    pub intervals: IntervalSet,
-    /// Every zone, built on first use and kept resident within the
-    /// memory budget.
+    /// The characterized noise tables, one per power mode.
+    pub tables: Vec<NoiseTable>,
+    /// The feasible windows: one per-mode window each, plus the options
+    /// allowed in all of them. A single-mode run's intervals are
+    /// one-window intersections.
+    pub windows: Vec<FeasibleIntersection>,
+    /// Every zone in every mode, built on first use and kept resident
+    /// within the memory budget.
     pub zones: streaming::ZoneStorage,
-    /// Zone indices largest-first (the solve order inside each interval).
+    /// Zone indices largest-first (the solve order inside each window).
     pub zone_order: Vec<usize>,
-    /// `zone_hashes[zone]` — content hash for cache keying.
+    /// `zone_hashes[zone]` — content hash (over every mode) for cache
+    /// keying.
     pub zone_hashes: Vec<u64>,
-    /// Zones whose sampling plan fell back to a dummy time.
+    /// Zone specs, over all modes, whose sampling plan fell back to a
+    /// dummy time.
     pub degenerate_zones: usize,
 }
 
-/// Characterizes a design into a [`PreparedRun`]: noise table, feasible
-/// intervals, zone partition, and per-zone content hashes. This is the
-/// session-resident half of the split entry point; [`solve_prepared`] is
-/// the repeatable half.
+/// Characterizes a single-mode design (mode 0) into a [`PreparedRun`]
+/// whose windows are the feasible intervals under the tightened bound.
+/// This is the session-resident half of the split entry point;
+/// [`solve_prepared`] is the repeatable half.
 pub(crate) fn characterize_design(
     design: &Design,
     config: &WaveMinConfig,
     registry: &MetricsRegistry,
     journal: &TraceJournal,
 ) -> Result<PreparedRun, WaveMinError> {
+    prepare_run(design, config, 1, registry, journal, |tables| {
+        // Optimize against a slightly tightened window: Observation 4
+        // ignores sibling-load feedback during assignment, so headroom is
+        // reserved and the exact bound is checked afterwards.
+        let kappa_eff = config.skew_bound * config.window_margin;
+        let intervals = IntervalSet::generate(&tables[0], kappa_eff, config.max_intervals);
+        if intervals.is_empty() {
+            return Err(WaveMinError::NoFeasibleInterval);
+        }
+        Ok(intervals
+            .into_intervals()
+            .into_iter()
+            .map(FeasibleIntersection::from)
+            .collect())
+    })
+}
+
+/// Characterizes modes `0..modes` of a design (in parallel over modes),
+/// generates the feasible windows from the tables, partitions the zones
+/// in every mode, and sizes the zone store to the memory budget.
+pub(crate) fn prepare_run(
+    design: &Design,
+    config: &WaveMinConfig,
+    modes: usize,
+    registry: &MetricsRegistry,
+    journal: &TraceJournal,
+    windows: impl FnOnce(&[NoiseTable]) -> Result<Vec<FeasibleIntersection>, WaveMinError>,
+) -> Result<PreparedRun, WaveMinError> {
+    let threads = config.effective_threads();
+    let mode_ids: Vec<usize> = (0..modes).collect();
     let mut thandle = journal.handle();
     let char_start = thandle.now_ns();
-    let table = {
+    let tables: Vec<NoiseTable> = {
         let _span = registry.span(Stage::Characterization);
-        NoiseTable::build(design, config, 0)?
+        crate::parallel::map_ordered(&mode_ids, threads, |_, &m| {
+            NoiseTable::build(design, config, m)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?
     };
     thandle.stage_span(char_start, "characterization");
-    // Optimize against a slightly tightened window: Observation 4 ignores
-    // sibling-load feedback during assignment, so headroom is reserved and
-    // the exact bound is checked afterwards.
     let zoning_span = registry.span(Stage::Zoning);
     let zoning_start = thandle.now_ns();
-    let kappa_eff = config.skew_bound * config.window_margin;
-    let intervals = IntervalSet::generate(&table, kappa_eff, config.max_intervals);
-    if intervals.is_empty() {
-        return Err(WaveMinError::NoFeasibleInterval);
-    }
-    let specs = ZoneSpec::build_specs(design, config, &table);
-    registry.ensure_zones(specs.len());
+    let windows = windows(&tables)?;
+    let specs: Vec<ZoneSpec> = crate::parallel::map_ordered(&tables, threads, |_, table| {
+        ZoneSpec::build_specs(design, config, table)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let zone_count = specs.len() / modes;
+    registry.ensure_zones(zone_count);
 
     // Zones are processed largest-first so the dominant zones shape the
     // accumulated background the smaller ones then avoid.
-    let mut zone_order: Vec<usize> = (0..specs.len()).collect();
+    let mut zone_order: Vec<usize> = (0..zone_count).collect();
     zone_order.sort_by_key(|&z| std::cmp::Reverse(specs[z].sinks.len()));
     let degenerate_zones = specs.iter().filter(|s| s.plan.is_degenerate()).count();
-    let zone_hashes: Vec<u64> = specs.iter().map(|s| s.content_hash(&table)).collect();
 
-    let limit = streaming_limit_bytes(config, &specs, &table)?;
-    let zones = streaming::ZoneStorage::new(specs, limit);
+    let mut zones = streaming::ZoneStorage::new(specs, modes, usize::MAX);
+    let zone_hashes: Vec<u64> = (0..zone_count)
+        .map(|zi| zones.content_hash(zi, &tables))
+        .collect();
+    let max_hot = (0..zone_count)
+        .map(|zi| zones.hot_bytes(zi, &tables))
+        .max()
+        .unwrap_or(0);
+    zones.limit_bytes = streaming_limit_bytes(config, max_hot)?;
     thandle.stage_span(zoning_start, "zoning");
     drop(zoning_span);
     registry.sample_rss();
     Ok(PreparedRun {
-        table,
-        intervals,
+        tables,
+        windows,
         zones,
         zone_order,
         zone_hashes,
@@ -618,30 +684,25 @@ pub(crate) fn characterize_design(
 /// rejects an infeasible budget with a typed error.
 ///
 /// The budget covers the *whole process*: the store may only use what
-/// remains after the current resident set (characterized table, tree,
-/// intervals) plus the transient working set of one acquire — a zone
+/// remains after the current resident set (characterized tables, tree,
+/// windows) plus the transient working set of one acquire — a zone
 /// being built while an evicted one is still held by its solver,
-/// bounded by twice the largest zone's hot bytes. A budget below that
-/// minimal working set cannot run at any store size, so it fails up
-/// front with [`WaveMinError::MemoryBudget`] instead of thrashing or
-/// aborting.
-fn streaming_limit_bytes(
-    config: &WaveMinConfig,
-    specs: &[ZoneSpec],
-    table: &NoiseTable,
-) -> Result<usize, WaveMinError> {
+/// bounded by twice the largest zone's hot bytes (`max_hot`). A budget
+/// below that minimal working set cannot run at any store size, so it
+/// fails up front with [`WaveMinError::MemoryBudget`] instead of
+/// thrashing or aborting.
+fn streaming_limit_bytes(config: &WaveMinConfig, max_hot: usize) -> Result<usize, WaveMinError> {
     const MB: usize = 1 << 20;
     let Some(budget_mb) = config.memory_budget_mb else {
         return Ok(usize::MAX); // no cap: every zone stays resident
     };
     let budget = budget_mb.saturating_mul(MB);
     let baseline = crate::observe::current_rss_bytes().unwrap_or(0) as usize;
-    let max_hot = specs.iter().map(|s| s.hot_bytes(table)).max().unwrap_or(0);
     // Slack for resident memory the store's ledger cannot see: zone
     // build/solve churn leaves freed chunks retained by the allocator,
-    // and the interval loop holds accumulated backgrounds and per-
-    // interval results. Reserved up front so the end-of-solve RSS stays
-    // under the budget rather than just the store's own bytes.
+    // and the window loop holds accumulated backgrounds and per-window
+    // results. Reserved up front so the end-of-solve RSS stays under the
+    // budget rather than just the store's own bytes.
     let slack = 16 * MB + budget / 8;
     let required = baseline.saturating_add(2 * max_hot).saturating_add(slack);
     if budget < required.saturating_add(MB) {
@@ -689,59 +750,47 @@ pub(crate) fn run_interval_framework_traced<S: ZoneSolver>(
         .transpose()?;
     solve_prepared(
         design, config, &prep, solver, registry, journal, store, seed, progress,
-    )
+    )?
+    .or_identity(design, registry)
 }
 
-/// Solves a [`PreparedRun`]: fans the feasible intervals over the worker
-/// pool, chains zones through the accumulated background inside each
-/// interval, validates exact skew, and assembles the [`Outcome`]. With a
-/// [`crate::checkpoint::ZoneStore`] attached (checkpoint journal or the
-/// serve-mode [`crate::checkpoint::ZoneCache`]), zones whose chain key
-/// hits are spliced bit-for-bit and counted as `zones_reused`; `seed`
-/// starts every interval's key chain and must capture the solver config
-/// (see [`crate::checkpoint::config_fingerprint`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_prepared<S: ZoneSolver>(
-    design: &Design,
-    config: &WaveMinConfig,
+/// One window's result: its min–max cost and assignment, `None` when
+/// some zone had no feasible option.
+type WindowResult = Result<Option<(f64, Assignment)>, WaveMinError>;
+
+/// Solves every window of a [`PreparedRun`]: the windows fan out over
+/// the worker pool and come back in input order (bit-identical to a
+/// sequential run), while inside one window the zones chain through the
+/// per-mode accumulated background. Also returns the zones that faulted
+/// and were salvaged, across all windows. See [`solve_prepared`] for the
+/// `store` and `seed` contract.
+pub(crate) fn solve_windows<S: ZoneSolver>(
+    threads: usize,
     prep: &PreparedRun,
     solver: &S,
     registry: &MetricsRegistry,
-    journal: &TraceJournal,
     store: Option<&dyn crate::checkpoint::ZoneStore>,
     seed: Option<u64>,
     progress: &crate::observe::ProgressTracker,
-) -> Result<Outcome, WaveMinError> {
-    let mut thandle = journal.handle();
-    let start = std::time::Instant::now();
-    let table = &prep.table;
-    let intervals = &prep.intervals;
+) -> (Vec<WindowResult>, Vec<usize>) {
+    let tables = &prep.tables[..];
     let zones = &prep.zones;
-    let zone_order = &prep.zone_order;
-    let degenerate_zones = prep.degenerate_zones;
-    registry.sample_rss();
-    // Progress ticker for the whole solve (observation only — it never
-    // feeds back into solver state, keeping enabled ≡ disabled runs
-    // bit-identical). Each tick also folds an RSS sample into the peak
-    // gauge so transient spikes between phase checkpoints are seen.
-    let _progress_guard = progress.begin((intervals.len() * zone_order.len()) as u64, registry);
-
-    // Zones that faulted and were salvaged, across all intervals.
+    // Zones that faulted and were salvaged, across all windows.
     let faulted = std::sync::Mutex::new(std::collections::BTreeSet::new());
 
     // Solve one zone with fault containment: a panic (or an injected
     // fault surfacing as `ZoneFault`) is noted, then retried once through
-    // the solver's salvage path. A second failure makes the whole
-    // interval a fault — handled at ranking like an infeasible one as
-    // long as some interval survives.
+    // the solver's salvage path. A second failure makes the whole window
+    // a fault — handled at ranking like an infeasible one as long as
+    // some window survives.
     let contained_solve = |zi: usize,
                            zone: &ZoneProblem,
-                           interval: &FeasibleInterval,
-                           accumulated: &crate::noise_table::BackgroundAccumulator|
+                           window: &FeasibleIntersection,
+                           accumulated: &[BackgroundAccumulator]|
      -> Result<ZoneSolution, WaveMinError> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let first = catch_unwind(AssertUnwindSafe(|| {
-            solver.solve_zone(table, zone, interval, accumulated)
+            solver.solve_zone(tables, zone, window, accumulated)
         }));
         let payload = match first {
             Ok(Ok(sol)) => return Ok(sol),
@@ -755,7 +804,7 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
             g.insert(zi);
         }
         let retry = catch_unwind(AssertUnwindSafe(|| {
-            solver.salvage_zone(table, zone, interval, accumulated)
+            solver.salvage_zone(tables, zone, window, accumulated)
         }));
         match retry {
             Ok(Ok(sol)) => {
@@ -777,84 +826,168 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
         }
     };
 
-    // Solve every interval. Intervals are independent — zones inside one
-    // interval chain through the accumulated background and stay
-    // sequential — so the intervals fan out over the worker pool and come
-    // back in input order (bit-identical to a sequential run).
-    let solve_interval =
-        |interval: &FeasibleInterval| -> Result<Option<(f64, Assignment)>, WaveMinError> {
-            let mut cost = 0.0_f64;
-            let mut assignment = Assignment::new();
-            let mut accumulated = crate::noise_table::BackgroundAccumulator::zero();
-            let mut chain =
-                seed.map(|s| crate::checkpoint::ZoneKeyChain::new(s, interval.t_lo, interval.t_hi));
-            for &zi in zone_order {
-                let key = chain.as_ref().map(|c| c.key_for(prep.zone_hashes[zi]));
-                let acquired = match (store, key) {
-                    (Some(s), Some(k)) => Some(s.acquire(k)),
-                    _ => None,
-                };
-                let sol = match acquired {
-                    Some(crate::checkpoint::StoreAcquire::Hit(hit)) => {
-                        // Splicing a checkpointed solution needs only the
-                        // zone's spec: the vectors stay cold.
-                        registry.record_zone_reused();
-                        ZoneSolution {
-                            choices: hit.choices_ps(),
-                            cost: hit.cost(),
-                        }
+    let solve_window = |window: &FeasibleIntersection| -> WindowResult {
+        let mut cost = 0.0_f64;
+        let mut assignment = Assignment::new();
+        let mut accumulated = vec![BackgroundAccumulator::zero(); tables.len()];
+        let (t_lo, t_hi) = window.windows[0];
+        let mut chain = seed.map(|s| crate::checkpoint::ZoneKeyChain::new(s, t_lo, t_hi));
+        for &zi in &prep.zone_order {
+            let key = chain.as_ref().map(|c| c.key_for(prep.zone_hashes[zi]));
+            let acquired = match (store, key) {
+                (Some(s), Some(k)) => Some(s.acquire(k)),
+                _ => None,
+            };
+            let sol = match acquired {
+                Some(crate::checkpoint::StoreAcquire::Hit(hit)) => {
+                    // Splicing a checkpointed solution needs only the
+                    // zone's spec: the vectors stay cold.
+                    registry.record_zone_reused();
+                    ZoneSolution {
+                        choices: hit.choices_ps(),
+                        cost: hit.cost(),
                     }
-                    other => {
-                        // Miss (or no store): solve here. The reservation,
-                        // if any, marks the key in flight for concurrent
-                        // jobs; it is released on every exit path, and a
-                        // successful record resolves it to a hit.
-                        let _reservation = match other {
-                            Some(crate::checkpoint::StoreAcquire::Solve(r)) => r,
-                            _ => None,
-                        };
-                        // The hot zone (and the solver's Pareto tables)
-                        // lives only for this solve; it drops at the end
-                        // of the match arm.
-                        let zone = zones.acquire(zi, table, registry);
-                        match contained_solve(zi, &zone, interval, &accumulated) {
-                            Ok(sol) => {
-                                if let (Some(s), Some(k)) = (store, key) {
-                                    s.record(k, sol.cost.to_bits(), &sol.choices)?;
-                                }
-                                sol
-                            }
-                            Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                if let Some(c) = chain.as_mut() {
-                    c.absorb(prep.zone_hashes[zi], sol.cost.to_bits(), &sol.choices);
                 }
-                progress.zone_done();
-                cost = cost.max(sol.cost);
-                let spec = zones.spec(zi);
-                for (local, &(opt, code)) in sol.choices.iter().enumerate() {
-                    let si = spec.sinks[local];
-                    let entry = &table.sinks[si];
-                    let option = &entry.options[opt];
-                    assignment.set(entry.node, option.cell.clone());
+                other => {
+                    // Miss (or no store): solve here. The reservation, if
+                    // any, marks the key in flight for concurrent jobs;
+                    // it is released on every exit path, and a successful
+                    // record resolves it to a hit.
+                    let _reservation = match other {
+                        Some(crate::checkpoint::StoreAcquire::Solve(r)) => r,
+                        _ => None,
+                    };
+                    // The hot zone (and the solver's Pareto tables) lives
+                    // only for this solve; it drops at the end of the
+                    // match arm.
+                    let zone = zones.acquire(zi, tables, registry);
+                    match contained_solve(zi, &zone, window, &accumulated) {
+                        Ok(sol) => {
+                            if let (Some(s), Some(k)) = (store, key) {
+                                s.record(k, sol.cost.to_bits(), &sol.choices)?;
+                            }
+                            sol
+                        }
+                        Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
+                        Err(e) => return Err(e),
+                    }
+                }
+            };
+            if let Some(c) = chain.as_mut() {
+                c.absorb(prep.zone_hashes[zi], sol.cost.to_bits(), &sol.choices);
+            }
+            progress.zone_done();
+            cost = cost.max(sol.cost);
+            for (local, &(opt, _)) in sol.choices.iter().enumerate() {
+                let entry = &tables[0].sinks[zones.spec(zi).sinks[local]];
+                let adjustable = entry.options[opt].is_adjustable();
+                assignment.set(entry.node, entry.options[opt].cell.clone());
+                for (m, (acc, &(lo, hi))) in accumulated.iter_mut().zip(&window.windows).enumerate()
+                {
+                    let o = &tables[m].sinks[zones.spec_in(m, zi).sinks[local]].options[opt];
+                    let code = o.delay_code_for(lo, hi).unwrap_or(Picoseconds::ZERO);
+                    // Adjustable codes are always recorded: a zero code
+                    // overwrites any stale insertion-phase code.
+                    if adjustable {
+                        assignment.set_delay_code(m, entry.node, code);
+                    }
                     if code > Picoseconds::ZERO {
-                        assignment.set_delay_code(0, entry.node, code);
-                        accumulated.push(&option.waves.shifted(code));
+                        acc.push(&o.waves.shifted(code));
                     } else {
-                        accumulated.push(&option.waves);
+                        acc.push(&o.waves);
                     }
                 }
             }
-            registry.sample_rss();
-            Ok(Some((cost, assignment)))
-        };
-    let solved = crate::parallel::map_ordered(
-        intervals.intervals(),
+        }
+        registry.sample_rss();
+        Ok(Some((cost, assignment)))
+    };
+    let solved =
+        crate::parallel::map_ordered(&prep.windows, threads, |_, window| solve_window(window));
+    let faulted = match faulted.into_inner() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    (solved, faulted.into_iter().collect())
+}
+
+/// What [`solve_prepared`] found.
+pub(crate) struct Solved {
+    /// The best-ranked candidate that met the exact skew bound, or
+    /// `None` when none did — each caller picks its own fallback.
+    pub outcome: Option<Outcome>,
+    windows_tried: usize,
+    runtime: Duration,
+    degenerate_zones: usize,
+    faulted_zones: Vec<usize>,
+}
+
+impl Solved {
+    /// The single-mode policy: when no candidate validated, keep the tree
+    /// as-is (the identity assignment).
+    pub(crate) fn or_identity(
+        self,
+        design: &Design,
+        registry: &MetricsRegistry,
+    ) -> Result<Outcome, WaveMinError> {
+        if let Some(out) = self.outcome {
+            return Ok(out);
+        }
+        let _span = registry.span(Stage::Validation);
+        let mut out = finish_outcome(
+            design,
+            design,
+            Assignment::new(),
+            f64::NAN,
+            self.windows_tried,
+            self.runtime,
+        )?;
+        out.degenerate_zones = self.degenerate_zones;
+        out.faulted_zones = self.faulted_zones;
+        Ok(out)
+    }
+}
+
+/// Solves a [`PreparedRun`] ([`solve_windows`]), ranks the windows by
+/// cost and validates the candidates with exact timing in every mode,
+/// best first. With a [`crate::checkpoint::ZoneStore`] attached
+/// (checkpoint journal or the serve-mode [`crate::checkpoint::ZoneCache`]),
+/// zones whose chain key hits are spliced bit-for-bit and counted as
+/// `zones_reused`; `seed` starts every window's key chain and must
+/// capture the solver config (see
+/// [`crate::checkpoint::config_fingerprint`]). The chain keys on the
+/// mode-0 window only, so a store is for single-mode runs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_prepared<S: ZoneSolver>(
+    design: &Design,
+    config: &WaveMinConfig,
+    prep: &PreparedRun,
+    solver: &S,
+    registry: &MetricsRegistry,
+    journal: &TraceJournal,
+    store: Option<&dyn crate::checkpoint::ZoneStore>,
+    seed: Option<u64>,
+    progress: &crate::observe::ProgressTracker,
+) -> Result<Solved, WaveMinError> {
+    let mut thandle = journal.handle();
+    let start = std::time::Instant::now();
+    registry.sample_rss();
+    // Progress ticker for the whole solve (observation only — it never
+    // feeds back into solver state, keeping enabled ≡ disabled runs
+    // bit-identical). Each tick also folds an RSS sample into the peak
+    // gauge so transient spikes between phase checkpoints are seen.
+    let _progress_guard = progress.begin(
+        (prep.windows.len() * prep.zone_order.len()) as u64,
+        registry,
+    );
+    let (solved, faulted_zones) = solve_windows(
         config.effective_threads(),
-        |_, interval| solve_interval(interval),
+        prep,
+        solver,
+        registry,
+        store,
+        seed,
+        progress,
     );
     registry.sample_solve_rss();
     let mut ranked: Vec<(f64, Assignment)> = Vec::new();
@@ -863,9 +996,9 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
         match result {
             Ok(Some(pair)) => ranked.push(pair),
             Ok(None) => {}
-            // An uncontainable zone fault drops its interval from the
-            // ranking; only if *every* interval is lost does it become
-            // the run's error.
+            // An uncontainable zone fault drops its window from the
+            // ranking; only if *every* window is lost does it become the
+            // run's error.
             Err(e @ WaveMinError::ZoneFault { .. }) => {
                 if fault.is_none() {
                     fault = Some(e);
@@ -875,21 +1008,22 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
         }
     }
     if ranked.is_empty() {
-        return Err(match fault {
-            Some(e) => e,
-            None => WaveMinError::NoFeasibleInterval,
-        });
+        return Err(fault.unwrap_or(WaveMinError::NoFeasibleInterval));
     }
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let intervals_tried = intervals.len();
-    let runtime = start.elapsed();
+    let mut solved = Solved {
+        outcome: None,
+        windows_tried: prep.windows.len(),
+        runtime: start.elapsed(),
+        degenerate_zones: prep.degenerate_zones,
+        faulted_zones,
+    };
 
     // Validate with exact timing (Observation 4 ignores sibling-load
     // feedback, so re-check against the true bound); fall back to the
-    // next-best interval, then to the identity assignment.
+    // next-best window.
     let _validation_span = registry.span(Stage::Validation);
     let validation_start = thandle.now_ns();
-    let mut chosen: Option<Outcome> = None;
     for (cost, assignment) in &ranked {
         let mut candidate = design.clone();
         assignment.apply_to(&mut candidate);
@@ -898,37 +1032,23 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
             eprintln!("candidate cost {cost:.1} -> exact skew {skew}");
         }
         if skew.value() <= config.skew_bound.value() + 1e-9 {
-            chosen = Some(finish_outcome(
+            let mut out = finish_outcome(
                 design,
                 &candidate,
                 assignment.clone(),
                 *cost,
-                intervals_tried,
-                runtime,
-            )?);
+                solved.windows_tried,
+                solved.runtime,
+            )?;
+            out.degenerate_zones = solved.degenerate_zones;
+            out.faulted_zones = solved.faulted_zones.clone();
+            solved.outcome = Some(out);
             break;
         }
     }
-    let mut out = match chosen {
-        Some(out) => out,
-        // Identity fallback: keep the tree as-is.
-        None => finish_outcome(
-            design,
-            design,
-            Assignment::new(),
-            f64::NAN,
-            intervals_tried,
-            runtime,
-        )?,
-    };
-    out.degenerate_zones = degenerate_zones;
-    out.faulted_zones = match faulted.lock() {
-        Ok(g) => g.iter().copied().collect(),
-        Err(poisoned) => poisoned.into_inner().iter().copied().collect(),
-    };
     thandle.stage_span(validation_start, "validation");
     registry.sample_rss();
-    Ok(out)
+    Ok(solved)
 }
 
 /// Evaluates before/after and assembles the [`Outcome`].
@@ -1026,29 +1146,31 @@ mod tests {
         assert!(o.gnd_improvement_pct() < 0.0);
     }
 
-    fn zone_fixture() -> (Vec<ZoneSpec>, NoiseTable, WaveMinConfig) {
+    /// The s15850 fixture's largest zone hot bytes and default config.
+    fn zone_fixture() -> (usize, WaveMinConfig) {
         let design = Design::from_benchmark(&wavemin_clocktree::Benchmark::s15850(), 3);
         let config = WaveMinConfig::default();
         let table = NoiseTable::build(&design, &config, 0).expect("characterize");
         let specs = ZoneSpec::build_specs(&design, &config, &table);
-        (specs, table, config)
+        let max_hot = specs.iter().map(|s| s.hot_bytes(&table)).max().unwrap_or(0);
+        (max_hot, config)
     }
 
     #[test]
     fn no_memory_budget_means_an_unlimited_store() {
-        let (specs, table, config) = zone_fixture();
+        let (max_hot, config) = zone_fixture();
         assert_eq!(config.memory_budget_mb, None);
         assert_eq!(
-            streaming_limit_bytes(&config, &specs, &table).expect("no budget"),
+            streaming_limit_bytes(&config, max_hot).expect("no budget"),
             usize::MAX
         );
     }
 
     #[test]
     fn a_budget_below_the_working_set_is_rejected() {
-        let (specs, table, config) = zone_fixture();
+        let (max_hot, config) = zone_fixture();
         // The fixed slack alone is 16 MB, so 1 MB can never run.
-        match streaming_limit_bytes(&config.with_memory_budget_mb(1), &specs, &table) {
+        match streaming_limit_bytes(&config.with_memory_budget_mb(1), max_hot) {
             Err(WaveMinError::MemoryBudget {
                 budget_mb,
                 required_mb,
@@ -1063,12 +1185,11 @@ mod tests {
     #[test]
     fn a_feasible_budget_reserves_the_working_set_and_slack() {
         const MB: usize = 1 << 20;
-        let (specs, table, config) = zone_fixture();
+        let (max_hot, config) = zone_fixture();
         let budget_mb = 64 * 1024;
-        let limit = streaming_limit_bytes(&config.with_memory_budget_mb(budget_mb), &specs, &table)
+        let limit = streaming_limit_bytes(&config.with_memory_budget_mb(budget_mb), max_hot)
             .expect("a 64 GB budget fits");
         let budget = budget_mb * MB;
-        let max_hot = specs.iter().map(|s| s.hot_bytes(&table)).max().unwrap_or(0);
         assert!(max_hot > 0);
         let reserved = budget - limit;
         assert!(

@@ -2,19 +2,19 @@
 //! store of shared zone problems.
 //!
 //! At million-sink scale the zones' sampled option vectors dominate
-//! memory, so [`ZoneStorage`] samples a zone's vectors
-//! ([`ZoneSpec::materialize`]) the first time an interval needs them and
-//! keeps them resident behind an `Arc`: every later acquire is an `Arc`
-//! clone. Resident zones are charged their [`ZoneSpec::hot_bytes`]
-//! against a byte limit; past it the least-recently-used zone is evicted
-//! (`zones_spilled`) and rebuilt on its next use (`zone_recomputes`).
-//! Sampling is deterministic, so residency never changes results, only
-//! time. Without a memory budget the limit is `usize::MAX` and every
-//! zone stays resident after its first use.
+//! memory, so [`ZoneStorage`] samples a zone's vectors in every power
+//! mode ([`ZoneSpec::sample_rows`]) the first time a window needs them
+//! and keeps them resident behind an `Arc`: every later acquire is an
+//! `Arc` clone. Resident zones are charged their hot bytes (summed over
+//! modes) against a byte limit; past it the least-recently-used zone is
+//! evicted (`zones_spilled`) and rebuilt on its next use
+//! (`zone_recomputes`). Sampling is deterministic, so residency never
+//! changes results, only time. Without a memory budget the limit is
+//! `usize::MAX` and every zone stays resident after its first use.
 //!
-//! The specs stay resident in one shared slice and each slot holds only
-//! its vectors: at about one sink per zone (100k-sink trees), a
-//! per-zone copy of the spec or a per-zone `Arc` header shows in the
+//! The specs stay resident in one shared, mode-major slice and each slot
+//! holds only its vectors: at about one sink per zone (100k-sink trees),
+//! a per-zone copy of the spec or a per-zone `Arc` header shows in the
 //! process's peak RSS.
 //!
 //! Workers that miss on the same zone at once build it once: the first
@@ -27,11 +27,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The interval framework's zone store.
 pub(crate) struct ZoneStorage {
-    /// Every zone's spec, always resident (shared with the handed-out
+    /// Every zone's spec in every mode, mode-major: zone `zi`'s mode-`m`
+    /// spec is `specs[m * zones + zi]` (shared with the handed-out
     /// [`ZoneProblem`]s).
     specs: Arc<[ZoneSpec]>,
+    /// Number of zones (`specs.len() / modes`).
+    zones: usize,
     /// Byte budget for the resident zones' vectors.
-    limit_bytes: usize,
+    pub(super) limit_bytes: usize,
     state: Mutex<State>,
     /// Signalled when a slot's build finishes (installed or abandoned).
     built: Condvar,
@@ -82,32 +85,59 @@ impl Drop for BuildClaim<'_> {
 }
 
 impl ZoneStorage {
-    /// An empty store over `specs` that keeps at most `limit_bytes` of
-    /// zone vectors resident (`usize::MAX` = keep everything).
-    pub(crate) fn new(specs: Vec<ZoneSpec>, limit_bytes: usize) -> Self {
-        let state = State::empty(specs.len());
+    /// An empty store over the mode-major `specs` of `modes` power modes
+    /// that keeps at most `limit_bytes` of zone vectors resident
+    /// (`usize::MAX` = keep everything).
+    pub(crate) fn new(specs: Vec<ZoneSpec>, modes: usize, limit_bytes: usize) -> Self {
+        let zones = specs.len() / modes.max(1);
         Self {
             specs: specs.into(),
+            zones,
             limit_bytes,
-            state: Mutex::new(state),
+            state: Mutex::new(State::empty(zones)),
             built: Condvar::new(),
         }
     }
 
     /// Number of zones.
     pub(crate) fn len(&self) -> usize {
-        self.specs.len()
+        self.zones
     }
 
-    /// The lightweight spec of zone `zi` (always resident).
+    /// The lightweight mode-0 spec of zone `zi` (always resident).
     pub(crate) fn spec(&self, zi: usize) -> &ZoneSpec {
-        &self.specs[zi]
+        self.spec_in(0, zi)
+    }
+
+    /// The lightweight spec of zone `zi` in power mode `mode`.
+    pub(crate) fn spec_in(&self, mode: usize, zi: usize) -> &ZoneSpec {
+        &self.specs[mode * self.zones + zi]
+    }
+
+    /// Bytes zone `zi`'s vectors occupy while resident, summed over the
+    /// modes of `tables`.
+    pub(crate) fn hot_bytes(&self, zi: usize, tables: &[NoiseTable]) -> usize {
+        tables
+            .iter()
+            .enumerate()
+            .map(|(m, t)| self.spec_in(m, zi).hot_bytes(t))
+            .sum()
+    }
+
+    /// Zone `zi`'s content hash over every mode of `tables` (a single
+    /// mode's is exactly [`ZoneSpec::content_hash`]).
+    pub(crate) fn content_hash(&self, zi: usize, tables: &[NoiseTable]) -> u64 {
+        let mut h = self.spec(zi).content_hash(&tables[0]);
+        for (m, t) in tables.iter().enumerate().skip(1) {
+            h = crate::checkpoint::step(h, self.spec_in(m, zi).content_hash(t));
+        }
+        h
     }
 
     /// Empties the store and sets a new byte limit.
     #[cfg(test)]
     pub(crate) fn reset(&mut self, limit_bytes: usize) {
-        self.state = Mutex::new(State::empty(self.specs.len()));
+        self.state = Mutex::new(State::empty(self.zones));
         self.limit_bytes = limit_bytes;
     }
 
@@ -120,13 +150,14 @@ impl ZoneStorage {
     pub(crate) fn acquire(
         &self,
         zi: usize,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         registry: &MetricsRegistry,
     ) -> ZoneProblem {
-        let vectors = self.vectors(zi, table, registry);
+        let vectors = self.vectors(zi, tables, registry);
         ZoneProblem {
             specs: Arc::clone(&self.specs),
             zi,
+            zones: self.zones,
             vectors,
         }
     }
@@ -134,7 +165,7 @@ impl ZoneStorage {
     fn vectors(
         &self,
         zi: usize,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         registry: &MetricsRegistry,
     ) -> Arc<[Vec<f64>]> {
         let mut state = self.lock();
@@ -158,8 +189,12 @@ impl ZoneStorage {
         drop(state);
         // Build outside the lock so other workers keep hitting the store.
         let claim = BuildClaim { store: self, zi };
-        let vectors = self.specs[zi].materialize(table);
-        self.install(zi, &vectors, table, registry);
+        let vectors: Arc<[Vec<f64>]> = tables
+            .iter()
+            .enumerate()
+            .flat_map(|(m, t)| self.spec_in(m, zi).sample_rows(t))
+            .collect();
+        self.install(zi, &vectors, tables, registry);
         drop(claim);
         vectors
     }
@@ -168,7 +203,7 @@ impl ZoneStorage {
         &self,
         zi: usize,
         vectors: &Arc<[Vec<f64>]>,
-        table: &NoiseTable,
+        tables: &[NoiseTable],
         registry: &MetricsRegistry,
     ) {
         let mut state = self.lock();
@@ -181,7 +216,7 @@ impl ZoneStorage {
         slot.vectors = Some(Arc::clone(vectors));
         slot.last_used = now;
         slot.ever_built = true;
-        state.bytes += self.specs[zi].hot_bytes(table);
+        state.bytes += self.hot_bytes(zi, tables);
         // Evict least-recently-used zones (never the one just installed)
         // until the store fits its budget again. A worker still solving
         // an evicted zone keeps its `Arc` until the solve ends.
@@ -197,7 +232,7 @@ impl ZoneStorage {
                 break; // only the hot zone is resident; nothing to spill
             };
             state.slots[v].vectors = None;
-            state.bytes -= self.specs[v].hot_bytes(table);
+            state.bytes -= self.hot_bytes(v, tables);
             registry.record_zone_spill();
         }
     }
@@ -211,11 +246,11 @@ mod tests {
     use crate::observe::{ReportContext, RunReport};
     use wavemin_clocktree::Benchmark;
 
-    fn fixture() -> (Design, WaveMinConfig, NoiseTable) {
+    fn fixture() -> (Design, WaveMinConfig, [NoiseTable; 1]) {
         let design = Design::from_benchmark(&Benchmark::s15850(), 3);
         let config = WaveMinConfig::default();
         let table = NoiseTable::build(&design, &config, 0).expect("characterize");
-        (design, config, table)
+        (design, config, [table])
     }
 
     fn bits(vectors: &[Vec<f64>]) -> Vec<u64> {
@@ -230,7 +265,7 @@ mod tests {
 
     /// The resident zones, in index order, after checking that the byte
     /// ledger charges exactly their hot bytes.
-    fn resident(store: &ZoneStorage, table: &NoiseTable) -> Vec<usize> {
+    fn resident(store: &ZoneStorage, tables: &[NoiseTable]) -> Vec<usize> {
         let state = store.lock();
         let zones: Vec<usize> = state
             .slots
@@ -239,16 +274,19 @@ mod tests {
             .filter(|(_, s)| s.vectors.is_some())
             .map(|(zi, _)| zi)
             .collect();
-        let charged: usize = zones.iter().map(|&z| store.spec(z).hot_bytes(table)).sum();
+        let charged: usize = zones.iter().map(|&z| store.hot_bytes(z, tables)).sum();
         assert_eq!(state.bytes, charged, "byte ledger drifted");
         zones
     }
     #[test]
     fn acquires_match_materialize_bit_for_bit() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let expect: Vec<Vec<u64>> = specs.iter().map(|s| bits(&s.materialize(&table))).collect();
-        let store = ZoneStorage::new(specs, usize::MAX);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let expect: Vec<Vec<u64>> = specs
+            .iter()
+            .map(|s| bits(&s.sample_rows(&table[0]).collect::<Vec<_>>()))
+            .collect();
+        let store = ZoneStorage::new(specs, 1, usize::MAX);
         assert_eq!(store.len(), expect.len());
         let registry = MetricsRegistry::disabled();
         for (zi, m) in expect.iter().enumerate() {
@@ -264,12 +302,16 @@ mod tests {
     #[test]
     fn tiny_store_spills_and_recomputes_identically() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
         assert!(specs.len() > 1, "fixture needs several zones");
         // A store that holds roughly one zone forces constant eviction
         // on a round-robin access pattern.
-        let one_zone = specs.iter().map(|s| s.hot_bytes(&table)).max().unwrap_or(0);
-        let store = ZoneStorage::new(specs, one_zone.max(1));
+        let one_zone = specs
+            .iter()
+            .map(|s| s.hot_bytes(&table[0]))
+            .max()
+            .unwrap_or(0);
+        let store = ZoneStorage::new(specs, 1, one_zone.max(1));
         let registry = MetricsRegistry::enabled(false);
         let first: Vec<Vec<u64>> = (0..store.len())
             .map(|zi| bits(&store.acquire(zi, &table, &registry).vectors))
@@ -287,8 +329,8 @@ mod tests {
     #[test]
     fn racing_first_builds_are_not_recomputes() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let store = ZoneStorage::new(specs, usize::MAX);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let store = ZoneStorage::new(specs, 1, usize::MAX);
         let registry = MetricsRegistry::enabled(false);
         const THREADS: usize = 4;
         let barrier = std::sync::Barrier::new(THREADS);
@@ -323,7 +365,11 @@ mod tests {
     #[test]
     fn unlimited_store_keeps_every_zone_resident() {
         let (design, config, table) = fixture();
-        let store = ZoneStorage::new(ZoneSpec::build_specs(&design, &config, &table), usize::MAX);
+        let store = ZoneStorage::new(
+            ZoneSpec::build_specs(&design, &config, &table[0]),
+            1,
+            usize::MAX,
+        );
         let registry = MetricsRegistry::enabled(false);
         let first: Vec<ZoneProblem> = (0..store.len())
             .map(|zi| store.acquire(zi, &table, &registry))
@@ -347,15 +393,15 @@ mod tests {
     #[test]
     fn eviction_takes_the_least_recently_used_zone() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
         assert!(specs.len() >= 3, "fixture needs three zones");
-        let hot: Vec<usize> = specs.iter().map(|s| s.hot_bytes(&table)).collect();
+        let hot: Vec<usize> = specs.iter().map(|s| s.hot_bytes(&table[0])).collect();
         let mut by_size: Vec<usize> = (0..specs.len()).collect();
         by_size.sort_by_key(|&z| std::cmp::Reverse(hot[z]));
         // `b` is the largest zone, so evicting it alone makes room for `c`.
         let (b, a, c) = (by_size[0], by_size[1], by_size[2]);
         assert!(hot[c] > 0);
-        let store = ZoneStorage::new(specs, hot[a] + hot[b]);
+        let store = ZoneStorage::new(specs, 1, hot[a] + hot[b]);
         let registry = MetricsRegistry::enabled(false);
 
         let held_a = store.acquire(a, &table, &registry);
@@ -380,14 +426,17 @@ mod tests {
     #[test]
     fn resident_bytes_never_exceed_the_limit() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let expect: Vec<Vec<u64>> = specs.iter().map(|s| bits(&s.materialize(&table))).collect();
-        let hot: Vec<usize> = specs.iter().map(|s| s.hot_bytes(&table)).collect();
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let expect: Vec<Vec<u64>> = specs
+            .iter()
+            .map(|s| bits(&s.sample_rows(&table[0]).collect::<Vec<_>>()))
+            .collect();
+        let hot: Vec<usize> = specs.iter().map(|s| s.hot_bytes(&table[0])).collect();
         let total: usize = hot.iter().sum();
         let limit = (total / 2).max(hot.iter().copied().max().unwrap_or(0));
         assert!(total > limit, "fixture must not fit the store");
         let n = specs.len();
-        let store = ZoneStorage::new(specs, limit);
+        let store = ZoneStorage::new(specs, 1, limit);
         let registry = MetricsRegistry::enabled(false);
         // A sweep each way, then a scattered pattern.
         let order = (0..n)
@@ -409,10 +458,13 @@ mod tests {
     #[test]
     fn a_zone_larger_than_the_limit_is_still_served() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let expect: Vec<Vec<u64>> = specs.iter().map(|s| bits(&s.materialize(&table))).collect();
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let expect: Vec<Vec<u64>> = specs
+            .iter()
+            .map(|s| bits(&s.sample_rows(&table[0]).collect::<Vec<_>>()))
+            .collect();
         let n = specs.len();
-        let store = ZoneStorage::new(specs, 1);
+        let store = ZoneStorage::new(specs, 1, 1);
         let registry = MetricsRegistry::enabled(false);
         for _ in 0..2 {
             for (zi, want) in expect.iter().enumerate() {
@@ -435,9 +487,9 @@ mod tests {
     #[test]
     fn an_evicted_zone_stays_valid_for_its_holder() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let expect = bits(&specs[0].materialize(&table));
-        let store = ZoneStorage::new(specs, 1);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let expect = bits(&specs[0].sample_rows(&table[0]).collect::<Vec<_>>());
+        let store = ZoneStorage::new(specs, 1, 1);
         let registry = MetricsRegistry::enabled(false);
         let held = store.acquire(0, &table, &registry);
         store.acquire(1, &table, &registry);
@@ -456,11 +508,18 @@ mod tests {
     #[test]
     fn concurrent_acquires_under_a_tight_store_agree_with_materialize() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let expect: Vec<Vec<u64>> = specs.iter().map(|s| bits(&s.materialize(&table))).collect();
-        let one_zone = specs.iter().map(|s| s.hot_bytes(&table)).max().unwrap_or(0);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let expect: Vec<Vec<u64>> = specs
+            .iter()
+            .map(|s| bits(&s.sample_rows(&table[0]).collect::<Vec<_>>()))
+            .collect();
+        let one_zone = specs
+            .iter()
+            .map(|s| s.hot_bytes(&table[0]))
+            .max()
+            .unwrap_or(0);
         let n = specs.len();
-        let store = ZoneStorage::new(specs, one_zone.max(1));
+        let store = ZoneStorage::new(specs, 1, one_zone.max(1));
         let registry = MetricsRegistry::enabled(false);
         std::thread::scope(|scope| {
             for t in 0..4 {
@@ -485,9 +544,9 @@ mod tests {
     #[test]
     fn an_abandoned_build_hands_the_zone_to_a_waiter() {
         let (design, config, table) = fixture();
-        let specs = ZoneSpec::build_specs(&design, &config, &table);
-        let expect = bits(&specs[0].materialize(&table));
-        let store = ZoneStorage::new(specs, usize::MAX);
+        let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
+        let expect = bits(&specs[0].sample_rows(&table[0]).collect::<Vec<_>>());
+        let store = ZoneStorage::new(specs, 1, usize::MAX);
         let registry = MetricsRegistry::enabled(false);
         // Claim zone 0 as a builder that will unwind without installing.
         store.lock().slots[0].building = true;

@@ -114,6 +114,12 @@ impl IntervalSet {
         &self.intervals
     }
 
+    /// The feasible intervals by value (highest degree of freedom first).
+    #[must_use]
+    pub fn into_intervals(self) -> Vec<FeasibleInterval> {
+        self.intervals
+    }
+
     /// Number of feasible intervals.
     #[must_use]
     pub fn len(&self) -> usize {

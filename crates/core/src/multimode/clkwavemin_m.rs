@@ -1,7 +1,9 @@
 //! ClkWaveMin-M: the full multi-mode optimization flow (Fig. 13).
 
-use crate::algo::clkwavemin::{solve_zone_mosp_generic, MospLadder};
-use crate::algo::{finish_outcome, Outcome, ZoneProblem};
+use crate::algo::clkwavemin::MospZoneSolver;
+use crate::algo::{
+    finish_outcome, prepare_run, solve_prepared, solve_windows, Outcome, PreparedRun,
+};
 use crate::assignment::Assignment;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
@@ -9,8 +11,8 @@ use crate::error::WaveMinError;
 use crate::multimode::adb::insert_adbs;
 use crate::multimode::intersect::{FeasibleIntersection, IntersectionSet};
 use crate::noise_table::NoiseTable;
-use crate::observe::{MetricsRegistry, ReportContext, Stage};
-use wavemin_cells::units::Picoseconds;
+use crate::observe::{MetricsRegistry, ProgressTracker, ReportContext, Stage};
+use crate::trace::TraceJournal;
 
 /// The multi-power-mode optimizer.
 ///
@@ -21,6 +23,11 @@ use wavemin_cells::units::Picoseconds;
 /// the ADB-embedded tree. The `Outcome`'s *before* figures describe the
 /// state right before the final polarity optimization — i.e. the
 /// "ADB-embedded-only" baseline of Table VII when ADBs were needed.
+///
+/// The solve itself is the shared interval framework with k-window
+/// intersections as its windows, so the zone store, its memory budget
+/// and fault containment are the single-mode ones; with one mode this
+/// is exactly ClkWaveMin.
 ///
 /// # Example
 ///
@@ -71,47 +78,49 @@ impl ClkWaveMinM {
         // between retries).
         let registry = MetricsRegistry::from_config(&self.config);
         let budget = self.config.budget();
-        let ladder = MospLadder::new(&self.config, budget.clone(), registry.clone());
-        let mut outcome = self.run_ladder(design, &ladder)?;
-        outcome.degradation = ladder.degradation();
-        outcome.faulted_zones = ladder.faulted_zones();
+        let solver = MospZoneSolver::new(&self.config, budget.clone(), registry.clone());
+        let mut outcome = self.run_ladder(design, &solver, &registry)?;
+        outcome.degradation = solver.ladder.degradation();
         outcome.report = registry.report(&ReportContext {
             threads: self.config.effective_threads(),
             degenerate_zones: outcome.degenerate_zones,
-            ladder_rung: ladder.current_rung(),
+            ladder_rung: solver.ladder.current_rung(),
             budget_units: budget.work_done(),
             kernel: wavemin_mosp::kernels::active().name(),
         });
         Ok(outcome)
     }
 
-    fn run_ladder(&self, design: &Design, ladder: &MospLadder) -> Result<Outcome, WaveMinError> {
+    fn run_ladder(
+        &self,
+        design: &Design,
+        solver: &MospZoneSolver,
+        registry: &MetricsRegistry,
+    ) -> Result<Outcome, WaveMinError> {
         // Estimation error (sibling-load feedback, slew drift, quantized
         // delay codes, per-mode voltage scaling) can exceed the default
         // headroom on multi-mode designs, so the optimization window is
         // tightened progressively until the exact skew check passes.
         let wm = self.config.window_margin;
         let margins = [wm, (wm - 0.15).max(0.3), (wm - 0.3).max(0.25)];
-        let threads = self.config.effective_threads();
 
         // Phase 1: polarity assignment + sizing alone. The margin only
         // tightens the intersection windows, never the characterization,
-        // so the per-mode noise tables and zone problems are built once
-        // and shared across all margin retries — the session philosophy
-        // applied inside one run.
-        let mode_data = self.build_mode_data(design, threads, &ladder.registry)?;
+        // so one prepared run (per-mode noise tables and zone store) is
+        // shared across all margin retries.
+        let mut prep = self.prepare(design, registry)?;
         for &margin in &margins {
-            match self.optimize(design, &mode_data, margin, ladder) {
+            match self.optimize(design, &mut prep, margin, solver, registry) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {}
                 Err(e) => return Err(e),
             }
         }
-        drop(mode_data);
+        drop(prep);
         // Phase 2: embed ADBs, then re-optimize with ADB/ADI candidates.
         // Repair to the tightened bound so the matching optimization
         // window stays feasible. Each embedded clone is a different
-        // design, so its mode data is rebuilt.
+        // design, so it is prepared afresh.
         let mut last_err = WaveMinError::NoFeasibleInterval;
         for &margin in &margins {
             let mut embedded = design.clone();
@@ -122,8 +131,8 @@ impl ClkWaveMinM {
                     continue;
                 }
             }
-            let embedded_data = self.build_mode_data(&embedded, threads, &ladder.registry)?;
-            match self.optimize(&embedded, &embedded_data, margin, ladder) {
+            let mut prep = self.prepare(&embedded, registry)?;
+            match self.optimize(&embedded, &mut prep, margin, solver, registry) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {
                     last_err = WaveMinError::NoFeasibleInterval;
@@ -156,291 +165,93 @@ impl ClkWaveMinM {
     /// Propagates preprocessing/solver failures; returns
     /// [`WaveMinError::NoFeasibleInterval`] when nothing intersects.
     pub fn intersection_costs(&self, design: &Design) -> Result<Vec<(usize, f64)>, WaveMinError> {
-        let threads = self.config.effective_threads();
         // (figure helper keeps the configured margin and has no budget)
-        let ladder = MospLadder::unbudgeted(&self.config);
-        let (tables, zones) = self.build_mode_data(design, threads, &ladder.registry)?;
-        let mut tight = self.config.clone();
-        tight.skew_bound = self.config.skew_bound * self.config.window_margin;
-        let set = IntersectionSet::generate(design, &tight, &tables, self.beam)?;
-        let solved = crate::parallel::map_ordered(
-            set.intersections(),
-            threads,
-            |_, intersection| match self.solve_intersection(
-                design,
-                &tables,
-                &zones,
-                intersection,
-                &ladder,
-            ) {
-                Ok((cost, _)) => Ok(Some((intersection.degree_of_freedom(), cost))),
-                Err(WaveMinError::NoFeasibleInterval) => Ok(None),
-                Err(e) => Err(e),
-            },
+        let registry = MetricsRegistry::disabled();
+        let solver = MospZoneSolver::new(
+            &self.config,
+            wavemin_mosp::Budget::unlimited(),
+            registry.clone(),
+        );
+        let mut prep = self.prepare(design, &registry)?;
+        prep.windows = self.intersections(&prep.tables, self.config.window_margin, &registry)?;
+        let (solved, _) = solve_windows(
+            self.config.effective_threads(),
+            &prep,
+            &solver,
+            &registry,
+            None,
+            None,
+            &ProgressTracker::disabled(),
         );
         let mut out = Vec::new();
-        for result in solved {
-            if let Some(pair) = result? {
-                out.push(pair);
+        for (window, result) in prep.windows.iter().zip(solved) {
+            if let Some((cost, _)) = result? {
+                out.push((window.degree_of_freedom(), cost));
             }
         }
         Ok(out)
     }
 
-    /// Builds the per-mode noise tables and zone problems, fanning the
-    /// independent modes out over the worker pool.
-    #[allow(clippy::type_complexity)]
-    fn build_mode_data(
+    /// Characterizes every power mode of `design` (in parallel over
+    /// modes) and partitions its zones; the windows are left for
+    /// [`Self::intersections`] to fill per margin.
+    fn prepare(
         &self,
         design: &Design,
-        threads: usize,
         registry: &MetricsRegistry,
-    ) -> Result<(Vec<NoiseTable>, Vec<Vec<ZoneProblem>>), WaveMinError> {
-        let mode_ids: Vec<usize> = (0..design.mode_count()).collect();
-        let tables: Vec<NoiseTable> = {
-            let _span = registry.span(Stage::Characterization);
-            crate::parallel::map_ordered(&mode_ids, threads, |_, &m| {
-                NoiseTable::build(design, &self.config, m)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?
-        };
-        let _span = registry.span(Stage::Zoning);
-        let zones: Vec<Vec<ZoneProblem>> =
-            crate::parallel::map_ordered(&mode_ids, threads, |_, &m| {
-                ZoneProblem::build_all(design, &self.config, &tables[m])
-            });
-        if let Some(per_mode) = zones.first() {
-            registry.ensure_zones(per_mode.len());
-        }
-        Ok((tables, zones))
+    ) -> Result<PreparedRun, WaveMinError> {
+        prepare_run(
+            design,
+            &self.config,
+            design.mode_count(),
+            registry,
+            &TraceJournal::disabled(),
+            |_| Ok(Vec::new()),
+        )
     }
 
-    /// One optimization pass over a (possibly ADB-embedded) design with
-    /// the given window margin. `mode_data` must be the output of
-    /// [`Self::build_mode_data`] for this exact design; passing it in lets
-    /// margin retries share one characterization.
+    /// The feasible intersections of the per-mode windows under the skew
+    /// bound tightened by `margin` (headroom for sibling-load feedback,
+    /// like the single-mode flow).
+    fn intersections(
+        &self,
+        tables: &[NoiseTable],
+        margin: f64,
+        registry: &MetricsRegistry,
+    ) -> Result<Vec<FeasibleIntersection>, WaveMinError> {
+        let _span = registry.span(Stage::Intersection);
+        let mut tight = self.config.clone();
+        tight.skew_bound = self.config.skew_bound * margin;
+        Ok(IntersectionSet::generate(&tight, tables, self.beam)?.into_intersections())
+    }
+
+    /// One optimization pass over a prepared (possibly ADB-embedded)
+    /// design with the given window margin. A pass with no intersection,
+    /// or whose candidates all miss the exact bound, is
+    /// [`WaveMinError::NoFeasibleInterval`], which moves the flow on to
+    /// the next margin.
     fn optimize(
         &self,
         design: &Design,
-        mode_data: &(Vec<NoiseTable>, Vec<Vec<ZoneProblem>>),
+        prep: &mut PreparedRun,
         margin: f64,
-        ladder: &MospLadder,
+        solver: &MospZoneSolver,
+        registry: &MetricsRegistry,
     ) -> Result<Outcome, WaveMinError> {
-        let start = std::time::Instant::now();
-        let threads = self.config.effective_threads();
-        let (tables, zones) = mode_data;
-        // Reserve sibling-load headroom like the single-mode flow.
-        let mut tight = self.config.clone();
-        tight.skew_bound = self.config.skew_bound * margin;
-        let set = IntersectionSet::generate(design, &tight, tables, self.beam)?;
-        let degenerate_zones = zones
-            .iter()
-            .flatten()
-            .filter(|z| z.spec().plan.is_degenerate())
-            .count();
-
-        // Intersections are independent of each other (each chains its own
-        // per-mode accumulated background), so they fan out over the
-        // worker pool; input-order collection keeps the ranking identical
-        // to a sequential run.
-        let solved =
-            crate::parallel::map_ordered(set.intersections(), threads, |_, intersection| {
-                let _span = ladder.registry.span(Stage::Intersection);
-                match self.solve_intersection(design, tables, zones, intersection, ladder) {
-                    Ok(pair) => Ok(Some(pair)),
-                    Err(WaveMinError::NoFeasibleInterval) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            });
-        let mut ranked: Vec<(f64, Assignment)> = Vec::new();
-        // Like the single-mode flow, an intersection lost to an
-        // unsalvageable zone fault only fails the run when nothing else
-        // survives to rank.
-        let mut fault: Option<WaveMinError> = None;
-        for result in solved {
-            match result {
-                Ok(Some(pair)) => ranked.push(pair),
-                Ok(None) => {}
-                Err(e @ WaveMinError::ZoneFault { .. }) => {
-                    if fault.is_none() {
-                        fault = Some(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if ranked.is_empty() {
-            return Err(fault.unwrap_or(WaveMinError::NoFeasibleInterval));
-        }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let runtime = start.elapsed();
-
-        let _validation_span = ladder.registry.span(Stage::Validation);
-        for (cost, assignment) in &ranked {
-            let mut candidate = design.clone();
-            assignment.apply_to(&mut candidate);
-            let skew = candidate.max_skew()?;
-            if std::env::var_os("WAVEMIN_DEBUG").is_some() {
-                eprintln!("mm candidate cost {cost:.1} -> exact skew {skew}");
-            }
-            if skew.value() <= self.config.skew_bound.value() + 1e-9 {
-                let mut out = finish_outcome(
-                    design,
-                    &candidate,
-                    assignment.clone(),
-                    *cost,
-                    set.len(),
-                    runtime,
-                )?;
-                out.degenerate_zones = degenerate_zones;
-                return Ok(out);
-            }
-        }
-        Err(WaveMinError::NoFeasibleInterval)
-    }
-
-    /// Solves every zone inside one intersection; weights concatenate the
-    /// per-mode noise vectors (Fig. 12).
-    fn solve_intersection(
-        &self,
-        design: &Design,
-        tables: &[NoiseTable],
-        zones: &[Vec<ZoneProblem>],
-        intersection: &FeasibleIntersection,
-        ladder: &MospLadder,
-    ) -> Result<(f64, Assignment), WaveMinError> {
-        let _ = design;
-        let modes = tables.len();
-        let zone_count = zones[0].len();
-        let mut assignment = Assignment::new();
-        let mut cost = 0.0_f64;
-        // Accumulated noise of already-assigned zones, per mode (the
-        // zones-one-by-one accumulation of the single-mode flow).
-        let mut accumulated = vec![crate::noise_table::BackgroundAccumulator::zero(); modes];
-        // Largest zones first.
-        let mut zone_ids: Vec<usize> = (0..zone_count).collect();
-        zone_ids.sort_by_key(|&z| std::cmp::Reverse(zones[0][z].spec().sinks.len()));
-
-        for zi in zone_ids {
-            let sinks0 = &zones[0][zi].spec().sinks;
-            let rows = sinks0.len();
-            let allowed: Vec<&[usize]> = sinks0
-                .iter()
-                .map(|&si| intersection.allowed[si].as_slice())
-                .collect();
-            // Concatenated background (static non-leaf + accumulated
-            // assigned zones, per mode).
-            let mut background = Vec::new();
-            for m in 0..modes {
-                let spec = zones[m][zi].spec();
-                let mut bg = spec.background.clone();
-                spec.plan
-                    .accumulate_background_into(&mut bg, &accumulated[m]);
-                background.extend_from_slice(&bg);
-            }
-
-            let option_data = |local: usize, opt: usize| {
-                let mut codes = Vec::with_capacity(modes);
-                let mut vector = Vec::new();
-                for m in 0..modes {
-                    let si = zones[m][zi].spec().sinks[local];
-                    let o = &tables[m].sinks[si].options[opt];
-                    let (lo, hi) = intersection.windows[m];
-                    let code = o.delay_code_for(lo, hi)?;
-                    codes.push(code);
-                    vector.extend(zones[m][zi].option_vector(&tables[m], local, opt, code));
-                }
-                Some((codes, vector))
-            };
-
-            // Same containment as the single-mode framework: a panicking
-            // (or injected-fault) zone worker is caught, retried once on
-            // the injection-free greedy rung, and only fails the
-            // intersection when the salvage also dies.
-            let attempt = |salvage: bool| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    solve_zone_mosp_generic::<Vec<Picoseconds>>(
-                        ladder,
-                        zi,
-                        rows,
-                        option_data,
-                        &allowed,
-                        &background,
-                        salvage,
-                    )
-                }))
-            };
-            let (choices, zone_cost) = match attempt(false) {
-                Ok(Ok(pair)) => pair,
-                Ok(Err(WaveMinError::ZoneFault { payload, .. })) => {
-                    salvage_mm_zone(ladder, zi, &payload, &attempt)?
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(p) => {
-                    let payload = crate::parallel::panic_payload(p.as_ref());
-                    salvage_mm_zone(ladder, zi, &payload, &attempt)?
-                }
-            };
-            cost = cost.max(zone_cost);
-            for (local, (opt, codes)) in choices.iter().enumerate() {
-                let si = sinks0[local];
-                let entry = &tables[0].sinks[si];
-                let option = &entry.options[*opt];
-                assignment.set(entry.node, option.cell.clone());
-                for m in 0..modes {
-                    let o = &tables[m].sinks[zones[m][zi].spec().sinks[local]].options[*opt];
-                    let code = codes.get(m).copied().unwrap_or(Picoseconds::ZERO);
-                    accumulated[m].push(&o.waves.shifted(code));
-                }
-                if option.is_adjustable() {
-                    // Always record adjustable codes (zero overwrites any
-                    // stale insertion-phase code).
-                    for (m, &code) in codes.iter().enumerate() {
-                        assignment.set_delay_code(m, entry.node, code);
-                    }
-                }
-            }
-        }
-        Ok((cost, assignment))
-    }
-}
-
-/// One multimode zone solution: per-sink `(option, per-mode delay codes)`
-/// choices plus the zone's min–max cost.
-type MmZoneSolution = (Vec<(usize, Vec<Picoseconds>)>, f64);
-
-/// The multimode salvage retry: records the fault against the ladder and
-/// the registry, re-attempts the zone on the injection-free greedy rung,
-/// and wraps an unrecoverable failure in [`WaveMinError::ZoneFault`].
-fn salvage_mm_zone<F>(
-    ladder: &MospLadder,
-    zone: usize,
-    payload: &str,
-    attempt: &F,
-) -> Result<MmZoneSolution, WaveMinError>
-where
-    F: Fn(bool) -> std::thread::Result<Result<MmZoneSolution, WaveMinError>>,
-{
-    ladder.note_zone_fault(zone);
-    ladder.registry.record_zone_fault();
-    match attempt(true) {
-        Ok(Ok(pair)) => {
-            ladder.note_zone_salvaged(zone);
-            ladder.registry.record_zone_salvage();
-            Ok(pair)
-        }
-        Ok(Err(e)) => Err(WaveMinError::ZoneFault {
-            zone,
-            payload: format!("{payload}; salvage failed: {e}"),
-        }),
-        Err(p) => Err(WaveMinError::ZoneFault {
-            zone,
-            payload: format!(
-                "{payload}; salvage panicked: {}",
-                crate::parallel::panic_payload(p.as_ref())
-            ),
-        }),
+        prep.windows = self.intersections(&prep.tables, margin, registry)?;
+        solve_prepared(
+            design,
+            &self.config,
+            prep,
+            solver,
+            registry,
+            &TraceJournal::disabled(),
+            None,
+            None,
+            &ProgressTracker::disabled(),
+        )?
+        .outcome
+        .ok_or(WaveMinError::NoFeasibleInterval)
     }
 }
 
@@ -448,7 +259,7 @@ where
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use wavemin_cells::units::Volts;
+    use wavemin_cells::units::{Picoseconds, Volts};
 
     #[test]
     fn mild_design_needs_no_adbs() {

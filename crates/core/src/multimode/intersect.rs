@@ -2,9 +2,8 @@
 //! Table IV).
 
 use crate::config::WaveMinConfig;
-use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::intervals::IntervalSet;
+use crate::intervals::{FeasibleInterval, IntervalSet};
 use crate::noise_table::NoiseTable;
 use serde::{Deserialize, Serialize};
 use wavemin_cells::units::Picoseconds;
@@ -25,6 +24,28 @@ impl FeasibleIntersection {
     #[must_use]
     pub fn degree_of_freedom(&self) -> usize {
         self.allowed.iter().map(Vec::len).sum()
+    }
+
+    /// The allowed-option lists of the given sinks (indices into the full
+    /// sink list), borrowed straight from the intersection — the hot path
+    /// builds one of these per (zone, window) pair, so no per-sink
+    /// clones.
+    pub(crate) fn allowed_for(&self, sinks: &[usize]) -> Vec<&[usize]> {
+        sinks
+            .iter()
+            .map(|&si| self.allowed[si].as_slice())
+            .collect()
+    }
+}
+
+/// A single-mode interval is the one-window intersection (its allowed
+/// lists move, not copy).
+impl From<FeasibleInterval> for FeasibleIntersection {
+    fn from(iv: FeasibleInterval) -> Self {
+        Self {
+            windows: vec![(iv.t_lo, iv.t_hi)],
+            allowed: iv.allowed,
+        }
     }
 }
 
@@ -49,12 +70,10 @@ impl IntersectionSet {
     /// Returns [`WaveMinError::NoFeasibleInterval`] when any mode has no
     /// feasible interval at all or every intersection is infeasible.
     pub fn generate(
-        design: &Design,
         config: &WaveMinConfig,
         tables: &[NoiseTable],
         beam: usize,
     ) -> Result<Self, WaveMinError> {
-        let _ = design;
         let kappa = config.skew_bound;
         let beam = beam.max(1);
         let mut partial: Vec<FeasibleIntersection> = Vec::new();
@@ -123,6 +142,12 @@ impl IntersectionSet {
         &self.intersections
     }
 
+    /// The intersections by value, best degree of freedom first.
+    #[must_use]
+    pub fn into_intersections(self) -> Vec<FeasibleIntersection> {
+        self.intersections
+    }
+
     /// Number of feasible intersections kept.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -152,7 +177,7 @@ mod tests {
         let d = Design::from_benchmark(&Benchmark::s15850(), 1);
         let cfg = WaveMinConfig::default();
         let t = tables(&d, &cfg);
-        let set = IntersectionSet::generate(&d, &cfg, &t, 16).unwrap();
+        let set = IntersectionSet::generate(&cfg, &t, 16).unwrap();
         assert!(!set.is_empty());
         for x in set.intersections() {
             assert_eq!(x.windows.len(), 1);
@@ -167,7 +192,7 @@ mod tests {
         let d = Design::from_benchmark_multimode(&Benchmark::s15850(), 3, 4, 2);
         let cfg = WaveMinConfig::default().with_skew_bound(Picoseconds::new(110.0));
         let t = tables(&d, &cfg);
-        let set = IntersectionSet::generate(&d, &cfg, &t, 16).unwrap();
+        let set = IntersectionSet::generate(&cfg, &t, 16).unwrap();
         assert!(!set.is_empty());
         for x in set.intersections() {
             assert_eq!(x.windows.len(), 2);
@@ -188,7 +213,7 @@ mod tests {
         let cfg = WaveMinConfig::default().with_skew_bound(Picoseconds::new(5.0));
         let t = tables(&d, &cfg);
         assert_eq!(
-            IntersectionSet::generate(&d, &cfg, &t, 16).unwrap_err(),
+            IntersectionSet::generate(&cfg, &t, 16).unwrap_err(),
             WaveMinError::NoFeasibleInterval
         );
     }
@@ -198,7 +223,7 @@ mod tests {
         let d = Design::from_benchmark_multimode(&Benchmark::s15850(), 3, 4, 2);
         let cfg = WaveMinConfig::default().with_skew_bound(Picoseconds::new(110.0));
         let t = tables(&d, &cfg);
-        let set = IntersectionSet::generate(&d, &cfg, &t, 4).unwrap();
+        let set = IntersectionSet::generate(&cfg, &t, 4).unwrap();
         assert!(set.len() <= 4);
         let dofs: Vec<usize> = set
             .intersections()
@@ -213,7 +238,7 @@ mod tests {
         let d = Design::from_benchmark_multimode(&Benchmark::s15850(), 3, 4, 2);
         let cfg = WaveMinConfig::default().with_skew_bound(Picoseconds::new(110.0));
         let t = tables(&d, &cfg);
-        let set = IntersectionSet::generate(&d, &cfg, &t, 8).unwrap();
+        let set = IntersectionSet::generate(&cfg, &t, 8).unwrap();
         for x in set.intersections() {
             for (mode, &(lo, hi)) in x.windows.iter().enumerate() {
                 for (si, opts) in x.allowed.iter().enumerate() {

@@ -15,9 +15,9 @@
 //! ```text
 //! run
 //! ├── characterization      NoiseTable::build (per power mode)
-//! ├── zoning                feasible intervals/intersections + ZoneProblem
-//! ├── zone_solve            one span per zone × interval MOSP solve
-//! ├── intersection          one span per multi-mode intersection solve
+//! ├── zoning                feasible intervals + zone specs and store
+//! ├── zone_solve            one span per zone × window MOSP solve
+//! ├── intersection          multi-mode intersection generation, per margin
 //! ├── validation            exact skew re-check of ranked candidates
 //! └── monte_carlo           process-variation study
 //! ```
@@ -33,11 +33,13 @@ use wavemin_mosp::SolveStats;
 pub enum Stage {
     /// Per-mode candidate characterization ([`crate::NoiseTable`] build).
     Characterization,
-    /// Feasible interval/intersection generation and zone partitioning.
+    /// Feasible interval generation and zone partitioning.
     Zoning,
-    /// One zone × interval MOSP (or greedy) subproblem solve.
+    /// One zone × window MOSP (or greedy) subproblem solve.
     ZoneSolve,
-    /// One multi-mode interval-intersection solve (all zones chained).
+    /// Multi-mode feasible intersection generation
+    /// ([`crate::multimode::IntersectionSet::generate`]), once per window
+    /// margin; the intersections' zone solves are not part of it.
     Intersection,
     /// Exact skew re-validation of the ranked candidates.
     Validation,

@@ -106,13 +106,13 @@ impl CharacterizedDesign {
     /// Number of feasible intervals held resident.
     #[must_use]
     pub fn interval_count(&self) -> usize {
-        self.prep.intervals.len()
+        self.prep.windows.len()
     }
 
     /// Number of characterized sinks.
     #[must_use]
     pub fn sink_count(&self) -> usize {
-        self.prep.table.sinks.len()
+        self.prep.tables[0].sinks.len()
     }
 
     /// A sink in the zone solved *last* (the smallest zone in the
@@ -127,7 +127,7 @@ impl CharacterizedDesign {
             .iter()
             .rev()
             .find_map(|&z| self.prep.zones.spec(z).sinks.first())
-            .map(|&si| self.prep.table.sinks[si].node)
+            .map(|&si| self.prep.tables[0].sinks[si].node)
     }
 
     /// Solves the session's resident problem with no shared cache.
@@ -224,7 +224,8 @@ impl CharacterizedDesign {
             store,
             seed,
             &opts.progress,
-        )?;
+        )?
+        .or_identity(&self.design, &registry)?;
         out.degradation = solver.ladder.degradation();
         out.report = registry.report(&ReportContext {
             threads: config.effective_threads(),
@@ -307,7 +308,11 @@ mod tests {
     /// a store that holds about one zone, and asserts the residency
     /// never shows in the results.
     fn assert_residency_invisible(design: Design, config: WaveMinConfig, label: &str) {
-        let mut session = CharacterizedDesign::new(design, config).expect("characterize");
+        let session = CharacterizedDesign::new(design, config).expect("characterize");
+        assert_session_residency_invisible(session, label);
+    }
+
+    fn assert_session_residency_invisible(mut session: CharacterizedDesign, label: &str) {
         let opts = SolveOptions {
             collect_metrics: true,
             ..SolveOptions::default()
@@ -315,7 +320,7 @@ mod tests {
         let unlimited = session.solve(&opts).expect("unlimited solve");
         let zones = &session.prep.zones;
         let one_zone = (0..zones.len())
-            .map(|z| zones.spec(z).hot_bytes(&session.prep.table))
+            .map(|z| zones.hot_bytes(z, &session.prep.tables))
             .max()
             .unwrap_or(0);
         session.prep.zones.reset(one_zone.max(1));
@@ -402,6 +407,38 @@ mod tests {
         cfg.max_intervals = Some(3);
         let design = Design::from_benchmark(&Benchmark::scale("stream_diff", 300), 5);
         assert_residency_invisible(design, cfg, "scale300");
+    }
+
+    #[test]
+    fn residency_never_changes_results_on_a_multimode_design() {
+        // A session over all four modes' tables and k-window
+        // intersections: the same store, now holding every mode's
+        // vectors per zone.
+        use crate::multimode::IntersectionSet;
+        let design = Design::from_benchmark_multimode(&Benchmark::s15850(), 3, 4, 4);
+        let config = WaveMinConfig::default()
+            .with_skew_bound(wavemin_cells::units::Picoseconds::new(40.0))
+            .with_sample_count(16)
+            .with_fault_plan(None);
+        let mut tight = config.clone();
+        tight.skew_bound = config.skew_bound * config.window_margin;
+        let prep = crate::algo::prepare_run(
+            &design,
+            &config,
+            design.mode_count(),
+            &MetricsRegistry::disabled(),
+            &TraceJournal::disabled(),
+            |tables| Ok(IntersectionSet::generate(&tight, tables, 8)?.into_intersections()),
+        )
+        .expect("prepare four modes");
+        assert_eq!(prep.tables.len(), 4);
+        assert!(prep.windows.iter().all(|w| w.windows.len() == 4));
+        let session = CharacterizedDesign {
+            design,
+            config,
+            prep,
+        };
+        assert_session_residency_invisible(session, "s15850 x4 modes");
     }
 
     #[test]

@@ -110,3 +110,53 @@ fn scale100k_stays_within_budget_and_spills() {
         "budgeted run must still satisfy the bound (or fall back to identity)"
     );
 }
+
+/// ClkWaveMin-M solves through the shared zone store, so its memory
+/// budget bounds the resident zones like the single-mode flow's: a budget
+/// just above the minimal working set spills, and never changes the
+/// result.
+#[test]
+fn budgeted_multimode_run_spills_with_identical_results() {
+    let design = Design::from_benchmark_multimode(&Benchmark::s13207(), 42, 4, 4);
+    let cfg = WaveMinConfig::default()
+        .with_skew_bound(wavemin_cells::units::Picoseconds::new(28.0))
+        .with_sample_count(632)
+        .with_threads(1)
+        .with_metrics(true);
+    let unlimited = ClkWaveMinM::new(cfg.clone())
+        .run(&design)
+        .expect("unbudgeted run");
+
+    // Walk the budget up to the minimal working set each refusal reports
+    // (it grows with the budget's own slack share): the first budget that
+    // fits leaves the store a megabyte or two. The four modes' zone
+    // vectors at the default 158 samples can fit in that; at 632 samples
+    // they cannot.
+    let mut budget_mb = 1;
+    let budgeted = loop {
+        match ClkWaveMinM::new(cfg.clone().with_memory_budget_mb(budget_mb)).run(&design) {
+            Ok(out) => break out,
+            Err(WaveMinError::MemoryBudget { required_mb, .. }) if budget_mb < 1 << 16 => {
+                budget_mb = required_mb.max(budget_mb + 1);
+            }
+            Err(other) => panic!("budgeted run failed: {other}"),
+        }
+    };
+    let report = budgeted.report.as_ref().expect("metrics were requested");
+    report.validate().expect("report consistency");
+    eprintln!(
+        "budget {budget_mb} MB: {} zones spilled, {} recomputed",
+        report.counters.zones_spilled, report.counters.zone_recomputes
+    );
+    assert!(
+        report.counters.zones_spilled > 0,
+        "a {budget_mb} MB budget must evict resident multi-mode zones"
+    );
+    assert_eq!(budgeted.assignment, unlimited.assignment);
+    assert_eq!(
+        budgeted.estimated_cost.to_bits(),
+        unlimited.estimated_cost.to_bits()
+    );
+    assert_eq!(budgeted.peak_after, unlimited.peak_after);
+    assert_eq!(budgeted.adb_count, unlimited.adb_count);
+}

@@ -39,6 +39,15 @@ fn clkwavemin_s13207_matches_golden() {
 }
 
 #[test]
+fn peakmin_s13207_matches_golden() {
+    let d = designs::s13207(7);
+    let mut cfg = WaveMinConfig::default().with_sample_count(16);
+    cfg.max_intervals = Some(6);
+    let out = ClkPeakMin::new(cfg).run(&d).expect("optimize");
+    check("peakmin_s13207", &out);
+}
+
+#[test]
 fn fast_variant_s15850_matches_golden() {
     let d = designs::s15850(11);
     let cfg = WaveMinConfig::default().with_sample_count(16);
