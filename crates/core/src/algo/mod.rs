@@ -581,8 +581,8 @@ pub(crate) struct PreparedRun {
     pub zones: streaming::ZoneStorage,
     /// Zone indices largest-first (the solve order inside each window).
     pub zone_order: Vec<usize>,
-    /// `zone_hashes[zone]` — content hash (over every mode) for cache
-    /// keying.
+    /// `zone_hashes[zone]` — mode-0 content hash for cache keying (the
+    /// stores are single-mode).
     pub zone_hashes: Vec<u64>,
     /// Zone specs, over all modes, whose sampling plan fell back to a
     /// dummy time.
@@ -660,7 +660,7 @@ pub(crate) fn prepare_run(
 
     let mut zones = streaming::ZoneStorage::new(specs, modes, usize::MAX);
     let zone_hashes: Vec<u64> = (0..zone_count)
-        .map(|zi| zones.content_hash(zi, &tables))
+        .map(|zi| zones.spec(zi).content_hash(&tables[0]))
         .collect();
     let max_hot = (0..zone_count)
         .map(|zi| zones.hot_bytes(zi, &tables))
@@ -904,10 +904,9 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
     };
     let solved =
         crate::parallel::map_ordered(&prep.windows, threads, |_, window| solve_window(window));
-    let faulted = match faulted.into_inner() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let faulted = faulted
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     (solved, faulted.into_iter().collect())
 }
 

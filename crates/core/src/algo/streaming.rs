@@ -124,16 +124,6 @@ impl ZoneStorage {
             .sum()
     }
 
-    /// Zone `zi`'s content hash over every mode of `tables` (a single
-    /// mode's is exactly [`ZoneSpec::content_hash`]).
-    pub(crate) fn content_hash(&self, zi: usize, tables: &[NoiseTable]) -> u64 {
-        let mut h = self.spec(zi).content_hash(&tables[0]);
-        for (m, t) in tables.iter().enumerate().skip(1) {
-            h = crate::checkpoint::step(h, self.spec_in(m, zi).content_hash(t));
-        }
-        h
-    }
-
     /// Empties the store and sets a new byte limit.
     #[cfg(test)]
     pub(crate) fn reset(&mut self, limit_bytes: usize) {
