@@ -473,14 +473,14 @@ impl MospZoneSolver {
 }
 
 impl MospZoneSolver {
-    /// Solves one zone in one k-mode window: per-mode option vectors and
+    /// Solves one zone in one k-mode intersection: per-mode option vectors and
     /// backgrounds are joined end to end into one MOSP weight (Fig. 12),
     /// so a single mode is exactly ClkWaveMin.
     fn solve_zone_inner(
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
         salvage: bool,
     ) -> Result<ZoneSolution, WaveMinError> {
@@ -489,8 +489,8 @@ impl MospZoneSolver {
             &self.ladder,
             spec.id,
             spec.sinks.len(),
-            |local, option| zone.option_data(tables, window, local, option),
-            &window.allowed_for(&spec.sinks),
+            |local, option| zone.option_data(tables, intersection, local, option),
+            &intersection.allowed_for(&spec.sinks),
             &zone.background(extra),
             salvage,
         )
@@ -502,20 +502,20 @@ impl ZoneSolver for MospZoneSolver {
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        self.solve_zone_inner(tables, zone, window, extra, false)
+        self.solve_zone_inner(tables, zone, intersection, extra, false)
     }
 
     fn salvage_zone(
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        self.solve_zone_inner(tables, zone, window, extra, true)
+        self.solve_zone_inner(tables, zone, intersection, extra, true)
     }
 
     fn note_zone_fault(&self, zone: usize, _payload: &str) {
@@ -531,7 +531,7 @@ impl ZoneSolver for MospZoneSolver {
 ///
 /// * `rows` — number of sinks in the zone;
 /// * `option_data(local, option)` — the delay code and sampled noise
-///   vector of an option, or `None` when it cannot fit the window;
+///   vector of an option, or `None` when it cannot fit the intersection;
 /// * `allowed[local]` — candidate option indices per sink;
 /// * `background` — the non-leaf noise vector carried by the arcs into
 ///   `dest` (Observation 1).

@@ -80,20 +80,20 @@ impl ZoneSolver for GreedyZoneSolver {
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
         let spec = zone.spec();
         let rows = spec.sinks.len();
-        let allowed = window.allowed_for(&spec.sinks);
+        let allowed = intersection.allowed_for(&spec.sinks);
         // Candidate (row, option, code, vector) tuples.
         let mut candidates: Vec<Vec<(usize, Picoseconds, Vec<f64>)>> = Vec::with_capacity(rows);
         for (local, opts) in allowed.iter().enumerate() {
             let mut row = Vec::new();
             for &opt in opts.iter() {
-                if let Some((code, vector)) = zone.option_data(tables, window, local, opt) {
+                if let Some((code, vector)) = zone.option_data(tables, intersection, local, opt) {
                     row.push((opt, code, vector));
                 }
             }
@@ -160,18 +160,22 @@ fn greedy_vs_mosp_zone_cost(
     config: &WaveMinConfig,
     tables: &[NoiseTable],
     zone: &ZoneProblem,
-    window: &FeasibleIntersection,
+    intersection: &FeasibleIntersection,
 ) -> Result<(f64, f64), WaveMinError> {
     use crate::algo::clkwavemin::MospZoneSolver;
     let zero = [BackgroundAccumulator::zero()];
-    let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled())
-        .solve_zone(tables, zone, window, &zero)?;
+    let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled()).solve_zone(
+        tables,
+        zone,
+        intersection,
+        &zero,
+    )?;
     let mosp = MospZoneSolver::new(
         config,
         wavemin_mosp::Budget::unlimited(),
         MetricsRegistry::disabled(),
     )
-    .solve_zone(tables, zone, window, &zero)?;
+    .solve_zone(tables, zone, intersection, &zero)?;
     Ok((greedy.cost, mosp.cost))
 }
 
@@ -212,10 +216,10 @@ mod tests {
         let store = crate::algo::streaming::ZoneStorage::new(specs, 1, usize::MAX);
         let mut compared = 0;
         for interval in intervals.into_intervals() {
-            let window = FeasibleIntersection::from(interval);
+            let intersection = FeasibleIntersection::from(interval);
             for zi in 0..store.len() {
                 let zone = store.acquire(zi, &tables, &MetricsRegistry::disabled());
-                if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &tables, &zone, &window) {
+                if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &tables, &zone, &intersection) {
                     // The Warburton grid rounds within epsilon: allow that
                     // much slack in the comparison.
                     assert!(

@@ -457,7 +457,7 @@ impl ZoneProblem {
     pub(crate) fn option_data(
         &self,
         tables: &[NoiseTable],
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         local: usize,
         option: usize,
     ) -> Option<(Picoseconds, Vec<f64>)> {
@@ -465,7 +465,7 @@ impl ZoneProblem {
         let dims: usize = (0..tables.len()).map(|m| self.spec_in(m).plan.dims()).sum();
         let mut vector = Vec::with_capacity(dims);
         let mut code0 = Picoseconds::ZERO;
-        for (m, (table, &(lo, hi))) in tables.iter().zip(&window.windows).enumerate() {
+        for (m, (table, &(lo, hi))) in tables.iter().zip(&intersection.windows).enumerate() {
             let spec = self.spec_in(m);
             let o = &table.sinks[spec.sinks[local]].options[option];
             let code = o.delay_code_for(lo, hi)?;
@@ -485,7 +485,7 @@ impl ZoneProblem {
 
     /// The zone's background in every mode, joined end to end: the
     /// static non-leaf noise plus `extra[m]`, the accumulated noise of
-    /// the zones already assigned in this window.
+    /// the zones already assigned in this intersection.
     pub(crate) fn background(&self, extra: &[BackgroundAccumulator]) -> Vec<f64> {
         let mut out = Vec::new();
         for (m, acc) in extra.iter().enumerate() {
@@ -500,24 +500,26 @@ impl ZoneProblem {
 
 /// One zone's solution: the chosen option and its mode-0 delay code per
 /// local sink, plus the min–max objective value including the
-/// background. Other modes' codes follow from the window.
+/// background. Other modes' codes follow from the intersection's
+/// windows.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ZoneSolution {
     pub choices: Vec<(usize, Picoseconds)>,
     pub cost: f64,
 }
 
-/// An inner solver assigns one zone's sinks inside one k-mode window.
-/// `extra[m]` carries the mode-`m` accumulated noise of zones already
-/// assigned in this window (the paper optimizes zones "one by one").
-/// Solvers must be `Sync`: independent windows are solved concurrently
-/// on a worker pool, all through one shared solver instance.
+/// An inner solver assigns one zone's sinks inside one feasible
+/// intersection (one window per power mode). `extra[m]` carries the
+/// mode-`m` accumulated noise of zones already assigned in this
+/// intersection (the paper optimizes zones "one by one"). Solvers must be
+/// `Sync`: independent intersections are solved concurrently on a worker
+/// pool, all through one shared solver instance.
 pub(crate) trait ZoneSolver: Sync {
     fn solve_zone(
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError>;
 
@@ -528,10 +530,10 @@ pub(crate) trait ZoneSolver: Sync {
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        self.solve_zone(tables, zone, window, extra)
+        self.solve_zone(tables, zone, intersection, extra)
     }
 
     /// Notification that `zone`'s solve faulted (before the salvage
@@ -565,21 +567,22 @@ pub(crate) fn run_interval_framework<S: ZoneSolver>(
 
 /// Everything the interval framework derives from a design before any
 /// zone is solved: the characterized noise table of every power mode,
-/// the feasible windows, the zone partition with solve order, and each
-/// zone's content hash. Holding one of these resident is what makes a
-/// serve-mode session cheap to re-solve — repeated jobs skip straight to
-/// the solve phase.
+/// the feasible intersections, the zone partition with solve order, and
+/// each zone's content hash. Holding one of these resident is what makes
+/// a serve-mode session cheap to re-solve — repeated jobs skip straight
+/// to the solve phase.
 pub(crate) struct PreparedRun {
     /// The characterized noise tables, one per power mode.
     pub tables: Vec<NoiseTable>,
-    /// The feasible windows: one per-mode window each, plus the options
-    /// allowed in all of them. A single-mode run's intervals are
-    /// one-window intersections.
-    pub windows: Vec<FeasibleIntersection>,
+    /// The feasible intersections: one window per power mode each, plus
+    /// the options allowed in all of them. A single-mode run's intervals
+    /// are one-window intersections.
+    pub intersections: Vec<FeasibleIntersection>,
     /// Every zone in every mode, built on first use and kept resident
     /// within the memory budget.
     pub zones: streaming::ZoneStorage,
-    /// Zone indices largest-first (the solve order inside each window).
+    /// Zone indices largest-first (the solve order inside each
+    /// intersection).
     pub zone_order: Vec<usize>,
     /// `zone_hashes[zone]` — mode-0 content hash for cache keying (the
     /// stores are single-mode).
@@ -590,8 +593,8 @@ pub(crate) struct PreparedRun {
 }
 
 /// Characterizes a single-mode design (mode 0) into a [`PreparedRun`]
-/// whose windows are the feasible intervals under the tightened bound.
-/// This is the session-resident half of the split entry point;
+/// whose intersections are the feasible intervals under the tightened
+/// bound. This is the session-resident half of the split entry point;
 /// [`solve_prepared`] is the repeatable half.
 pub(crate) fn characterize_design(
     design: &Design,
@@ -617,15 +620,15 @@ pub(crate) fn characterize_design(
 }
 
 /// Characterizes modes `0..modes` of a design (in parallel over modes),
-/// generates the feasible windows from the tables, partitions the zones
-/// in every mode, and sizes the zone store to the memory budget.
+/// generates the feasible intersections from the tables, partitions the
+/// zones in every mode, and sizes the zone store to the memory budget.
 pub(crate) fn prepare_run(
     design: &Design,
     config: &WaveMinConfig,
     modes: usize,
     registry: &MetricsRegistry,
     journal: &TraceJournal,
-    windows: impl FnOnce(&[NoiseTable]) -> Result<Vec<FeasibleIntersection>, WaveMinError>,
+    intersections: impl FnOnce(&[NoiseTable]) -> Result<Vec<FeasibleIntersection>, WaveMinError>,
 ) -> Result<PreparedRun, WaveMinError> {
     let threads = config.effective_threads();
     let mode_ids: Vec<usize> = (0..modes).collect();
@@ -642,14 +645,14 @@ pub(crate) fn prepare_run(
     thandle.stage_span(char_start, "characterization");
     let zoning_span = registry.span(Stage::Zoning);
     let zoning_start = thandle.now_ns();
-    let windows = windows(&tables)?;
+    let intersections = intersections(&tables)?;
     let specs: Vec<ZoneSpec> = crate::parallel::map_ordered(&tables, threads, |_, table| {
         ZoneSpec::build_specs(design, config, table)
     })
     .into_iter()
     .flatten()
     .collect();
-    let zone_count = specs.len() / modes;
+    let zone_count = specs.len() / modes.max(1);
     registry.ensure_zones(zone_count);
 
     // Zones are processed largest-first so the dominant zones shape the
@@ -672,7 +675,7 @@ pub(crate) fn prepare_run(
     registry.sample_rss();
     Ok(PreparedRun {
         tables,
-        windows,
+        intersections,
         zones,
         zone_order,
         zone_hashes,
@@ -685,7 +688,7 @@ pub(crate) fn prepare_run(
 ///
 /// The budget covers the *whole process*: the store may only use what
 /// remains after the current resident set (characterized tables, tree,
-/// windows) plus the transient working set of one acquire — a zone
+/// intersections) plus the transient working set of one acquire — a zone
 /// being built while an evicted one is still held by its solver,
 /// bounded by twice the largest zone's hot bytes (`max_hot`). A budget
 /// below that minimal working set cannot run at any store size, so it
@@ -700,9 +703,9 @@ fn streaming_limit_bytes(config: &WaveMinConfig, max_hot: usize) -> Result<usize
     let baseline = crate::observe::current_rss_bytes().unwrap_or(0) as usize;
     // Slack for resident memory the store's ledger cannot see: zone
     // build/solve churn leaves freed chunks retained by the allocator,
-    // and the window loop holds accumulated backgrounds and per-window
-    // results. Reserved up front so the end-of-solve RSS stays under the
-    // budget rather than just the store's own bytes.
+    // and the solve loop holds accumulated backgrounds and
+    // per-intersection results. Reserved up front so the end-of-solve RSS
+    // stays under the budget rather than just the store's own bytes.
     let slack = 16 * MB + budget / 8;
     let required = baseline.saturating_add(2 * max_hot).saturating_add(slack);
     if budget < required.saturating_add(MB) {
@@ -754,17 +757,17 @@ pub(crate) fn run_interval_framework_traced<S: ZoneSolver>(
     .or_identity(design, registry)
 }
 
-/// One window's result: its min–max cost and assignment, `None` when
-/// some zone had no feasible option.
-type WindowResult = Result<Option<(f64, Assignment)>, WaveMinError>;
+/// One intersection's result: its min–max cost and assignment, `None`
+/// when some zone had no feasible option.
+type IntersectionResult = Result<Option<(f64, Assignment)>, WaveMinError>;
 
-/// Solves every window of a [`PreparedRun`]: the windows fan out over
+/// Solves every intersection of a [`PreparedRun`]: they fan out over
 /// the worker pool and come back in input order (bit-identical to a
-/// sequential run), while inside one window the zones chain through the
-/// per-mode accumulated background. Also returns the zones that faulted
-/// and were salvaged, across all windows. See [`solve_prepared`] for the
-/// `store` and `seed` contract.
-pub(crate) fn solve_windows<S: ZoneSolver>(
+/// sequential run), while inside one intersection the zones chain
+/// through the per-mode accumulated background. Also returns the zones
+/// that faulted and were salvaged, across all intersections. See
+/// [`solve_prepared`] for the `store` and `seed` contract.
+pub(crate) fn solve_each_intersection<S: ZoneSolver>(
     threads: usize,
     prep: &PreparedRun,
     solver: &S,
@@ -772,25 +775,25 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
     store: Option<&dyn crate::checkpoint::ZoneStore>,
     seed: Option<u64>,
     progress: &crate::observe::ProgressTracker,
-) -> (Vec<WindowResult>, Vec<usize>) {
+) -> (Vec<IntersectionResult>, Vec<usize>) {
     let tables = &prep.tables[..];
     let zones = &prep.zones;
-    // Zones that faulted and were salvaged, across all windows.
+    // Zones that faulted and were salvaged, across all intersections.
     let faulted = std::sync::Mutex::new(std::collections::BTreeSet::new());
 
     // Solve one zone with fault containment: a panic (or an injected
     // fault surfacing as `ZoneFault`) is noted, then retried once through
-    // the solver's salvage path. A second failure makes the whole window
-    // a fault — handled at ranking like an infeasible one as long as
-    // some window survives.
+    // the solver's salvage path. A second failure makes the whole
+    // intersection a fault — handled at ranking like an infeasible one as
+    // long as some intersection survives.
     let contained_solve = |zi: usize,
                            zone: &ZoneProblem,
-                           window: &FeasibleIntersection,
+                           intersection: &FeasibleIntersection,
                            accumulated: &[BackgroundAccumulator]|
      -> Result<ZoneSolution, WaveMinError> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let first = catch_unwind(AssertUnwindSafe(|| {
-            solver.solve_zone(tables, zone, window, accumulated)
+            solver.solve_zone(tables, zone, intersection, accumulated)
         }));
         let payload = match first {
             Ok(Ok(sol)) => return Ok(sol),
@@ -804,7 +807,7 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
             g.insert(zi);
         }
         let retry = catch_unwind(AssertUnwindSafe(|| {
-            solver.salvage_zone(tables, zone, window, accumulated)
+            solver.salvage_zone(tables, zone, intersection, accumulated)
         }));
         match retry {
             Ok(Ok(sol)) => {
@@ -826,11 +829,11 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
         }
     };
 
-    let solve_window = |window: &FeasibleIntersection| -> WindowResult {
+    let solve_one = |intersection: &FeasibleIntersection| -> IntersectionResult {
         let mut cost = 0.0_f64;
         let mut assignment = Assignment::new();
         let mut accumulated = vec![BackgroundAccumulator::zero(); tables.len()];
-        let (t_lo, t_hi) = window.windows[0];
+        let (t_lo, t_hi) = intersection.windows[0];
         let mut chain = seed.map(|s| crate::checkpoint::ZoneKeyChain::new(s, t_lo, t_hi));
         for &zi in &prep.zone_order {
             let key = chain.as_ref().map(|c| c.key_for(prep.zone_hashes[zi]));
@@ -861,7 +864,7 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
                     // only for this solve; it drops at the end of the
                     // match arm.
                     let zone = zones.acquire(zi, tables, registry);
-                    match contained_solve(zi, &zone, window, &accumulated) {
+                    match contained_solve(zi, &zone, intersection, &accumulated) {
                         Ok(sol) => {
                             if let (Some(s), Some(k)) = (store, key) {
                                 s.record(k, sol.cost.to_bits(), &sol.choices)?;
@@ -882,7 +885,10 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
                 let entry = &tables[0].sinks[zones.spec(zi).sinks[local]];
                 let adjustable = entry.options[opt].is_adjustable();
                 assignment.set(entry.node, entry.options[opt].cell.clone());
-                for (m, (acc, &(lo, hi))) in accumulated.iter_mut().zip(&window.windows).enumerate()
+                for (m, (acc, &(lo, hi))) in accumulated
+                    .iter_mut()
+                    .zip(&intersection.windows)
+                    .enumerate()
                 {
                     let o = &tables[m].sinks[zones.spec_in(m, zi).sinks[local]].options[opt];
                     let code = o.delay_code_for(lo, hi).unwrap_or(Picoseconds::ZERO);
@@ -902,8 +908,7 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
         registry.sample_rss();
         Ok(Some((cost, assignment)))
     };
-    let solved =
-        crate::parallel::map_ordered(&prep.windows, threads, |_, window| solve_window(window));
+    let solved = crate::parallel::map_ordered(&prep.intersections, threads, |_, x| solve_one(x));
     let faulted = faulted
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -915,7 +920,7 @@ pub(crate) struct Solved {
     /// The best-ranked candidate that met the exact skew bound, or
     /// `None` when none did — each caller picks its own fallback.
     pub outcome: Option<Outcome>,
-    windows_tried: usize,
+    intervals_tried: usize,
     runtime: Duration,
     degenerate_zones: usize,
     faulted_zones: Vec<usize>,
@@ -938,7 +943,7 @@ impl Solved {
             design,
             Assignment::new(),
             f64::NAN,
-            self.windows_tried,
+            self.intervals_tried,
             self.runtime,
         )?;
         out.degenerate_zones = self.degenerate_zones;
@@ -947,12 +952,12 @@ impl Solved {
     }
 }
 
-/// Solves a [`PreparedRun`] ([`solve_windows`]), ranks the windows by
-/// cost and validates the candidates with exact timing in every mode,
-/// best first. With a [`crate::checkpoint::ZoneStore`] attached
+/// Solves a [`PreparedRun`] ([`solve_each_intersection`]), ranks the
+/// intersections by cost and validates the candidates with exact timing
+/// in every mode, best first. With a [`crate::checkpoint::ZoneStore`] attached
 /// (checkpoint journal or the serve-mode [`crate::checkpoint::ZoneCache`]),
 /// zones whose chain key hits are spliced bit-for-bit and counted as
-/// `zones_reused`; `seed` starts every window's key chain and must
+/// `zones_reused`; `seed` starts every intersection's key chain and must
 /// capture the solver config (see
 /// [`crate::checkpoint::config_fingerprint`]). The chain keys on the
 /// mode-0 window only, so a store is for single-mode runs.
@@ -976,10 +981,10 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
     // bit-identical). Each tick also folds an RSS sample into the peak
     // gauge so transient spikes between phase checkpoints are seen.
     let _progress_guard = progress.begin(
-        (prep.windows.len() * prep.zone_order.len()) as u64,
+        (prep.intersections.len() * prep.zone_order.len()) as u64,
         registry,
     );
-    let (solved, faulted_zones) = solve_windows(
+    let (solved, faulted_zones) = solve_each_intersection(
         config.effective_threads(),
         prep,
         solver,
@@ -995,8 +1000,8 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
         match result {
             Ok(Some(pair)) => ranked.push(pair),
             Ok(None) => {}
-            // An uncontainable zone fault drops its window from the
-            // ranking; only if *every* window is lost does it become the
+            // An uncontainable zone fault drops its intersection from the
+            // ranking; only if *every* intersection is lost does it become the
             // run's error.
             Err(e @ WaveMinError::ZoneFault { .. }) => {
                 if fault.is_none() {
@@ -1012,7 +1017,7 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut solved = Solved {
         outcome: None,
-        windows_tried: prep.windows.len(),
+        intervals_tried: prep.intersections.len(),
         runtime: start.elapsed(),
         degenerate_zones: prep.degenerate_zones,
         faulted_zones,
@@ -1020,7 +1025,7 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
 
     // Validate with exact timing (Observation 4 ignores sibling-load
     // feedback, so re-check against the true bound); fall back to the
-    // next-best window.
+    // next-best intersection.
     let _validation_span = registry.span(Stage::Validation);
     let validation_start = thandle.now_ns();
     for (cost, assignment) in &ranked {
@@ -1036,7 +1041,7 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
                 &candidate,
                 assignment.clone(),
                 *cost,
-                solved.windows_tried,
+                solved.intervals_tried,
                 solved.runtime,
             )?;
             out.degenerate_zones = solved.degenerate_zones;

@@ -80,7 +80,7 @@ impl ZoneSolver for BalanceZoneSolver {
         &self,
         tables: &[NoiseTable],
         zone: &ZoneProblem,
-        window: &FeasibleIntersection,
+        intersection: &FeasibleIntersection,
         _extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
         // PeakMin is deliberately oblivious to other zones and to the
@@ -88,10 +88,10 @@ impl ZoneSolver for BalanceZoneSolver {
         // is a single-mode baseline: only mode 0 is scored.
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
-        let (table, (t_lo, t_hi)) = (&tables[0], window.windows[0]);
+        let (table, (t_lo, t_hi)) = (&tables[0], intersection.windows[0]);
         let sinks = &zone.spec().sinks;
         let rows = sinks.len();
-        let allowed = window.allowed_for(sinks);
+        let allowed = intersection.allowed_for(sinks);
         // Candidate tuples: (option, code, polarity, standalone peak).
         let mut candidates: Vec<Vec<(usize, Picoseconds, Polarity, f64)>> =
             Vec::with_capacity(rows);
@@ -259,11 +259,16 @@ mod tests {
         let solver = BalanceZoneSolver {
             registry: MetricsRegistry::disabled(),
         };
-        let window = FeasibleIntersection::from(intervals.intervals()[0].clone());
+        let intersection = FeasibleIntersection::from(intervals.intervals()[0].clone());
         for zi in 0..store.len() {
             let zone = store.acquire(zi, &tables, &MetricsRegistry::disabled());
             let sol = solver
-                .solve_zone(&tables, &zone, &window, &[BackgroundAccumulator::zero()])
+                .solve_zone(
+                    &tables,
+                    &zone,
+                    &intersection,
+                    &[BackgroundAccumulator::zero()],
+                )
                 .unwrap();
             // The zone cost can never exceed assigning everything to one
             // polarity.

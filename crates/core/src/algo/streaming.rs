@@ -3,7 +3,7 @@
 //!
 //! At million-sink scale the zones' sampled option vectors dominate
 //! memory, so [`ZoneStorage`] samples a zone's vectors in every power
-//! mode ([`ZoneSpec::sample_rows`]) the first time a window needs them
+//! mode ([`ZoneSpec::sample_rows`]) the first time an intersection needs them
 //! and keeps them resident behind an `Arc`: every later acquire is an
 //! `Arc` clone. Resident zones are charged their hot bytes (summed over
 //! modes) against a byte limit; past it the least-recently-used zone is

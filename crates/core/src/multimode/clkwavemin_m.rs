@@ -2,7 +2,7 @@
 
 use crate::algo::clkwavemin::MospZoneSolver;
 use crate::algo::{
-    finish_outcome, prepare_run, solve_prepared, solve_windows, Outcome, PreparedRun,
+    finish_outcome, prepare_run, solve_each_intersection, solve_prepared, Outcome, PreparedRun,
 };
 use crate::assignment::Assignment;
 use crate::config::WaveMinConfig;
@@ -25,7 +25,7 @@ use crate::trace::TraceJournal;
 /// "ADB-embedded-only" baseline of Table VII when ADBs were needed.
 ///
 /// The solve itself is the shared interval framework with k-window
-/// intersections as its windows, so the zone store, its memory budget
+/// intersections as its unit of work, so the zone store, its memory budget
 /// and fault containment are the single-mode ones; with one mode this
 /// is exactly ClkWaveMin.
 ///
@@ -173,8 +173,9 @@ impl ClkWaveMinM {
             registry.clone(),
         );
         let mut prep = self.prepare(design, &registry)?;
-        prep.windows = self.intersections(&prep.tables, self.config.window_margin, &registry)?;
-        let (solved, _) = solve_windows(
+        prep.intersections =
+            self.intersections(&prep.tables, self.config.window_margin, &registry)?;
+        let (solved, _) = solve_each_intersection(
             self.config.effective_threads(),
             &prep,
             &solver,
@@ -184,16 +185,16 @@ impl ClkWaveMinM {
             &ProgressTracker::disabled(),
         );
         let mut out = Vec::new();
-        for (window, result) in prep.windows.iter().zip(solved) {
+        for (intersection, result) in prep.intersections.iter().zip(solved) {
             if let Some((cost, _)) = result? {
-                out.push((window.degree_of_freedom(), cost));
+                out.push((intersection.degree_of_freedom(), cost));
             }
         }
         Ok(out)
     }
 
     /// Characterizes every power mode of `design` (in parallel over
-    /// modes) and partitions its zones; the windows are left for
+    /// modes) and partitions its zones; the intersections are left for
     /// [`Self::intersections`] to fill per margin.
     fn prepare(
         &self,
@@ -238,7 +239,7 @@ impl ClkWaveMinM {
         solver: &MospZoneSolver,
         registry: &MetricsRegistry,
     ) -> Result<Outcome, WaveMinError> {
-        prep.windows = self.intersections(&prep.tables, margin, registry)?;
+        prep.intersections = self.intersections(&prep.tables, margin, registry)?;
         solve_prepared(
             design,
             &self.config,

@@ -106,7 +106,7 @@ impl CharacterizedDesign {
     /// Number of feasible intervals held resident.
     #[must_use]
     pub fn interval_count(&self) -> usize {
-        self.prep.windows.len()
+        self.prep.intersections.len()
     }
 
     /// Number of characterized sinks.
@@ -432,7 +432,7 @@ mod tests {
         )
         .expect("prepare four modes");
         assert_eq!(prep.tables.len(), 4);
-        assert!(prep.windows.iter().all(|w| w.windows.len() == 4));
+        assert!(prep.intersections.iter().all(|x| x.windows.len() == 4));
         let session = CharacterizedDesign {
             design,
             config,
