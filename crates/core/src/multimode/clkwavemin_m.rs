@@ -79,7 +79,7 @@ impl ClkWaveMinM {
         let registry = MetricsRegistry::from_config(&self.config);
         let budget = self.config.budget();
         let solver = MospZoneSolver::new(&self.config, budget.clone(), registry.clone());
-        let mut outcome = self.run_ladder(design, &solver, &registry)?;
+        let mut outcome = self.run_ladder(design, &solver)?;
         outcome.degradation = solver.ladder.degradation();
         outcome.report = registry.report(&ReportContext {
             threads: self.config.effective_threads(),
@@ -95,8 +95,8 @@ impl ClkWaveMinM {
         &self,
         design: &Design,
         solver: &MospZoneSolver,
-        registry: &MetricsRegistry,
     ) -> Result<Outcome, WaveMinError> {
+        let registry = &solver.ladder.registry;
         // Estimation error (sibling-load feedback, slew drift, quantized
         // delay codes, per-mode voltage scaling) can exceed the default
         // headroom on multi-mode designs, so the optimization window is
@@ -110,7 +110,7 @@ impl ClkWaveMinM {
         // shared across all margin retries.
         let mut prep = self.prepare(design, registry)?;
         for &margin in &margins {
-            match self.optimize(design, &mut prep, margin, solver, registry) {
+            match self.optimize(design, &mut prep, margin, solver) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {}
                 Err(e) => return Err(e),
@@ -132,7 +132,7 @@ impl ClkWaveMinM {
                 }
             }
             let mut prep = self.prepare(&embedded, registry)?;
-            match self.optimize(&embedded, &mut prep, margin, solver, registry) {
+            match self.optimize(&embedded, &mut prep, margin, solver) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {
                     last_err = WaveMinError::NoFeasibleInterval;
@@ -196,7 +196,7 @@ impl ClkWaveMinM {
     /// Characterizes every power mode of `design` (in parallel over
     /// modes) and partitions its zones; the intersections are left for
     /// [`Self::intersections`] to fill per margin.
-    fn prepare(
+    pub(crate) fn prepare(
         &self,
         design: &Design,
         registry: &MetricsRegistry,
@@ -214,7 +214,7 @@ impl ClkWaveMinM {
     /// The feasible intersections of the per-mode windows under the skew
     /// bound tightened by `margin` (headroom for sibling-load feedback,
     /// like the single-mode flow).
-    fn intersections(
+    pub(crate) fn intersections(
         &self,
         tables: &[NoiseTable],
         margin: f64,
@@ -237,8 +237,8 @@ impl ClkWaveMinM {
         prep: &mut PreparedRun,
         margin: f64,
         solver: &MospZoneSolver,
-        registry: &MetricsRegistry,
     ) -> Result<Outcome, WaveMinError> {
+        let registry = &solver.ladder.registry;
         prep.intersections = self.intersections(&prep.tables, margin, registry)?;
         solve_prepared(
             design,

@@ -414,23 +414,17 @@ mod tests {
         // A session over all four modes' tables and k-window
         // intersections: the same store, now holding every mode's
         // vectors per zone.
-        use crate::multimode::IntersectionSet;
         let design = Design::from_benchmark_multimode(&Benchmark::s15850(), 3, 4, 4);
         let config = WaveMinConfig::default()
             .with_skew_bound(wavemin_cells::units::Picoseconds::new(40.0))
             .with_sample_count(16)
             .with_fault_plan(None);
-        let mut tight = config.clone();
-        tight.skew_bound = config.skew_bound * config.window_margin;
-        let prep = crate::algo::prepare_run(
-            &design,
-            &config,
-            design.mode_count(),
-            &MetricsRegistry::disabled(),
-            &TraceJournal::disabled(),
-            |tables| Ok(IntersectionSet::generate(&tight, tables, 8)?.into_intersections()),
-        )
-        .expect("prepare four modes");
+        let algo = crate::multimode::ClkWaveMinM::new(config.clone()).with_beam(8);
+        let registry = MetricsRegistry::disabled();
+        let mut prep = algo.prepare(&design, &registry).expect("prepare");
+        prep.intersections = algo
+            .intersections(&prep.tables, config.window_margin, &registry)
+            .expect("four-mode intersections");
         assert_eq!(prep.tables.len(), 4);
         assert!(prep.intersections.iter().all(|x| x.windows.len() == 4));
         let session = CharacterizedDesign {
