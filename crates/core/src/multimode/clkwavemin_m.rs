@@ -296,21 +296,26 @@ mod tests {
 
     #[test]
     fn every_mode_respects_the_bound_after_optimization() {
-        let d = Design::from_benchmark_multimode_levels(
-            &Benchmark::s15850(),
-            3,
-            4,
-            4,
-            Volts::new(0.9),
-            Volts::new(1.1),
-        );
-        let kappa = Picoseconds::new(22.0);
+        // Table VII's s15850 at κ = 28 ps needs no ADBs, so the assignment
+        // alone turns the input into the optimized design.
+        let bench = Benchmark::s15850();
+        let d =
+            Design::from_benchmark_multimode(&bench, 42, (4 + bench.leaf_count / 60).min(10), 4);
+        let kappa = Picoseconds::new(28.0);
         let cfg = WaveMinConfig::default().with_skew_bound(kappa);
         let out = ClkWaveMinM::new(cfg).run(&d).unwrap();
+        assert_eq!(out.adb_count, 0);
+        assert!(!out.assignment.is_empty());
         let mut optimized = d.clone();
         out.assignment.apply_to(&mut optimized);
-        // Reconstruct the embedded ADB codes: skew_after already checked
-        // the worst mode; verify per mode explicitly through the outcome.
-        assert!(out.skew_after.value() <= kappa.value() * 1.05 + 1e-9);
+        for mode in 0..optimized.mode_count() {
+            let skew = optimized.skew(mode).unwrap();
+            assert!(
+                skew.value() <= kappa.value() * 1.05 + 1e-9,
+                "mode {mode}: skew {skew} vs bound {kappa}"
+            );
+        }
+        // The outcome's worst-mode skew describes this very design.
+        assert_eq!(optimized.max_skew().unwrap(), out.skew_after);
     }
 }
