@@ -85,3 +85,67 @@ fn multimode_s15850_adb_matches_golden() {
     assert!(out.adb_count > 0, "the 12 ps bound must embed ADBs");
     check("multimode_s15850_adb", &out);
 }
+
+// Normalized run-report snapshots: the stage names and span counts, the
+// counters, the per-zone rows and the deterministic histograms of one
+// single-threaded run per algorithm, on the golden configs above. They
+// pin the instrumentation itself — a stage span or counter dropped or
+// recorded twice diffs here even when the assignment does not move.
+
+fn check_report(name: &str, out: &Outcome) {
+    golden::check_snapshot(&golden_dir(), name, &golden::render_report(out));
+}
+
+#[test]
+fn clkwavemin_s15850_report_matches_golden() {
+    let d = designs::s15850(7);
+    let mut cfg = WaveMinConfig::default()
+        .with_sample_count(16)
+        .with_threads(1)
+        .with_metrics(true);
+    cfg.max_intervals = Some(6);
+    let out = ClkWaveMin::new(cfg).run(&d).expect("optimize");
+    check_report("report_clkwavemin_s15850", &out);
+}
+
+#[test]
+fn fast_variant_s15850_report_matches_golden() {
+    let d = designs::s15850(11);
+    let cfg = WaveMinConfig::default()
+        .with_sample_count(16)
+        .with_threads(1)
+        .with_metrics(true);
+    let out = ClkWaveMinFast::new(cfg).run(&d).expect("optimize");
+    check_report("report_fast_s15850", &out);
+}
+
+#[test]
+fn peakmin_s13207_report_matches_golden() {
+    let d = designs::s13207(7);
+    let mut cfg = WaveMinConfig::default()
+        .with_sample_count(16)
+        .with_threads(1)
+        .with_metrics(true);
+    cfg.max_intervals = Some(6);
+    let out = ClkPeakMin::new(cfg).run(&d).expect("optimize");
+    check_report("report_peakmin_s13207", &out);
+}
+
+#[test]
+fn multimode_s15850_report_matches_golden() {
+    let d = Design::from_benchmark_multimode_levels(
+        &Benchmark::s15850(),
+        3,
+        4,
+        4,
+        wavemin_cells::units::Volts::new(0.9),
+        wavemin_cells::units::Volts::new(1.1),
+    );
+    let cfg = WaveMinConfig::default()
+        .with_skew_bound(wavemin_cells::units::Picoseconds::new(22.0))
+        .with_sample_count(8)
+        .with_threads(1)
+        .with_metrics(true);
+    let out = ClkWaveMinM::new(cfg).run(&d).expect("optimize");
+    check_report("report_multimode_s15850", &out);
+}
