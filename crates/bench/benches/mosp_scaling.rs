@@ -99,13 +99,17 @@ fn bench_metrics_overhead(c: &mut Criterion) {
             .with_threads(1)
             .with_metrics(collect);
         cfg.max_intervals = Some(8);
-        let mut algo = ClkWaveMin::new(cfg);
+        let mut ins = Instruments::from_config(&cfg);
         if progress {
             let tracker = ProgressTracker::enabled(std::time::Duration::from_millis(50), |_p| {});
-            algo = algo.with_progress(tracker);
+            ins.progress = tracker;
         }
+        let algo = ClkWaveMin::new(cfg);
         group.bench_with_input(BenchmarkId::new("metrics", name), &design, |b, design| {
-            b.iter(|| algo.run(std::hint::black_box(design)).unwrap());
+            b.iter(|| {
+                algo.run_instrumented(std::hint::black_box(design), &ins)
+                    .unwrap()
+            });
         });
     }
     group.finish();
@@ -113,10 +117,10 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 
 /// A/B overhead of the event journal, mirroring `metrics_overhead`.
 ///
-/// End-to-end, `disabled` runs `run_traced` with a disabled journal — the
-/// production default, one branch per hook site — and must stay within
-/// noise of the plain `run`; `enabled` bounds what a full journal costs an
-/// end-to-end run. Solver-level, `enabled` drives the `warburton_rows/8`
+/// End-to-end, `disabled` runs `run_instrumented` with disabled
+/// instruments — the production default, one branch per hook site — and
+/// must stay within noise of the plain `run`; `enabled` attaches a journal
+/// and bounds what a full journal costs an end-to-end run. Solver-level, `enabled` drives the `warburton_rows/8`
 /// fixture through `warburton_observed` with a live handle recording every
 /// layer and label batch — the finest-grained ceiling, budgeted at under
 /// 5 % over the unobserved baseline on this fixture.
@@ -135,17 +139,20 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("e2e", "baseline"), &design, |b, design| {
         b.iter(|| algo.run(std::hint::black_box(design)).unwrap());
     });
-    let disabled = TraceJournal::disabled();
+    let disabled = Instruments::disabled();
     group.bench_with_input(BenchmarkId::new("e2e", "disabled"), &design, |b, design| {
         b.iter(|| {
-            algo.run_traced(std::hint::black_box(design), &disabled)
+            algo.run_instrumented(std::hint::black_box(design), &disabled)
                 .unwrap()
         });
     });
     group.bench_with_input(BenchmarkId::new("e2e", "enabled"), &design, |b, design| {
         b.iter(|| {
-            let journal = TraceJournal::enabled();
-            algo.run_traced(std::hint::black_box(design), &journal)
+            let ins = Instruments {
+                journal: TraceJournal::enabled(),
+                ..Instruments::disabled()
+            };
+            algo.run_instrumented(std::hint::black_box(design), &ins)
                 .unwrap()
         });
     });

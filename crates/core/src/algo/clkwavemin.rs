@@ -1,9 +1,10 @@
 //! ClkWaveMin: the MOSP-based approximation algorithm (Section V).
 
 use crate::algo::{
-    run_interval_framework_traced, Degradation, DegradationStep, Outcome, ZoneProblem,
-    ZoneSolution, ZoneSolver,
+    characterize_design, open_checkpoint, solve_prepared, Degradation, DegradationStep, Outcome,
+    PreparedRun, ZoneProblem, ZoneSolution, ZoneSolver,
 };
+use crate::checkpoint::ZoneStore;
 use crate::config::{SolverKind, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -11,8 +12,8 @@ use crate::eval::NoiseEvaluator;
 use crate::fault::{FaultKind, FaultObserver, FaultPlan, FaultSite};
 use crate::multimode::FeasibleIntersection;
 use crate::noise_table::{BackgroundAccumulator, NoiseTable};
-use crate::observe::{MetricsRegistry, PeakAttribution, ReportContext, ZoneSolveRecord};
-use crate::trace::TraceJournal;
+use crate::observe::{Instruments, PeakAttribution, ZoneSolveRecord};
+use crate::trace::TraceEventKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wavemin_cells::units::Picoseconds;
@@ -38,27 +39,13 @@ use wavemin_mosp::{
 #[derive(Debug, Clone)]
 pub struct ClkWaveMin {
     config: WaveMinConfig,
-    progress: crate::observe::ProgressTracker,
 }
 
 impl ClkWaveMin {
     /// Creates the optimizer with the given configuration.
     #[must_use]
     pub fn new(config: WaveMinConfig) -> Self {
-        Self {
-            config,
-            progress: crate::observe::ProgressTracker::disabled(),
-        }
-    }
-
-    /// Attaches a progress channel: the solve phase emits periodic
-    /// [`crate::observe::Progress`] snapshots through `progress` (and the
-    /// ticker folds RSS samples into the peak gauge). Disabled by
-    /// default; observation-only, so outcomes stay bit-identical.
-    #[must_use]
-    pub fn with_progress(mut self, progress: crate::observe::ProgressTracker) -> Self {
-        self.progress = progress;
-        self
+        Self { config }
     }
 
     /// The configuration in use.
@@ -67,7 +54,8 @@ impl ClkWaveMin {
         &self.config
     }
 
-    /// Optimizes a single-power-mode design.
+    /// Optimizes a single-power-mode design, instrumented as the config
+    /// asks ([`Instruments::from_config`]).
     ///
     /// When the config carries a time budget, pathological solves descend
     /// the degradation ladder instead of running unbounded; the applied
@@ -78,54 +66,64 @@ impl ClkWaveMin {
     /// [`WaveMinError::NoFeasibleInterval`] when no assignment can satisfy
     /// the skew bound; timing/characterization errors otherwise.
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        self.run_traced(design, &TraceJournal::disabled())
+        self.run_instrumented(design, &Instruments::from_config(&self.config))
     }
 
-    /// [`ClkWaveMin::run`] with an event journal attached: zone /
-    /// graph-layer / label-batch spans and ladder/budget instants land in
-    /// `journal` (see [`TraceJournal::chrome_trace`]). A disabled journal
-    /// makes this identical to `run` — the instrumentation is a single
-    /// branch per hook.
+    /// [`ClkWaveMin::run`] observed through the caller's [`Instruments`]:
+    /// their registry yields the report, their journal the spans and
+    /// instants, their tracker the progress ticks. Observation only — the
+    /// outcome is bit-identical to an uninstrumented run.
     ///
     /// # Errors
     ///
     /// Same as [`ClkWaveMin::run`].
-    pub fn run_traced(
+    pub fn run_instrumented(
         &self,
         design: &Design,
-        journal: &TraceJournal,
+        ins: &Instruments,
     ) -> Result<Outcome, WaveMinError> {
         self.config.validate()?;
         design.validate()?;
-        let registry = MetricsRegistry::from_config(&self.config);
+        // The time budget's deadline covers characterization too.
         let budget = self.config.budget();
-        let solver = MospZoneSolver::new(&self.config, budget.clone(), registry.clone())
-            .with_journal(journal.clone())
-            .with_progress(self.progress.clone());
-        let mut out = run_interval_framework_traced(
+        let prep = characterize_design(design, &self.config, ins)?;
+        let checkpoint = open_checkpoint(design, &self.config)?;
+        solve_single_mode(
             design,
             &self.config,
-            &solver,
-            &registry,
-            journal,
-            &self.progress,
-        )?;
-        out.degradation = solver.ladder.degradation();
-        out.report = registry.report(&ReportContext {
-            threads: self.config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: solver.ladder.current_rung(),
-            budget_units: budget.work_done(),
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        if out.report.is_some() {
-            let attribution = worst_mode_attribution(design, &out)?;
-            if let Some(report) = out.report.as_mut() {
-                report.attribution = attribution;
-            }
-        }
-        Ok(out)
+            &prep,
+            budget,
+            checkpoint.as_ref().map(|j| j as &dyn ZoneStore),
+            ins,
+        )
     }
+}
+
+/// The single-mode MOSP solve of [`ClkWaveMin`] and the session, which
+/// differ only in their zone store (checkpoint journal or zone cache):
+/// solves and validates `prep` on `budget` (keeping the tree as-is when
+/// no candidate validates), then records degradation, report and peak
+/// attribution.
+pub(crate) fn solve_single_mode(
+    design: &Design,
+    config: &WaveMinConfig,
+    prep: &PreparedRun,
+    budget: Budget,
+    store: Option<&dyn ZoneStore>,
+    ins: &Instruments,
+) -> Result<Outcome, WaveMinError> {
+    let solver = MospZoneSolver::new(config, budget, ins);
+    let mut out =
+        solve_prepared(design, config, prep, &solver, store, ins)?.or_identity(design, ins)?;
+    out.degradation = solver.ladder.degradation();
+    out.attach_report(config, ins, Some(&solver.ladder));
+    if out.report.is_some() {
+        let attribution = worst_mode_attribution(design, &out)?;
+        if let Some(report) = out.report.as_mut() {
+            report.attribution = attribution;
+        }
+    }
+    Ok(out)
 }
 
 /// The peak attribution of the outcome's assignment: every mode is
@@ -166,7 +164,7 @@ pub(crate) fn worst_mode_attribution(
 /// share one ladder; the lock only guards the tiny rung/step bookkeeping,
 /// never a solve itself.
 pub(crate) struct MospLadder {
-    budget: Budget,
+    pub(crate) budget: Budget,
     rungs: Vec<Rung>,
     state: Mutex<LadderState>,
     /// The last rung recorded by a *completed* transition, kept outside
@@ -176,15 +174,10 @@ pub(crate) struct MospLadder {
     /// The run's deterministic fault schedule (`None` in production);
     /// consulted by [`solve_zone_mosp`] on non-salvage solves.
     pub(crate) fault_plan: Option<FaultPlan>,
-    /// Metrics sink shared with the run's driver; rung transitions and
-    /// (through [`solve_zone_mosp`]) zone solves land here.
-    pub(crate) registry: MetricsRegistry,
-    /// Event journal shared with the run's driver; zone/layer/batch spans
-    /// and rung/budget instants land here (disabled by default).
-    pub(crate) journal: TraceJournal,
-    /// Progress channel shared with the run's driver; rung transitions
-    /// update its rung gauge (disabled by default).
-    pub(crate) progress: crate::observe::ProgressTracker,
+    /// The run's instruments: rung transitions and (through
+    /// [`solve_zone_mosp`]) zone solves land in the registry and the
+    /// journal, and rung transitions update the progress rung gauge.
+    pub(crate) ins: Instruments,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -202,7 +195,7 @@ struct LadderState {
 }
 
 impl MospLadder {
-    pub(crate) fn new(config: &WaveMinConfig, budget: Budget, registry: MetricsRegistry) -> Self {
+    pub(crate) fn new(config: &WaveMinConfig, budget: Budget, ins: &Instruments) -> Self {
         let cap = config.label_cap.max(1);
         let base_eps = match config.solver {
             SolverKind::Warburton { epsilon } => epsilon,
@@ -247,9 +240,7 @@ impl MospLadder {
             }),
             last_rung: AtomicUsize::new(0),
             fault_plan: config.fault_plan,
-            registry,
-            journal: TraceJournal::disabled(),
-            progress: crate::observe::ProgressTracker::disabled(),
+            ins: ins.clone(),
         }
     }
 
@@ -265,9 +256,7 @@ impl MospLadder {
                 let rung = self.last_rung.load(Ordering::Relaxed);
                 g.rung = rung;
                 self.state.clear_poison();
-                if self.journal.is_enabled() {
-                    self.journal.handle().ladder_restored(rung);
-                }
+                self.ins.instant(TraceEventKind::LadderRestored { rung });
                 g
             }
         }
@@ -276,7 +265,7 @@ impl MospLadder {
     /// A ladder that never descends (no limits set) and records nothing.
     #[cfg(test)]
     pub(crate) fn unbudgeted(config: &WaveMinConfig) -> Self {
-        Self::new(config, Budget::unlimited(), MetricsRegistry::disabled())
+        Self::new(config, Budget::unlimited(), &Instruments::disabled())
     }
 
     /// The rung the ladder currently sits on (0 = full fidelity).
@@ -345,11 +334,7 @@ impl MospLadder {
         let to = self.rungs[st.rung + 1];
         st.rung += 1;
         self.last_rung.store(st.rung, Ordering::Relaxed);
-        self.registry.record_rung_transition();
-        self.progress.set_rung(st.rung);
-        if self.journal.is_enabled() {
-            self.journal.handle().rung_transition(st.rung);
-        }
+        self.record_transition(st.rung);
         match (from.solver, to.solver) {
             (_, SolverKind::Exact { .. }) => {
                 st.steps.push(DegradationStep::GreedyFallback { reason });
@@ -385,12 +370,15 @@ impl MospLadder {
             st.rung = last;
             self.last_rung.store(last, Ordering::Relaxed);
             st.steps.push(DegradationStep::GreedyFallback { reason });
-            self.registry.record_rung_transition();
-            self.progress.set_rung(last);
-            if self.journal.is_enabled() {
-                self.journal.handle().rung_transition(last);
-            }
+            self.record_transition(last);
         }
+    }
+
+    /// Reports a move to `rung` to every instrument.
+    fn record_transition(&self, rung: usize) {
+        self.ins.registry.record_rung_transition();
+        self.ins.progress.set_rung(rung);
+        self.ins.instant(TraceEventKind::RungTransition { rung });
     }
 
     /// The machine-readable record of everything that was relaxed, or
@@ -414,16 +402,12 @@ impl MospLadder {
         self.state()
             .steps
             .push(DegradationStep::ZoneFaultContained { zone });
-        if self.journal.is_enabled() {
-            self.journal.handle().zone_fault(zone);
-        }
+        self.ins.instant(TraceEventKind::ZoneFault { zone });
     }
 
     /// Emits the salvage trace instant for a recovered zone.
     pub(crate) fn note_zone_salvaged(&self, zone: usize) {
-        if self.journal.is_enabled() {
-            self.journal.handle().zone_salvaged(zone);
-        }
+        self.ins.instant(TraceEventKind::ZoneSalvaged { zone });
     }
 
     /// The salvage solver: greedy single-label completion (the ladder's
@@ -452,23 +436,10 @@ pub(crate) struct MospZoneSolver {
 }
 
 impl MospZoneSolver {
-    pub(crate) fn new(config: &WaveMinConfig, budget: Budget, registry: MetricsRegistry) -> Self {
+    pub(crate) fn new(config: &WaveMinConfig, budget: Budget, ins: &Instruments) -> Self {
         Self {
-            ladder: MospLadder::new(config, budget, registry),
+            ladder: MospLadder::new(config, budget, ins),
         }
-    }
-
-    /// Attaches an event journal (disabled by default).
-    pub(crate) fn with_journal(mut self, journal: TraceJournal) -> Self {
-        self.ladder.journal = journal;
-        self
-    }
-
-    /// Attaches a progress channel (disabled by default); the ladder
-    /// feeds its rung gauge.
-    pub(crate) fn with_progress(mut self, progress: crate::observe::ProgressTracker) -> Self {
-        self.ladder.progress = progress;
-        self
     }
 }
 
@@ -614,9 +585,9 @@ fn solve_zone_mosp(
         graph.add_arc_slice(u, dest, background)?;
     }
 
-    let started = ladder.registry.is_enabled().then(std::time::Instant::now);
-    let mut handle = ladder.journal.handle();
-    let zone_start = handle.now_ns();
+    let ins = &ladder.ins;
+    let mut handle = ins.journal.handle();
+    let started = ins.clock();
     let (set, rung_used) = if salvage {
         // The salvage retry always runs the greedy rung, injection-free,
         // without touching the ladder state — the greedy rung must show
@@ -640,21 +611,15 @@ fn solve_zone_mosp(
     } else {
         ladder.solve_observed(&graph, src, dest, None)?
     };
-    ladder.registry.record_zone_rung(zone_id, rung_used);
-    handle.zone_span(zone_start, zone_id, set.stats(), set.exhaustion().is_some());
+    ins.registry.record_zone_rung(zone_id, rung_used);
+    ins.zone_solved(started, &mut handle, zone_id, || ZoneSolveRecord {
+        stats: *set.stats(),
+        exhausted: set.exhaustion().is_some(),
+        arena_arcs: graph.arc_count() as u64,
+        arena_unique_weights: graph.unique_weight_count() as u64,
+        ..ZoneSolveRecord::default()
+    });
     drop(handle);
-    if let Some(started) = started {
-        ladder.registry.record_zone_solve(
-            zone_id,
-            &ZoneSolveRecord {
-                stats: *set.stats(),
-                exhausted: set.exhaustion().is_some(),
-                arena_arcs: graph.arc_count() as u64,
-                arena_unique_weights: graph.unique_weight_count() as u64,
-                wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            },
-        );
-    }
     let best = set.min_max().ok_or(WaveMinError::NoFeasibleInterval)?;
     let mut choices = vec![(usize::MAX, Picoseconds::ZERO); rows];
     for v in &best.vertices {

@@ -6,9 +6,8 @@ use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::multimode::FeasibleIntersection;
 use crate::noise_table::{BackgroundAccumulator, NoiseTable};
-use crate::observe::{MetricsRegistry, ReportContext, ZoneSolveRecord};
+use crate::observe::{Instruments, ZoneSolveRecord};
 use wavemin_cells::units::Picoseconds;
-use wavemin_mosp::SolveStats;
 
 /// The greedy variant: instead of a shortest-path search, sinks are
 /// assigned one at a time; at each step the (sink, cell) option whose
@@ -44,34 +43,39 @@ impl ClkWaveMinFast {
         &self.config
     }
 
-    /// Optimizes a single-power-mode design.
+    /// Optimizes a single-power-mode design, instrumented as the config
+    /// asks ([`Instruments::from_config`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`crate::algo::ClkWaveMin::run`].
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        let registry = MetricsRegistry::from_config(&self.config);
-        let solver = GreedyZoneSolver::new(registry.clone());
-        let mut out = run_interval_framework(design, &self.config, &solver, &registry)?;
-        out.report = registry.report(&ReportContext {
-            threads: self.config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: 0,
-            budget_units: 0,
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        Ok(out)
+        self.run_instrumented(design, &Instruments::from_config(&self.config))
+    }
+
+    /// [`Self::run`] observed through the caller's [`Instruments`] (see
+    /// [`crate::algo::ClkWaveMin::run_instrumented`]).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`crate::algo::ClkWaveMin::run`].
+    pub fn run_instrumented(
+        &self,
+        design: &Design,
+        ins: &Instruments,
+    ) -> Result<Outcome, WaveMinError> {
+        run_interval_framework(design, &self.config, &GreedyZoneSolver::new(ins), ins)
     }
 }
 
 /// Greedy least-noise-worsening-first inner solver.
 pub(crate) struct GreedyZoneSolver {
-    registry: MetricsRegistry,
+    ins: Instruments,
 }
 
 impl GreedyZoneSolver {
-    pub(crate) fn new(registry: MetricsRegistry) -> Self {
-        Self { registry }
+    pub(crate) fn new(ins: &Instruments) -> Self {
+        Self { ins: ins.clone() }
     }
 }
 
@@ -83,7 +87,7 @@ impl ZoneSolver for GreedyZoneSolver {
         intersection: &FeasibleIntersection,
         extra: &[BackgroundAccumulator],
     ) -> Result<ZoneSolution, WaveMinError> {
-        let started = self.registry.is_enabled().then(std::time::Instant::now);
+        let started = self.ins.clock();
         let mut work = 0_u64;
         let spec = zone.spec();
         let rows = spec.sinks.len();
@@ -129,25 +133,10 @@ impl ZoneSolver for GreedyZoneSolver {
             remaining.retain(|&r| r != row);
         }
         let cost = wavemin_mosp::kernels::max_component(&sum).max(0.0);
-        if let Some(started) = started {
-            self.registry.record_zone_solve(
-                spec.id,
-                &ZoneSolveRecord {
-                    stats: SolveStats {
-                        labels_created: rows as u64,
-                        labels_pruned: 0,
-                        work,
-                        front_size: 1,
-                        dominance_checks: 0,
-                        dominance_skipped: 0,
-                    },
-                    exhausted: false,
-                    arena_arcs: 0,
-                    arena_unique_weights: 0,
-                    wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                },
-            );
-        }
+        self.ins
+            .zone_solved(started, &mut self.ins.journal.handle(), spec.id, || {
+                ZoneSolveRecord::single_label(rows, work)
+            });
         Ok(ZoneSolution { choices, cost })
     }
 }
@@ -164,7 +153,7 @@ fn greedy_vs_mosp_zone_cost(
 ) -> Result<(f64, f64), WaveMinError> {
     use crate::algo::clkwavemin::MospZoneSolver;
     let zero = [BackgroundAccumulator::zero()];
-    let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled()).solve_zone(
+    let greedy = GreedyZoneSolver::new(&Instruments::disabled()).solve_zone(
         tables,
         zone,
         intersection,
@@ -173,7 +162,7 @@ fn greedy_vs_mosp_zone_cost(
     let mosp = MospZoneSolver::new(
         config,
         wavemin_mosp::Budget::unlimited(),
-        MetricsRegistry::disabled(),
+        &Instruments::disabled(),
     )
     .solve_zone(tables, zone, intersection, &zero)?;
     Ok((greedy.cost, mosp.cost))
@@ -218,7 +207,7 @@ mod tests {
         for interval in intervals.into_intervals() {
             let intersection = FeasibleIntersection::from(interval);
             for zi in 0..store.len() {
-                let zone = store.acquire(zi, &tables, &MetricsRegistry::disabled());
+                let zone = store.acquire(zi, &tables, &Instruments::disabled());
                 if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &tables, &zone, &intersection) {
                     // The Warburton grid rounds within epsilon: allow that
                     // much slack in the comparison.

@@ -14,11 +14,10 @@ use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::multimode::FeasibleIntersection;
 use crate::noise_table::{BackgroundAccumulator, NoiseTable};
-use crate::observe::{MetricsRegistry, ReportContext, ZoneSolveRecord};
+use crate::observe::{Instruments, ZoneSolveRecord};
 use std::collections::BTreeMap;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::Polarity;
-use wavemin_mosp::SolveStats;
 
 /// The ClkPeakMin baseline optimizer.
 ///
@@ -45,31 +44,39 @@ impl ClkPeakMin {
         Self { config }
     }
 
-    /// Optimizes a single-power-mode design.
+    /// Optimizes a single-power-mode design, instrumented as the config
+    /// asks ([`Instruments::from_config`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`crate::algo::ClkWaveMin::run`].
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        let registry = MetricsRegistry::from_config(&self.config);
-        let solver = BalanceZoneSolver {
-            registry: registry.clone(),
-        };
-        let mut out = run_interval_framework(design, &self.config, &solver, &registry)?;
-        out.report = registry.report(&ReportContext {
-            threads: self.config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: 0,
-            budget_units: 0,
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        Ok(out)
+        self.run_instrumented(design, &Instruments::from_config(&self.config))
+    }
+
+    /// [`Self::run`] observed through the caller's [`Instruments`] (see
+    /// [`crate::algo::ClkWaveMin::run_instrumented`]).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`crate::algo::ClkWaveMin::run`].
+    pub fn run_instrumented(
+        &self,
+        design: &Design,
+        ins: &Instruments,
+    ) -> Result<Outcome, WaveMinError> {
+        run_interval_framework(
+            design,
+            &self.config,
+            &BalanceZoneSolver { ins: ins.clone() },
+            ins,
+        )
     }
 }
 
 /// Exact two-way balance DP per zone.
 struct BalanceZoneSolver {
-    registry: MetricsRegistry,
+    ins: Instruments,
 }
 
 /// Peak resolution of the pseudo-polynomial DP (µA).
@@ -86,7 +93,7 @@ impl ZoneSolver for BalanceZoneSolver {
         // PeakMin is deliberately oblivious to other zones and to the
         // non-leaf background — that is the limitation WaveMin fixes. It
         // is a single-mode baseline: only mode 0 is scored.
-        let started = self.registry.is_enabled().then(std::time::Instant::now);
+        let started = self.ins.clock();
         let mut work = 0_u64;
         let (table, (t_lo, t_hi)) = (&tables[0], intersection.windows[0]);
         let sinks = &zone.spec().sinks;
@@ -153,25 +160,12 @@ impl ZoneSolver for BalanceZoneSolver {
                 (opt, code)
             })
             .collect();
-        if let Some(started) = started {
-            self.registry.record_zone_solve(
-                zone.spec().id,
-                &ZoneSolveRecord {
-                    stats: SolveStats {
-                        labels_created: rows as u64,
-                        labels_pruned: 0,
-                        work,
-                        front_size: 1,
-                        dominance_checks: 0,
-                        dominance_skipped: 0,
-                    },
-                    exhausted: false,
-                    arena_arcs: 0,
-                    arena_unique_weights: 0,
-                    wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                },
-            );
-        }
+        self.ins.zone_solved(
+            started,
+            &mut self.ins.journal.handle(),
+            zone.spec().id,
+            || ZoneSolveRecord::single_label(rows, work),
+        );
         Ok(ZoneSolution {
             choices,
             cost: best_cost,
@@ -257,11 +251,11 @@ mod tests {
         let specs = crate::algo::ZoneSpec::build_specs(&d, &cfg, table);
         let store = crate::algo::streaming::ZoneStorage::new(specs, 1, usize::MAX);
         let solver = BalanceZoneSolver {
-            registry: MetricsRegistry::disabled(),
+            ins: Instruments::disabled(),
         };
         let intersection = FeasibleIntersection::from(intervals.intervals()[0].clone());
         for zi in 0..store.len() {
-            let zone = store.acquire(zi, &tables, &MetricsRegistry::disabled());
+            let zone = store.acquire(zi, &tables, &Instruments::disabled());
             let sol = solver
                 .solve_zone(
                     &tables,

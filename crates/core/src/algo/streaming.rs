@@ -22,7 +22,7 @@
 
 use super::{ZoneProblem, ZoneSpec};
 use crate::noise_table::NoiseTable;
-use crate::observe::MetricsRegistry;
+use crate::observe::{Instruments, MetricsRegistry};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The interval framework's zone store.
@@ -141,9 +141,9 @@ impl ZoneStorage {
         &self,
         zi: usize,
         tables: &[NoiseTable],
-        registry: &MetricsRegistry,
+        ins: &Instruments,
     ) -> ZoneProblem {
-        let vectors = self.vectors(zi, tables, registry);
+        let vectors = self.vectors(zi, tables, &ins.registry);
         ZoneProblem {
             specs: Arc::clone(&self.specs),
             zi,
@@ -247,8 +247,15 @@ mod tests {
         vectors.iter().flatten().map(|x| x.to_bits()).collect()
     }
 
-    fn report(registry: &MetricsRegistry) -> RunReport {
-        registry
+    fn collecting() -> Instruments {
+        Instruments {
+            registry: crate::observe::MetricsRegistry::enabled(),
+            ..Instruments::default()
+        }
+    }
+
+    fn report(ins: &Instruments) -> RunReport {
+        ins.registry
             .report(&ReportContext::default())
             .expect("enabled registry")
     }
@@ -278,12 +285,12 @@ mod tests {
             .collect();
         let store = ZoneStorage::new(specs, 1, usize::MAX);
         assert_eq!(store.len(), expect.len());
-        let registry = MetricsRegistry::disabled();
+        let ins = Instruments::disabled();
         for (zi, m) in expect.iter().enumerate() {
-            let z = store.acquire(zi, &table, &registry);
+            let z = store.acquire(zi, &table, &ins);
             assert_eq!(&bits(&z.vectors), m, "zone {zi} vectors differ");
             assert!(
-                Arc::ptr_eq(&z.vectors, &store.acquire(zi, &table, &registry).vectors),
+                Arc::ptr_eq(&z.vectors, &store.acquire(zi, &table, &ins).vectors),
                 "a resident zone is shared, not rebuilt"
             );
         }
@@ -302,15 +309,15 @@ mod tests {
             .max()
             .unwrap_or(0);
         let store = ZoneStorage::new(specs, 1, one_zone.max(1));
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         let first: Vec<Vec<u64>> = (0..store.len())
-            .map(|zi| bits(&store.acquire(zi, &table, &registry).vectors))
+            .map(|zi| bits(&store.acquire(zi, &table, &ins).vectors))
             .collect();
         for (zi, expect) in first.iter().enumerate() {
-            let again = bits(&store.acquire(zi, &table, &registry).vectors);
+            let again = bits(&store.acquire(zi, &table, &ins).vectors);
             assert_eq!(&again, expect, "recompute changed zone {zi}");
         }
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert!(counters.zones_spilled > 0, "store never spilled");
         assert!(counters.zone_recomputes > 0, "nothing recomputed");
         assert!(counters.zone_recomputes <= counters.zones_spilled);
@@ -321,7 +328,7 @@ mod tests {
         let (design, config, table) = fixture();
         let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
         let store = ZoneStorage::new(specs, 1, usize::MAX);
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         const THREADS: usize = 4;
         let barrier = std::sync::Barrier::new(THREADS);
         for zi in 0..store.len() {
@@ -330,7 +337,7 @@ mod tests {
                     .map(|_| {
                         scope.spawn(|| {
                             barrier.wait();
-                            store.acquire(zi, &table, &registry)
+                            store.acquire(zi, &table, &ins)
                         })
                     })
                     .collect();
@@ -344,7 +351,7 @@ mod tests {
                 "zone {zi}: racing workers must share one build"
             );
         }
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert_eq!(
             counters.zone_recomputes, 0,
             "first builds are not recomputes"
@@ -360,22 +367,22 @@ mod tests {
             1,
             usize::MAX,
         );
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         let first: Vec<ZoneProblem> = (0..store.len())
-            .map(|zi| store.acquire(zi, &table, &registry))
+            .map(|zi| store.acquire(zi, &table, &ins))
             .collect();
         assert_eq!(
             resident(&store, &table),
             (0..store.len()).collect::<Vec<_>>()
         );
         for zi in (0..store.len()).rev() {
-            let again = store.acquire(zi, &table, &registry);
+            let again = store.acquire(zi, &table, &ins);
             assert!(
                 Arc::ptr_eq(&again.vectors, &first[zi].vectors),
                 "zone {zi} was rebuilt"
             );
         }
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert_eq!(counters.zones_spilled, 0);
         assert_eq!(counters.zone_recomputes, 0);
     }
@@ -392,23 +399,20 @@ mod tests {
         let (b, a, c) = (by_size[0], by_size[1], by_size[2]);
         assert!(hot[c] > 0);
         let store = ZoneStorage::new(specs, 1, hot[a] + hot[b]);
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
 
-        let held_a = store.acquire(a, &table, &registry);
-        store.acquire(b, &table, &registry);
-        store.acquire(a, &table, &registry); // `b` is now the LRU zone
-        store.acquire(c, &table, &registry);
+        let held_a = store.acquire(a, &table, &ins);
+        store.acquire(b, &table, &ins);
+        store.acquire(a, &table, &ins); // `b` is now the LRU zone
+        store.acquire(c, &table, &ins);
         let mut expect = vec![a, c];
         expect.sort_unstable();
         assert_eq!(resident(&store, &table), expect, "only `b` is evicted");
         assert!(
-            Arc::ptr_eq(
-                &held_a.vectors,
-                &store.acquire(a, &table, &registry).vectors
-            ),
+            Arc::ptr_eq(&held_a.vectors, &store.acquire(a, &table, &ins).vectors),
             "the recently used zone stays resident"
         );
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert_eq!(counters.zones_spilled, 1);
         assert_eq!(counters.zone_recomputes, 0);
     }
@@ -427,20 +431,20 @@ mod tests {
         assert!(total > limit, "fixture must not fit the store");
         let n = specs.len();
         let store = ZoneStorage::new(specs, 1, limit);
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         // A sweep each way, then a scattered pattern.
         let order = (0..n)
             .chain((0..n).rev())
             .chain((0..n).map(|k| (k * 7 + k * k) % n));
         for zi in order {
-            let z = store.acquire(zi, &table, &registry);
+            let z = store.acquire(zi, &table, &ins);
             assert_eq!(bits(&z.vectors), expect[zi], "zone {zi} differs");
             let held = resident(&store, &table);
             assert!(held.contains(&zi), "the acquired zone is resident");
             let bytes: usize = held.iter().map(|&r| hot[r]).sum();
             assert!(bytes <= limit, "{bytes} resident bytes over {limit}");
         }
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert!(counters.zones_spilled > 0, "store never spilled");
         assert!(counters.zone_recomputes <= counters.zones_spilled);
     }
@@ -455,10 +459,10 @@ mod tests {
             .collect();
         let n = specs.len();
         let store = ZoneStorage::new(specs, 1, 1);
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         for _ in 0..2 {
             for (zi, want) in expect.iter().enumerate() {
-                let z = store.acquire(zi, &table, &registry);
+                let z = store.acquire(zi, &table, &ins);
                 assert_eq!(&bits(&z.vectors), want, "zone {zi} differs");
                 assert_eq!(
                     resident(&store, &table),
@@ -469,7 +473,7 @@ mod tests {
         }
         // Every install but the very first evicts its predecessor, and the
         // second sweep rebuilds every zone.
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert_eq!(counters.zones_spilled, 2 * n as u64 - 1);
         assert_eq!(counters.zone_recomputes, n as u64);
     }
@@ -480,18 +484,18 @@ mod tests {
         let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
         let expect = bits(&specs[0].sample_rows(&table[0]).collect::<Vec<_>>());
         let store = ZoneStorage::new(specs, 1, 1);
-        let registry = MetricsRegistry::enabled(false);
-        let held = store.acquire(0, &table, &registry);
-        store.acquire(1, &table, &registry);
+        let ins = collecting();
+        let held = store.acquire(0, &table, &ins);
+        store.acquire(1, &table, &ins);
         assert_eq!(resident(&store, &table), vec![1], "zone 0 was evicted");
         assert_eq!(bits(&held.vectors), expect, "a holder keeps its vectors");
-        let again = store.acquire(0, &table, &registry);
+        let again = store.acquire(0, &table, &ins);
         assert!(
             !Arc::ptr_eq(&held.vectors, &again.vectors),
             "zone 0 was rebuilt"
         );
         assert_eq!(bits(&again.vectors), expect);
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert_eq!(counters.zone_recomputes, 1);
     }
 
@@ -510,20 +514,20 @@ mod tests {
             .unwrap_or(0);
         let n = specs.len();
         let store = ZoneStorage::new(specs, 1, one_zone.max(1));
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let (store, table, registry, expect) = (&store, &table, &registry, &expect);
+                let (store, table, ins, expect) = (&store, &table, &ins, &expect);
                 scope.spawn(move || {
                     for k in 0..3 * n {
                         let zi = (k + t * (n / 4 + 1)) % n;
-                        let z = store.acquire(zi, table, registry);
+                        let z = store.acquire(zi, table, ins);
                         assert_eq!(bits(&z.vectors), expect[zi], "worker {t}: zone {zi}");
                     }
                 });
             }
         });
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert!(counters.zones_spilled > 0, "store never spilled");
         assert!(
             counters.zone_recomputes <= counters.zones_spilled,
@@ -537,7 +541,7 @@ mod tests {
         let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
         let expect = bits(&specs[0].sample_rows(&table[0]).collect::<Vec<_>>());
         let store = ZoneStorage::new(specs, 1, usize::MAX);
-        let registry = MetricsRegistry::enabled(false);
+        let ins = collecting();
         // Claim zone 0 as a builder that will unwind without installing.
         store.lock().slots[0].building = true;
         let claim = BuildClaim {
@@ -545,7 +549,7 @@ mod tests {
             zi: 0,
         };
         let got = std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| store.acquire(0, &table, &registry));
+            let waiter = scope.spawn(|| store.acquire(0, &table, &ins));
             // Let the waiter block on the claim; the outcome is the same
             // if it has not started yet.
             std::thread::sleep(std::time::Duration::from_millis(20));
@@ -554,7 +558,7 @@ mod tests {
         });
         assert_eq!(bits(&got.vectors), expect);
         assert!(!store.lock().slots[0].building, "the claim was released");
-        let counters = report(&registry).counters;
+        let counters = report(&ins).counters;
         assert_eq!(
             counters.zone_recomputes, 0,
             "the waiter's build is the first"

@@ -87,8 +87,8 @@ pub mod prelude {
     pub use crate::multimode::{AdbPlan, ClkWaveMinM};
     pub use crate::noise_table::{EventWaveforms, NoiseTable};
     pub use crate::observe::{
-        Contribution, MetricsRegistry, PeakAttribution, Progress, ProgressTracker, RunHistogram,
-        RunHistograms, RunReport, Stage,
+        Contribution, Instruments, MetricsRegistry, PeakAttribution, Progress, ProgressTracker,
+        RunHistogram, RunHistograms, RunReport, Stage,
     };
     pub use crate::sampling::SamplePlan;
     pub use crate::session::{CharacterizedDesign, SolveOptions};

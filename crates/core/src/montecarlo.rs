@@ -8,7 +8,7 @@
 use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::eval::NoiseEvaluator;
-use crate::observe::{MetricsRegistry, Stage};
+use crate::observe::{Instruments, Stage};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -84,11 +84,11 @@ pub struct MonteCarlo {
     /// Optional resource budget; when its deadline expires the study
     /// returns partial statistics instead of running to completion.
     pub budget: Budget,
-    /// Metrics sink; a disabled registry (the default) records nothing.
-    /// Shares the optimization run's registry when handed one via
-    /// [`MonteCarlo::with_registry`], so the study appears as a
-    /// `monte_carlo` stage in the same [`crate::observe::RunReport`].
-    pub registry: MetricsRegistry,
+    /// Observability context; disabled instruments (the default) record
+    /// nothing. Set to the optimization run's instruments, the study
+    /// appears as a `monte_carlo` stage in the same
+    /// [`crate::observe::RunReport`] and event journal.
+    pub instruments: Instruments,
 }
 
 impl MonteCarlo {
@@ -100,7 +100,7 @@ impl MonteCarlo {
             runs: 1000,
             kappa: Picoseconds::new(100.0),
             budget: Budget::unlimited(),
-            registry: MetricsRegistry::disabled(),
+            instruments: Instruments::disabled(),
         }
     }
 
@@ -112,7 +112,7 @@ impl MonteCarlo {
             runs,
             kappa,
             budget: Budget::unlimited(),
-            registry: MetricsRegistry::disabled(),
+            instruments: Instruments::disabled(),
         }
     }
 
@@ -125,20 +125,13 @@ impl MonteCarlo {
         self
     }
 
-    /// Routes the study's span into the given metrics registry.
-    #[must_use]
-    pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Runs the study on the design's current state (mode 0).
     ///
     /// # Errors
     ///
     /// Propagates evaluation failures.
     pub fn run(&self, design: &Design, seed: u64) -> Result<MonteCarloStats, WaveMinError> {
-        let _span = self.registry.span(Stage::MonteCarlo);
+        let _stage = self.instruments.stage(Stage::MonteCarlo);
         // Sample all variations up front (sequentially, so the result is
         // independent of the worker count), then evaluate in parallel.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

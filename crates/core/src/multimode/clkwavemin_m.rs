@@ -11,8 +11,7 @@ use crate::error::WaveMinError;
 use crate::multimode::adb::insert_adbs;
 use crate::multimode::intersect::{FeasibleIntersection, IntersectionSet};
 use crate::noise_table::NoiseTable;
-use crate::observe::{MetricsRegistry, ProgressTracker, ReportContext, Stage};
-use crate::trace::TraceJournal;
+use crate::observe::{Instruments, Stage};
 
 /// The multi-power-mode optimizer.
 ///
@@ -63,31 +62,40 @@ impl ClkWaveMinM {
         self
     }
 
-    /// Runs the flow on a multi-mode design.
+    /// Runs the flow on a multi-mode design, instrumented as the config
+    /// asks ([`Instruments::from_config`]).
     ///
     /// # Errors
     ///
     /// [`WaveMinError::AdbInsertionFailed`] when even ADBs cannot meet the
     /// bound; timing/solver errors otherwise.
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
+        self.run_instrumented(design, &Instruments::from_config(&self.config))
+    }
+
+    /// [`Self::run`] observed through the caller's [`Instruments`]: the
+    /// run report comes from their registry, and their journal receives
+    /// the stage spans (`intersection` included), zone-solve spans and
+    /// solver events of every margin retry.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::run`].
+    pub fn run_instrumented(
+        &self,
+        design: &Design,
+        ins: &Instruments,
+    ) -> Result<Outcome, WaveMinError> {
         self.config.validate()?;
         design.validate()?;
         // One ladder (and one shared deadline) governs the whole flow, so
         // escalations persist across the margin retries below — and one
         // registry keeps accumulating across them (zone ids are stable
         // between retries).
-        let registry = MetricsRegistry::from_config(&self.config);
-        let budget = self.config.budget();
-        let solver = MospZoneSolver::new(&self.config, budget.clone(), registry.clone());
+        let solver = MospZoneSolver::new(&self.config, self.config.budget(), ins);
         let mut outcome = self.run_ladder(design, &solver)?;
         outcome.degradation = solver.ladder.degradation();
-        outcome.report = registry.report(&ReportContext {
-            threads: self.config.effective_threads(),
-            degenerate_zones: outcome.degenerate_zones,
-            ladder_rung: solver.ladder.current_rung(),
-            budget_units: budget.work_done(),
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
+        outcome.attach_report(&self.config, ins, Some(&solver.ladder));
         Ok(outcome)
     }
 
@@ -96,7 +104,7 @@ impl ClkWaveMinM {
         design: &Design,
         solver: &MospZoneSolver,
     ) -> Result<Outcome, WaveMinError> {
-        let registry = &solver.ladder.registry;
+        let ins = &solver.ladder.ins;
         // Estimation error (sibling-load feedback, slew drift, quantized
         // delay codes, per-mode voltage scaling) can exceed the default
         // headroom on multi-mode designs, so the optimization window is
@@ -108,7 +116,7 @@ impl ClkWaveMinM {
         // tightens the intersection windows, never the characterization,
         // so one prepared run (per-mode noise tables and zone store) is
         // shared across all margin retries.
-        let mut prep = self.prepare(design, registry)?;
+        let mut prep = self.prepare(design, ins)?;
         for &margin in &margins {
             match self.optimize(design, &mut prep, margin, solver) {
                 Ok(outcome) => return Ok(outcome),
@@ -131,7 +139,7 @@ impl ClkWaveMinM {
                     continue;
                 }
             }
-            let mut prep = self.prepare(&embedded, registry)?;
+            let mut prep = self.prepare(&embedded, ins)?;
             match self.optimize(&embedded, &mut prep, margin, solver) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {
@@ -166,23 +174,17 @@ impl ClkWaveMinM {
     /// [`WaveMinError::NoFeasibleInterval`] when nothing intersects.
     pub fn intersection_costs(&self, design: &Design) -> Result<Vec<(usize, f64)>, WaveMinError> {
         // (figure helper keeps the configured margin and has no budget)
-        let registry = MetricsRegistry::disabled();
-        let solver = MospZoneSolver::new(
-            &self.config,
-            wavemin_mosp::Budget::unlimited(),
-            registry.clone(),
-        );
-        let mut prep = self.prepare(design, &registry)?;
-        prep.intersections =
-            self.intersections(&prep.tables, self.config.window_margin, &registry)?;
+        let ins = Instruments::disabled();
+        let solver = MospZoneSolver::new(&self.config, wavemin_mosp::Budget::unlimited(), &ins);
+        let mut prep = self.prepare(design, &ins)?;
+        prep.intersections = self.intersections(&prep.tables, self.config.window_margin, &ins)?;
         let (solved, _) = solve_each_intersection(
             self.config.effective_threads(),
             &prep,
             &solver,
-            &registry,
             None,
             None,
-            &ProgressTracker::disabled(),
+            &ins,
         );
         let mut out = Vec::new();
         for (intersection, result) in prep.intersections.iter().zip(solved) {
@@ -199,16 +201,11 @@ impl ClkWaveMinM {
     pub(crate) fn prepare(
         &self,
         design: &Design,
-        registry: &MetricsRegistry,
+        ins: &Instruments,
     ) -> Result<PreparedRun, WaveMinError> {
-        prepare_run(
-            design,
-            &self.config,
-            design.mode_count(),
-            registry,
-            &TraceJournal::disabled(),
-            |_| Ok(Vec::new()),
-        )
+        prepare_run(design, &self.config, design.mode_count(), ins, |_| {
+            Ok(Vec::new())
+        })
     }
 
     /// The feasible intersections of the per-mode windows under the skew
@@ -218,9 +215,9 @@ impl ClkWaveMinM {
         &self,
         tables: &[NoiseTable],
         margin: f64,
-        registry: &MetricsRegistry,
+        ins: &Instruments,
     ) -> Result<Vec<FeasibleIntersection>, WaveMinError> {
-        let _span = registry.span(Stage::Intersection);
+        let _stage = ins.stage(Stage::Intersection);
         let mut tight = self.config.clone();
         tight.skew_bound = self.config.skew_bound * margin;
         Ok(IntersectionSet::generate(&tight, tables, self.beam)?.into_intersections())
@@ -238,21 +235,11 @@ impl ClkWaveMinM {
         margin: f64,
         solver: &MospZoneSolver,
     ) -> Result<Outcome, WaveMinError> {
-        let registry = &solver.ladder.registry;
-        prep.intersections = self.intersections(&prep.tables, margin, registry)?;
-        solve_prepared(
-            design,
-            &self.config,
-            prep,
-            solver,
-            registry,
-            &TraceJournal::disabled(),
-            None,
-            None,
-            &ProgressTracker::disabled(),
-        )?
-        .outcome
-        .ok_or(WaveMinError::NoFeasibleInterval)
+        let ins = &solver.ladder.ins;
+        prep.intersections = self.intersections(&prep.tables, margin, ins)?;
+        solve_prepared(design, &self.config, prep, solver, None, ins)?
+            .outcome
+            .ok_or(WaveMinError::NoFeasibleInterval)
     }
 }
 

@@ -350,7 +350,7 @@ mod tests {
     use crate::observe::{Contribution, MetricsRegistry, PeakAttribution, ReportContext};
 
     fn sample_report() -> RunReport {
-        let r = MetricsRegistry::enabled(false);
+        let r = MetricsRegistry::enabled();
         r.ensure_zones(2);
         for labels in [5_u64, 9, 40] {
             r.record_zone_solve(

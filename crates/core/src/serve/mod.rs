@@ -42,7 +42,7 @@ use crate::checkpoint::ZoneCache;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::observe::{
-    bucket_upper_bound, MetricsRegistry, Progress, ProgressTracker, RunHistogram,
+    bucket_upper_bound, Instruments, MetricsRegistry, Progress, ProgressTracker, RunHistogram,
 };
 use crate::session::{CharacterizedDesign, SolveOptions};
 use protocol::{err_response, ok_response, LoadRequest, Request, SolveRequest};
@@ -264,7 +264,7 @@ pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
         jobs_submitted: AtomicU64::new(0),
         jobs_completed: AtomicU64::new(0),
         jobs_failed: AtomicU64::new(0),
-        metrics: MetricsRegistry::enabled(false),
+        metrics: MetricsRegistry::enabled(),
         shutdown: AtomicBool::new(false),
     });
     log_json(
@@ -407,25 +407,24 @@ fn execute_solve(
         let g = entry.chr.read().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(&g)
     };
-    let progress = if req.progress {
+    let mut ins = Instruments {
+        registry: MetricsRegistry::enabled(),
+        ..Instruments::default()
+    };
+    if req.progress {
         // `mpsc::Sender` is `Send` but not `Sync`; the sink closure must
         // be `Sync`, so the clone rides behind a mutex.
         let tx = Mutex::new(reply.clone());
-        ProgressTracker::enabled(Duration::from_millis(250), move |p: &Progress| {
+        ins.progress = ProgressTracker::enabled(Duration::from_millis(250), move |p: &Progress| {
             let guard = tx.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = guard.send(JobMsg::Progress(progress_line(p)));
-        })
-    } else {
-        ProgressTracker::disabled()
-    };
+        });
+    }
     let opts = SolveOptions {
         time_budget_ms: req.time_budget_ms,
-        threads: None,
-        collect_metrics: true,
-        trace_spans: false,
-        progress,
+        ..SolveOptions::default()
     };
-    match chr.solve_cached(&entry.cache, &opts) {
+    match chr.solve_instrumented(Some(&entry.cache), &opts, &ins) {
         Ok(out) => {
             if let Some(report) = out.report.as_ref() {
                 state.metrics.absorb_histograms(&report.histograms);

@@ -13,14 +13,13 @@
 //! changed, splicing everything else bit-for-bit. The `zones_reused`
 //! counter in the run report surfaces how much was spliced.
 
-use crate::algo::clkwavemin::{worst_mode_attribution, MospZoneSolver};
-use crate::algo::{characterize_design, solve_prepared, Outcome, PreparedRun};
-use crate::checkpoint::{config_fingerprint, ZoneCache, ZoneStore};
+use crate::algo::clkwavemin::solve_single_mode;
+use crate::algo::{characterize_design, Outcome, PreparedRun};
+use crate::checkpoint::{ZoneCache, ZoneStore};
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::observe::{MetricsRegistry, ReportContext};
-use crate::trace::TraceJournal;
+use crate::observe::Instruments;
 use wavemin_clocktree::NodeId;
 
 /// Per-job knobs a session solve may vary without re-characterizing.
@@ -40,13 +39,12 @@ pub struct SolveOptions {
     /// Worker-thread override for this job (`None` = the session
     /// config's threads).
     pub threads: Option<usize>,
-    /// Collect a [`crate::observe::RunReport`] for this job.
+    /// Collect a [`crate::observe::RunReport`] for this job (read by
+    /// [`CharacterizedDesign::solve`] and
+    /// [`CharacterizedDesign::solve_cached`];
+    /// [`CharacterizedDesign::solve_instrumented`] reports through the
+    /// caller's [`Instruments`] instead).
     pub collect_metrics: bool,
-    /// Record event-journal spans for this job.
-    pub trace_spans: bool,
-    /// Progress channel for this job (disabled by default). Observation
-    /// only — an enabled tracker never changes solve results.
-    pub progress: crate::observe::ProgressTracker,
 }
 
 /// A design characterized once and held resident for repeated solves:
@@ -72,12 +70,7 @@ impl CharacterizedDesign {
     pub fn new(design: Design, config: WaveMinConfig) -> Result<Self, WaveMinError> {
         config.validate()?;
         design.validate()?;
-        let prep = characterize_design(
-            &design,
-            &config,
-            &MetricsRegistry::disabled(),
-            &TraceJournal::disabled(),
-        )?;
+        let prep = characterize_design(&design, &config, &Instruments::disabled())?;
         Ok(Self {
             design,
             config,
@@ -136,7 +129,8 @@ impl CharacterizedDesign {
     ///
     /// Same as [`crate::prelude::ClkWaveMin::run`].
     pub fn solve(&self, opts: &SolveOptions) -> Result<Outcome, WaveMinError> {
-        self.solve_inner(None, opts, &TraceJournal::disabled())
+        let ins = Instruments::from_config(&self.job_config(opts));
+        self.solve_instrumented(None, opts, &ins)
     }
 
     /// Solves against a shared [`ZoneCache`]: zone solutions already
@@ -154,21 +148,40 @@ impl CharacterizedDesign {
         cache: &ZoneCache,
         opts: &SolveOptions,
     ) -> Result<Outcome, WaveMinError> {
-        self.solve_inner(Some(cache), opts, &TraceJournal::disabled())
+        let ins = Instruments::from_config(&self.job_config(opts));
+        self.solve_instrumented(Some(cache), opts, &ins)
     }
 
-    /// [`Self::solve_cached`] with an event journal attached.
+    /// Solves the session's problem (against `cache` when given, see
+    /// [`Self::solve_cached`]) observed through the caller's
+    /// [`Instruments`], which replace `opts.collect_metrics`. Observation
+    /// only — results are bit-identical to [`Self::solve`].
     ///
     /// # Errors
     ///
     /// Same as [`Self::solve`].
-    pub fn solve_cached_traced(
+    pub fn solve_instrumented(
         &self,
-        cache: &ZoneCache,
+        cache: Option<&ZoneCache>,
         opts: &SolveOptions,
-        journal: &TraceJournal,
+        ins: &Instruments,
     ) -> Result<Outcome, WaveMinError> {
-        self.solve_inner(Some(cache), opts, journal)
+        let config = self.job_config(opts);
+        // Cache keys chain from the job's semantic config (plumbing
+        // normalized out; see `solve_prepared`), so jobs on different
+        // budgets or bounds key into disjoint regions of the shared cache
+        // while identical jobs share fully. Note the caveat this inherits from the checkpoint
+        // scheme: the degradation ladder's rung at solve time is not a
+        // key input, so a budgeted job that degraded mid-run publishes
+        // rung-dependent results under its budget's keys.
+        solve_single_mode(
+            &self.design,
+            &config,
+            &self.prep,
+            config.budget(),
+            cache.map(|c| c as &dyn ZoneStore),
+            ins,
+        )
     }
 
     /// The effective per-job config: the session config with the job's
@@ -182,65 +195,10 @@ impl CharacterizedDesign {
             cfg.threads = opts.threads;
         }
         cfg.collect_metrics = cfg.collect_metrics || opts.collect_metrics;
-        cfg.trace_spans = cfg.trace_spans || opts.trace_spans;
         // The session never journals to disk; the cache is the store.
         cfg.checkpoint_path = None;
         cfg.resume = false;
         cfg
-    }
-
-    fn solve_inner(
-        &self,
-        cache: Option<&ZoneCache>,
-        opts: &SolveOptions,
-        journal: &TraceJournal,
-    ) -> Result<Outcome, WaveMinError> {
-        let config = self.job_config(opts);
-        let registry = MetricsRegistry::from_config(&config);
-        registry.ensure_zones(self.prep.zones.len());
-        let budget = config.budget();
-        let solver = MospZoneSolver::new(&config, budget.clone(), registry.clone())
-            .with_journal(journal.clone())
-            .with_progress(opts.progress.clone());
-        let store = cache.map(|c| c as &dyn ZoneStore);
-        // The chain seed hashes the job's semantic config (plumbing
-        // normalized out), so jobs on different budgets or bounds key
-        // into disjoint regions of the shared cache while identical jobs
-        // share fully. Note the caveat this inherits from the checkpoint
-        // scheme: the degradation ladder's rung at solve time is not a
-        // key input, so a budgeted job that degraded mid-run publishes
-        // rung-dependent results under its budget's keys.
-        let seed = store
-            .is_some()
-            .then(|| config_fingerprint(&config))
-            .transpose()?;
-        let mut out = solve_prepared(
-            &self.design,
-            &config,
-            &self.prep,
-            &solver,
-            &registry,
-            journal,
-            store,
-            seed,
-            &opts.progress,
-        )?
-        .or_identity(&self.design, &registry)?;
-        out.degradation = solver.ladder.degradation();
-        out.report = registry.report(&ReportContext {
-            threads: config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: solver.ladder.current_rung(),
-            budget_units: budget.work_done(),
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        if out.report.is_some() {
-            let attribution = worst_mode_attribution(&self.design, &out)?;
-            if let Some(report) = out.report.as_mut() {
-                report.attribution = attribution;
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -420,10 +378,10 @@ mod tests {
             .with_sample_count(16)
             .with_fault_plan(None);
         let algo = crate::multimode::ClkWaveMinM::new(config.clone()).with_beam(8);
-        let registry = MetricsRegistry::disabled();
-        let mut prep = algo.prepare(&design, &registry).expect("prepare");
+        let ins = Instruments::disabled();
+        let mut prep = algo.prepare(&design, &ins).expect("prepare");
         prep.intersections = algo
-            .intersections(&prep.tables, config.window_margin, &registry)
+            .intersections(&prep.tables, config.window_margin, &ins)
             .expect("four-mode intersections");
         assert_eq!(prep.tables.len(), 4);
         assert!(prep.intersections.iter().all(|x| x.windows.len() == 4));

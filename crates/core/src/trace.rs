@@ -2,10 +2,11 @@
 //! Chrome-trace/Perfetto export.
 //!
 //! Where [`crate::observe::MetricsRegistry`] aggregates *counters*, the
-//! [`TraceJournal`] keeps *events*: spans at zone / graph-layer /
+//! [`TraceJournal`] keeps *events*: spans at stage / zone / graph-layer /
 //! label-batch granularity and instants for ladder rung changes, budget
-//! exhaustion and dominance-front evictions. The design goals mirror the
-//! registry's:
+//! exhaustion, dominance-front evictions and rejected validation
+//! candidates. Both ride in one [`crate::observe::Instruments`]. The
+//! design goals mirror the registry's:
 //!
 //! * **disabled path is one branch** — a disabled journal is an
 //!   `Option::None`; every recording call short-circuits immediately;
@@ -29,6 +30,7 @@
 //! per worker thread, `"X"` complete spans with microsecond `ts`/`dur`,
 //! `"i"` instants, and [`SolveStats`] counters attached as span args.
 
+use crate::observe::Stage;
 use serde::Value;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
@@ -83,8 +85,8 @@ pub enum TraceEventKind {
     },
     /// Span: one pipeline stage on the driving thread.
     Stage {
-        /// Stage name ([`crate::observe::Stage::name`]-style).
-        name: &'static str,
+        /// The stage (exported under [`Stage::name`]).
+        stage: Stage,
     },
     /// Instant: the degradation ladder moved to `rung`.
     RungTransition {
@@ -122,6 +124,16 @@ pub enum TraceEventKind {
         /// The restored rung.
         rung: usize,
     },
+    /// Instant: a ranked candidate missed the skew bound at exact
+    /// validation, so the ranking fell through to the next one.
+    CandidateRejected {
+        /// The candidate's position in the cost ranking (0 = cheapest).
+        rank: usize,
+        /// The candidate's min–max cost.
+        cost: f64,
+        /// Its exact worst-mode skew, picoseconds.
+        skew_ps: f64,
+    },
 }
 
 impl TraceEventKind {
@@ -132,13 +144,14 @@ impl TraceEventKind {
             Self::ZoneSolve { .. } => "zone_solve",
             Self::Layer { .. } => "layer",
             Self::LabelBatch { .. } => "label_batch",
-            Self::Stage { name } => name,
+            Self::Stage { stage } => stage.name(),
             Self::RungTransition { .. } => "rung_transition",
             Self::BudgetExhausted { .. } => "budget_exhausted",
             Self::CapEvictions { .. } => "cap_evictions",
             Self::ZoneFault { .. } => "zone_fault",
             Self::ZoneSalvaged { .. } => "zone_salvaged",
             Self::LadderRestored { .. } => "ladder_restored",
+            Self::CandidateRejected { .. } => "candidate_rejected",
         }
     }
 
@@ -382,12 +395,6 @@ pub struct TraceHandle {
 }
 
 impl TraceHandle {
-    /// A handle that records nothing (what disabled journals hand out).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
     /// `true` when this handle records anything.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -418,6 +425,26 @@ impl TraceHandle {
         });
     }
 
+    /// Records a span that started at `started` and lasted `dur_ns`:
+    /// the two clock readings the caller already took for its own
+    /// accounting, so the journal and the registry share one clock.
+    pub fn span_at(&mut self, started: Instant, dur_ns: u64, kind: TraceEventKind) {
+        let Some(h) = &mut self.inner else {
+            return;
+        };
+        let ts_ns = u64::try_from(
+            started
+                .saturating_duration_since(h.journal.epoch)
+                .as_nanos(),
+        )
+        .unwrap_or(u64::MAX);
+        h.push(TraceEvent {
+            ts_ns,
+            dur_ns,
+            kind,
+        });
+    }
+
     /// Records an instant event stamped now.
     pub fn instant(&mut self, kind: TraceEventKind) {
         let Some(h) = &mut self.inner else {
@@ -429,43 +456,6 @@ impl TraceHandle {
             dur_ns: 0,
             kind,
         });
-    }
-
-    /// Records one finished zone solve span with its counters.
-    pub fn zone_span(&mut self, start_ns: u64, zone: usize, stats: &SolveStats, exhausted: bool) {
-        self.span(
-            start_ns,
-            TraceEventKind::ZoneSolve {
-                zone,
-                stats: *stats,
-                exhausted,
-            },
-        );
-    }
-
-    /// Records one finished pipeline stage span.
-    pub fn stage_span(&mut self, start_ns: u64, name: &'static str) {
-        self.span(start_ns, TraceEventKind::Stage { name });
-    }
-
-    /// Records a degradation-ladder rung-transition instant.
-    pub fn rung_transition(&mut self, rung: usize) {
-        self.instant(TraceEventKind::RungTransition { rung });
-    }
-
-    /// Records a contained zone-fault instant.
-    pub fn zone_fault(&mut self, zone: usize) {
-        self.instant(TraceEventKind::ZoneFault { zone });
-    }
-
-    /// Records a successful zone-salvage instant.
-    pub fn zone_salvaged(&mut self, zone: usize) {
-        self.instant(TraceEventKind::ZoneSalvaged { zone });
-    }
-
-    /// Records a ladder poison-recovery instant.
-    pub fn ladder_restored(&mut self, rung: usize) {
-        self.instant(TraceEventKind::LadderRestored { rung });
     }
 
     /// Flushes the buffered events into the journal. Idempotent; also runs
@@ -603,6 +593,15 @@ fn event_value(track: usize, ev: &TraceEvent) -> Value {
             map(vec![("zone", Value::UInt(zone as u64))])
         }
         TraceEventKind::LadderRestored { rung } => map(vec![("rung", Value::UInt(rung as u64))]),
+        TraceEventKind::CandidateRejected {
+            rank,
+            cost,
+            skew_ps,
+        } => map(vec![
+            ("rank", Value::UInt(rank as u64)),
+            ("cost", Value::Float(cost)),
+            ("skew_ps", Value::Float(skew_ps)),
+        ]),
     };
     let mut entries = vec![
         ("name", str_value(ev.kind.name())),
@@ -634,7 +633,14 @@ mod tests {
         assert!(!h.is_enabled());
         assert_eq!(h.now_ns(), 0);
         h.instant(TraceEventKind::RungTransition { rung: 1 });
-        h.zone_span(0, 0, &SolveStats::default(), false);
+        h.span(
+            0,
+            TraceEventKind::ZoneSolve {
+                zone: 0,
+                stats: SolveStats::default(),
+                exhausted: false,
+            },
+        );
         drop(h);
         assert!(j.merged().is_none());
         assert!(j.chrome_trace().is_none());
@@ -705,16 +711,18 @@ mod tests {
         {
             let mut h = j.handle();
             let t0 = h.now_ns();
-            h.zone_span(
+            h.span(
                 t0,
-                3,
-                &SolveStats {
-                    labels_created: 7,
-                    ..SolveStats::default()
+                TraceEventKind::ZoneSolve {
+                    zone: 3,
+                    stats: SolveStats {
+                        labels_created: 7,
+                        ..SolveStats::default()
+                    },
+                    exhausted: true,
                 },
-                true,
             );
-            h.rung_transition(2);
+            h.instant(TraceEventKind::RungTransition { rung: 2 });
         }
         let json = j.chrome_trace().expect("enabled");
         let v = serde_json::from_str(&json).expect("valid JSON");
@@ -745,7 +753,12 @@ mod tests {
         let mut h = j.handle();
         let t0 = h.now_ns();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        h.stage_span(t0, "characterization");
+        h.span(
+            t0,
+            TraceEventKind::Stage {
+                stage: Stage::Characterization,
+            },
+        );
         drop(h);
         let merged = j.merged().expect("enabled");
         assert_eq!(merged.events.len(), 1);

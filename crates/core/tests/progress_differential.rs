@@ -43,9 +43,12 @@ fn progress_streaming_is_bit_identical_across_thread_counts() {
         let tracker = ProgressTracker::enabled(Duration::from_millis(5), move |_p| {
             ticks_in_sink.fetch_add(1, Ordering::Relaxed);
         });
+        let ins = Instruments {
+            progress: tracker,
+            ..Instruments::from_config(&small_config(threads))
+        };
         let with_progress = ClkWaveMin::new(small_config(threads))
-            .with_progress(tracker)
-            .run(&design)
+            .run_instrumented(&design, &ins)
             .expect("progress run");
         assert_outcomes_identical(&plain, &with_progress, &format!("threads={threads}"));
         assert!(
@@ -72,9 +75,12 @@ fn progress_ticks_are_monotone_and_finish_with_done() {
     let tracker = ProgressTracker::enabled(Duration::from_millis(1), move |p: &Progress| {
         sink_seen.lock().expect("sink lock").push(p.clone());
     });
+    let ins = Instruments {
+        progress: tracker,
+        ..Instruments::from_config(&small_config(2))
+    };
     ClkWaveMin::new(small_config(2))
-        .with_progress(tracker)
-        .run(&design)
+        .run_instrumented(&design, &ins)
         .expect("run");
     let ticks = seen.lock().expect("final lock");
     assert!(!ticks.is_empty(), "at least the final tick fires");

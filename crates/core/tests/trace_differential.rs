@@ -49,10 +49,14 @@ fn traced_runs_are_identical_to_untraced_runs() {
             .with_metrics(true)
             .with_threads(threads);
         cfg.max_intervals = Some(6);
+        let ins = Instruments {
+            journal: TraceJournal::enabled(),
+            ..Instruments::from_config(&cfg)
+        };
+        let journal = &ins.journal;
         let algo = ClkWaveMin::new(cfg);
         let plain = algo.run(&d).expect("untraced run");
-        let journal = TraceJournal::enabled();
-        let traced = algo.run_traced(&d, &journal).expect("traced run");
+        let traced = algo.run_instrumented(&d, &ins).expect("traced run");
         let label = format!("threads={threads}");
         assert_outcomes_identical(&plain, &traced, &label);
         assert_eq!(
@@ -79,9 +83,13 @@ fn s15850_trace_export_and_attribution_meet_acceptance() {
         .with_metrics(true)
         .with_threads(4);
     cfg.max_intervals = Some(6);
-    let journal = TraceJournal::enabled();
+    let ins = Instruments {
+        journal: TraceJournal::enabled(),
+        ..Instruments::from_config(&cfg)
+    };
+    let journal = &ins.journal;
     let out = ClkWaveMin::new(cfg)
-        .run_traced(&d, &journal)
+        .run_instrumented(&d, &ins)
         .expect("traced run");
 
     // The attribution decomposes the reported worst-mode peak exactly.
@@ -145,4 +153,151 @@ fn s15850_trace_export_and_attribution_meet_acceptance() {
     assert!(names.contains("zone_solve"), "zone spans exported");
     assert!(names.contains("layer"), "graph-layer spans exported");
     assert!(!last_ts.is_empty(), "at least one worker track");
+}
+
+/// Asserts that every stage the report times is exactly the sum of its
+/// journal spans: the same span count, and `total_ns` equal to the sum
+/// of their `dur_ns` — one clock per stage, `zone_solve` included.
+fn assert_stages_agree(report: &RunReport, journal: &TraceJournal, label: &str) {
+    assert_eq!(journal.dropped_events(), 0, "{label}: no overflow expected");
+    let merged = journal.merged().expect("enabled journal");
+    assert!(!report.stages.is_empty(), "{label}: stages reported");
+    for timing in &report.stages {
+        let spans: Vec<u64> = merged
+            .events
+            .iter()
+            .filter(|(_, e)| e.kind.is_span() && e.kind.name() == timing.stage)
+            .map(|(_, e)| e.dur_ns)
+            .collect();
+        assert_eq!(
+            spans.len() as u64,
+            timing.count,
+            "{label}: {} span count",
+            timing.stage
+        );
+        assert_eq!(
+            spans.iter().sum::<u64>(),
+            timing.total_ns,
+            "{label}: {} total_ns",
+            timing.stage
+        );
+    }
+    for (_, e) in &merged.events {
+        if let TraceEventKind::Stage { stage } = e.kind {
+            assert!(
+                report.stages.iter().any(|t| t.stage == stage.name()),
+                "{label}: journal stage {} missing from the report",
+                stage.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn report_stage_times_equal_journal_span_sums() {
+    let d = Design::from_benchmark(&Benchmark::s15850(), 7);
+    let mut cfg = WaveMinConfig::default()
+        .with_sample_count(16)
+        .with_metrics(true)
+        .with_threads(2);
+    cfg.max_intervals = Some(6);
+    let ins = Instruments {
+        journal: TraceJournal::enabled(),
+        ..Instruments::from_config(&cfg)
+    };
+    let out = ClkWaveMin::new(cfg)
+        .run_instrumented(&d, &ins)
+        .expect("traced run");
+    let report = out.report.as_ref().expect("report");
+    for stage in ["characterization", "zoning", "zone_solve", "validation"] {
+        assert!(
+            report.stages.iter().any(|t| t.stage == stage),
+            "{stage} timed"
+        );
+    }
+    assert_stages_agree(report, &ins.journal, "ClkWaveMin s15850");
+}
+
+#[test]
+fn multimode_journal_carries_intersection_stage_spans() {
+    let d = Design::from_benchmark_multimode_levels(
+        &Benchmark::s15850(),
+        3,
+        4,
+        4,
+        wavemin_cells::units::Volts::new(0.9),
+        wavemin_cells::units::Volts::new(1.1),
+    );
+    let cfg = WaveMinConfig::default()
+        .with_skew_bound(wavemin_cells::units::Picoseconds::new(22.0))
+        .with_sample_count(8)
+        .with_metrics(true);
+    let ins = Instruments {
+        journal: TraceJournal::enabled(),
+        ..Instruments::from_config(&cfg)
+    };
+    let out = ClkWaveMinM::new(cfg)
+        .run_instrumented(&d, &ins)
+        .expect("traced multi-mode run");
+    let merged = ins.journal.merged().expect("enabled journal");
+    let intersections = merged
+        .events
+        .iter()
+        .filter(|(_, e)| {
+            matches!(
+                e.kind,
+                TraceEventKind::Stage {
+                    stage: Stage::Intersection
+                }
+            )
+        })
+        .count();
+    assert!(intersections > 0, "intersection stage spans journaled");
+    let report = out.report.as_ref().expect("report");
+    assert_stages_agree(report, &ins.journal, "ClkWaveMin-M s15850");
+}
+
+#[test]
+fn rejected_validation_candidates_are_journaled_in_rank_order() {
+    // With no window headroom, the cheapest intersections on this seed
+    // miss the exact bound once sibling-load feedback is timed.
+    let d = Design::from_benchmark(&Benchmark::s15850(), 1);
+    let mut cfg = WaveMinConfig::default()
+        .with_sample_count(16)
+        .with_threads(1);
+    cfg.max_intervals = Some(6);
+    cfg.window_margin = 1.0;
+    let bound = cfg.skew_bound.value();
+    let ins = Instruments {
+        journal: TraceJournal::enabled(),
+        ..Instruments::from_config(&cfg)
+    };
+    let out = ClkWaveMin::new(cfg)
+        .run_instrumented(&d, &ins)
+        .expect("traced run");
+    let merged = ins.journal.merged().expect("enabled journal");
+    let rejected: Vec<(usize, f64, f64)> = merged
+        .events
+        .iter()
+        .filter_map(|(_, e)| match e.kind {
+            TraceEventKind::CandidateRejected {
+                rank,
+                cost,
+                skew_ps,
+            } => Some((rank, cost, skew_ps)),
+            _ => None,
+        })
+        .collect();
+    assert!(!rejected.is_empty(), "some candidate misses the bound");
+    assert!(rejected.len() <= out.intervals_tried);
+    for (i, &(rank, cost, skew_ps)) in rejected.iter().enumerate() {
+        assert_eq!(rank, i, "ranks are walked best first");
+        assert!(skew_ps > bound, "a rejected candidate misses {bound} ps");
+        assert!(cost.is_finite());
+    }
+    assert!(
+        rejected.windows(2).all(|w| w[0].1 <= w[1].1),
+        "costs ascend with rank"
+    );
+    assert!(out.skew_after.value() <= bound + 1e-9);
 }
