@@ -21,6 +21,7 @@ mod nieh;
 mod nonleaf;
 mod peakmin;
 mod samanta;
+mod share;
 pub(crate) mod streaming;
 mod yield_aware;
 
@@ -46,6 +47,7 @@ use crate::observe::{Instruments, ReportContext, RunReport, Stage};
 use crate::sampling::SamplePlan;
 use crate::trace::TraceEventKind;
 use serde::{Deserialize, Serialize};
+use share::SharePlan;
 use std::sync::Arc;
 use std::time::Duration;
 use wavemin_cells::characterize::ClockEdge;
@@ -625,12 +627,28 @@ pub(crate) struct PreparedRun {
     /// Zone indices largest-first (the solve order inside each
     /// intersection).
     pub zone_order: Vec<usize>,
-    /// `zone_hashes[zone]` — mode-0 content hash for cache keying (the
-    /// stores are single-mode).
+    /// `zone_hashes[zone]` — the zone's content hash over every mode,
+    /// for store keying.
     pub zone_hashes: Vec<u64>,
     /// Zone specs, over all modes, whose sampling plan fell back to a
     /// dummy time.
     pub degenerate_zones: usize,
+}
+
+impl PreparedRun {
+    /// Appends zone `zi`'s restriction in intersection `xi` to `out`: its
+    /// sinks' allowed option lists and every allowed option's delay code
+    /// in every mode (see [`share::encode_restriction`]). Everything a
+    /// zone solve reads from its intersection is in here.
+    pub(crate) fn restriction(&self, xi: usize, zi: usize, out: &mut Vec<u64>) {
+        let intersection = &self.intersections[xi];
+        let allowed = intersection.allowed_for(&self.zones.spec(zi).sinks);
+        share::encode_restriction(out, &allowed, self.tables.len(), |local, opt, m| {
+            let (lo, hi) = intersection.windows[m];
+            let si = self.zones.spec_in(m, zi).sinks[local];
+            self.tables[m].sinks[si].options[opt].delay_code_for(lo, hi)
+        });
+    }
 }
 
 /// Characterizes a single-mode design (mode 0) into a [`PreparedRun`]
@@ -698,7 +716,11 @@ pub(crate) fn prepare_run(
 
     let mut zones = streaming::ZoneStorage::new(specs, modes, usize::MAX);
     let zone_hashes: Vec<u64> = (0..zone_count)
-        .map(|zi| zones.spec(zi).content_hash(&tables[0]))
+        .map(|zi| {
+            (1..modes).fold(zones.spec(zi).content_hash(&tables[0]), |h, m| {
+                crate::checkpoint::step(h, zones.spec_in(m, zi).content_hash(&tables[m]))
+            })
+        })
         .collect();
     let max_hot = (0..zone_count)
         .map(|zi| zones.hot_bytes(zi, &tables))
@@ -755,10 +777,22 @@ fn streaming_limit_bytes(config: &WaveMinConfig, max_hot: usize) -> Result<usize
 /// when some zone had no feasible option.
 type IntersectionResult = Result<Option<(f64, Assignment)>, WaveMinError>;
 
+/// The answer to one share-plan group, read by every member cell: the
+/// zone's solution (or why there is none) and, when a store is attached,
+/// the key chain advanced past the zone.
+struct SharedAnswer {
+    solution: Result<ZoneSolution, WaveMinError>,
+    chain: Option<crate::checkpoint::ZoneKeyChain>,
+}
+
 /// Solves every intersection of a [`PreparedRun`]: they fan out over
 /// the worker pool and come back in input order (bit-identical to a
 /// sequential run), while inside one intersection the zones chain
-/// through the per-mode accumulated background. Also returns the zones
+/// through the per-mode accumulated background. Cells (intersection,
+/// zone) whose restriction prefixes along `zone_order` are equal pose
+/// one subproblem; a [`SharePlan`] solves each such group once (counted
+/// in `zone_solves`, or `zones_reused` on a store hit) and hands the
+/// answer to the other members (`zones_shared`). Also returns the zones
 /// that faulted and were salvaged, across all intersections. See
 /// [`solve_prepared`] for the `store` and `seed` contract.
 pub(crate) fn solve_each_intersection<S: ZoneSolver>(
@@ -772,6 +806,11 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
     let registry = &ins.registry;
     let tables = &prep.tables[..];
     let zones = &prep.zones;
+    let plan: SharePlan<SharedAnswer> = SharePlan::build(
+        prep.intersections.len(),
+        prep.zone_order.len(),
+        |xi, rank, out| prep.restriction(xi, prep.zone_order[rank], out),
+    );
     // Zones that faulted and were salvaged, across all intersections.
     let faulted = std::sync::Mutex::new(std::collections::BTreeSet::new());
 
@@ -823,56 +862,80 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
         }
     };
 
-    let solve_one = |intersection: &FeasibleIntersection| -> IntersectionResult {
+    // Solve one cell — zone `zi` inside intersection `xi` — consulting the
+    // store once when there is one. `chain` is the cell's key chain; it
+    // comes back advanced past this zone for the group's members.
+    let solve_cell = |xi: usize,
+                      zi: usize,
+                      accumulated: &[BackgroundAccumulator],
+                      mut chain: Option<crate::checkpoint::ZoneKeyChain>|
+     -> SharedAnswer {
+        let intersection = &prep.intersections[xi];
+        // The zone's input in this intersection: its content and its
+        // restriction, which covers every mode's delay codes.
+        let input = chain.as_ref().map(|_| {
+            let mut restriction = Vec::new();
+            prep.restriction(xi, zi, &mut restriction);
+            restriction
+                .iter()
+                .fold(prep.zone_hashes[zi], |h, &w| crate::checkpoint::step(h, w))
+        });
+        let key = chain.as_ref().zip(input).map(|(c, i)| c.key_for(i));
+        let acquired = match (store, key) {
+            (Some(s), Some(k)) => Some(s.acquire(k)),
+            _ => None,
+        };
+        let solution = match acquired {
+            Some(crate::checkpoint::StoreAcquire::Hit(hit)) => {
+                // Splicing a checkpointed solution needs only the zone's
+                // spec: the vectors stay cold.
+                registry.record_zone_reused();
+                Ok(ZoneSolution {
+                    choices: hit.choices_ps(),
+                    cost: hit.cost(),
+                })
+            }
+            other => {
+                // Miss (or no store): solve here. The reservation, if any,
+                // marks the key in flight for concurrent jobs; it is
+                // released on every exit path, and a successful record
+                // resolves it to a hit.
+                let _reservation = match other {
+                    Some(crate::checkpoint::StoreAcquire::Solve(r)) => r,
+                    _ => None,
+                };
+                // The hot zone (and the solver's Pareto tables) lives only
+                // for this solve; it drops at the end of the match arm.
+                let zone = zones.acquire(zi, tables, ins);
+                contained_solve(zi, &zone, intersection, accumulated).and_then(|sol| {
+                    if let (Some(s), Some(k)) = (store, key) {
+                        s.record(k, sol.cost.to_bits(), &sol.choices)?;
+                    }
+                    Ok(sol)
+                })
+            }
+        };
+        if let (Some(c), Some(i), Ok(sol)) = (chain.as_mut(), input, &solution) {
+            c.absorb(i, sol.cost.to_bits(), &sol.choices);
+        }
+        SharedAnswer { solution, chain }
+    };
+
+    let solve_one = |xi: usize, intersection: &FeasibleIntersection| -> IntersectionResult {
         let mut cost = 0.0_f64;
         let mut assignment = Assignment::new();
         let mut accumulated = vec![BackgroundAccumulator::zero(); tables.len()];
-        let (t_lo, t_hi) = intersection.windows[0];
-        let mut chain = seed.map(|s| crate::checkpoint::ZoneKeyChain::new(s, t_lo, t_hi));
-        for &zi in &prep.zone_order {
-            let key = chain.as_ref().map(|c| c.key_for(prep.zone_hashes[zi]));
-            let acquired = match (store, key) {
-                (Some(s), Some(k)) => Some(s.acquire(k)),
-                _ => None,
+        let mut chain = seed.map(crate::checkpoint::ZoneKeyChain::new);
+        for (rank, &zi) in prep.zone_order.iter().enumerate() {
+            let (answer, shared) =
+                plan.answer(xi, rank, || solve_cell(xi, zi, &accumulated, chain.clone()));
+            registry.record_zone_cell(shared);
+            let sol = match &answer.solution {
+                Ok(sol) => sol,
+                Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
+                Err(e) => return Err(e.clone()),
             };
-            let sol = match acquired {
-                Some(crate::checkpoint::StoreAcquire::Hit(hit)) => {
-                    // Splicing a checkpointed solution needs only the
-                    // zone's spec: the vectors stay cold.
-                    registry.record_zone_reused();
-                    ZoneSolution {
-                        choices: hit.choices_ps(),
-                        cost: hit.cost(),
-                    }
-                }
-                other => {
-                    // Miss (or no store): solve here. The reservation, if
-                    // any, marks the key in flight for concurrent jobs;
-                    // it is released on every exit path, and a successful
-                    // record resolves it to a hit.
-                    let _reservation = match other {
-                        Some(crate::checkpoint::StoreAcquire::Solve(r)) => r,
-                        _ => None,
-                    };
-                    // The hot zone (and the solver's Pareto tables) lives
-                    // only for this solve; it drops at the end of the
-                    // match arm.
-                    let zone = zones.acquire(zi, tables, ins);
-                    match contained_solve(zi, &zone, intersection, &accumulated) {
-                        Ok(sol) => {
-                            if let (Some(s), Some(k)) = (store, key) {
-                                s.record(k, sol.cost.to_bits(), &sol.choices)?;
-                            }
-                            sol
-                        }
-                        Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
-                        Err(e) => return Err(e),
-                    }
-                }
-            };
-            if let Some(c) = chain.as_mut() {
-                c.absorb(prep.zone_hashes[zi], sol.cost.to_bits(), &sol.choices);
-            }
+            chain.clone_from(&answer.chain);
             ins.progress.zone_done();
             cost = cost.max(sol.cost);
             for (local, &(opt, _)) in sol.choices.iter().enumerate() {
@@ -902,7 +965,7 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
         registry.sample_rss();
         Ok(Some((cost, assignment)))
     };
-    let solved = crate::parallel::map_ordered(&prep.intersections, threads, |_, x| solve_one(x));
+    let solved = crate::parallel::map_ordered(&prep.intersections, threads, solve_one);
     let faulted = faulted
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -952,9 +1015,10 @@ impl Solved {
 /// (checkpoint journal or the serve-mode [`crate::checkpoint::ZoneCache`]),
 /// zones whose chain key hits are spliced bit-for-bit and counted as
 /// `zones_reused`; every intersection's key chain starts from the solver
-/// config's fingerprint (see [`crate::checkpoint::config_fingerprint`]).
-/// The chain keys on the mode-0 window only, so a store is for
-/// single-mode runs.
+/// config's fingerprint (see [`crate::checkpoint::config_fingerprint`])
+/// and absorbs each zone's content hash and restriction over every mode,
+/// so a key names one share-plan group and the store is consulted once
+/// per group.
 ///
 /// Each candidate that misses the bound becomes a `candidate_rejected`
 /// journal instant (rank, cost, exact skew).

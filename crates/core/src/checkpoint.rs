@@ -13,22 +13,23 @@
 //! # Format
 //!
 //! ```text
-//! wavemin-checkpoint v2 fingerprint=<hex16>
+//! wavemin-checkpoint v3 fingerprint=<hex16>
 //! zone <key hex16> <cost-bits hex16> <n> <sink>:<code-bits hex16> ...
 //! ```
 //!
 //! The header fingerprint hashes the characterized design and the solver
 //! configuration; a mismatch invalidates every entry. Each entry's key is
-//! drawn from a per-interval *hash chain* ([`ZoneKeyChain`]): the chain
-//! starts from a seed (the solver-config fingerprint) and the interval
-//! bounds, and absorbs every earlier zone's *content hash* and solution
-//! in solve order. Zones are solved against the accumulated background
-//! noise of their predecessors, so a zone's key changes whenever anything
-//! it depends on changes — hit means bit-for-bit reusable. Keying by zone
-//! content rather than zone index is what lets an edited design reuse the
-//! untouched prefix of a solve: the clean zones hash identically and walk
-//! the same chain. Costs and delay codes are stored as raw `f64` bit
-//! patterns, so a resumed run reproduces the uninterrupted run exactly.
+//! drawn from a per-intersection *hash chain* ([`ZoneKeyChain`]): the
+//! chain starts from a seed (the solver-config fingerprint) and absorbs
+//! every earlier zone's *content hash*, *restriction* (allowed options and
+//! their delay codes in every mode) and solution in solve order. Zones are
+//! solved against the accumulated background noise of their predecessors,
+//! so a zone's key changes whenever anything it depends on changes — hit
+//! means bit-for-bit reusable. Keying by zone content rather than zone
+//! index is what lets an edited design reuse the untouched prefix of a
+//! solve: the clean zones hash identically and walk the same chain. Costs
+//! and delay codes are stored as raw `f64` bit patterns, so a resumed run
+//! reproduces the uninterrupted run exactly.
 //!
 //! Lines are flushed per zone; a killed process leaves at most one
 //! truncated trailing line, which the loader ignores. A malformed line
@@ -47,7 +48,9 @@ use wavemin_cells::units::Picoseconds;
 
 /// Journal format version; bumped on any incompatible layout change.
 /// `v2`: chain keys absorb zone content hashes instead of zone indices.
-pub const FORMAT_VERSION: &str = "v2";
+/// `v3`: chain keys absorb each zone's restriction (allowed options and
+/// per-mode delay codes) instead of the interval bounds.
+pub const FORMAT_VERSION: &str = "v3";
 
 const HEADER_TAG: &str = "wavemin-checkpoint";
 
@@ -84,7 +87,7 @@ pub fn design_fingerprint(design: &Design, config: &WaveMinConfig) -> Result<u64
 
 /// Fingerprint of the solver configuration alone, with the same
 /// run-plumbing normalization as [`design_fingerprint`]. This seeds the
-/// per-interval [`ZoneKeyChain`]: the design itself enters the chain
+/// per-intersection [`ZoneKeyChain`]: the design itself enters the chain
 /// through per-zone content hashes, so two sessions holding *different*
 /// designs still share cache entries for zones whose characterized
 /// content is identical — the incremental-re-solve path.
@@ -137,36 +140,34 @@ impl CachedZone {
     }
 }
 
-/// The per-interval key chain. Seeded from the config fingerprint and the
-/// interval bounds; absorbs each solved zone's content hash and solution
-/// in solve order so a zone's key covers everything its
-/// accumulated-background input depends on.
+/// The per-intersection key chain. Seeded from the config fingerprint;
+/// absorbs each solved zone's input hash (its content and its restriction
+/// in the intersection) and solution in solve order, so a zone's key
+/// covers everything its solve depends on. Intersections with equal
+/// restriction prefixes walk the same chain.
 #[derive(Debug, Clone)]
 pub struct ZoneKeyChain {
     h: u64,
 }
 
 impl ZoneKeyChain {
-    /// Starts a chain for one feasible interval.
+    /// Starts a chain for one feasible intersection.
     #[must_use]
-    pub fn new(seed: u64, t_lo: Picoseconds, t_hi: Picoseconds) -> Self {
-        let mut h = seed;
-        h = step(h, t_lo.value().to_bits());
-        h = step(h, t_hi.value().to_bits());
-        Self { h }
+    pub fn new(seed: u64) -> Self {
+        Self { h: seed }
     }
 
-    /// The lookup/record key for the zone whose characterized content
-    /// hashes to `content` at the chain's current state.
+    /// The lookup/record key for the zone whose input (content and
+    /// restriction) hashes to `input` at the chain's current state.
     #[must_use]
-    pub fn key_for(&self, content: u64) -> u64 {
-        step(self.h, content ^ 0x5a5a_5a5a_5a5a_5a5a)
+    pub fn key_for(&self, input: u64) -> u64 {
+        step(self.h, input ^ 0x5a5a_5a5a_5a5a_5a5a)
     }
 
-    /// Absorbs a completed zone's content and solution, advancing the
+    /// Absorbs a completed zone's input hash and solution, advancing the
     /// chain for every zone solved after it.
-    pub fn absorb(&mut self, content: u64, cost_bits: u64, choices: &[(usize, Picoseconds)]) {
-        self.h = step(self.h, content);
+    pub fn absorb(&mut self, input: u64, cost_bits: u64, choices: &[(usize, Picoseconds)]) {
+        self.h = step(self.h, input);
         self.h = step(self.h, cost_bits);
         for &(sink, code) in choices {
             self.h = step(self.h, sink as u64);
@@ -341,8 +342,9 @@ impl CheckpointJournal {
 
 impl ZoneStore for CheckpointJournal {
     fn acquire(&self, key: u64) -> StoreAcquire<'_> {
-        // A single run never races two workers onto the same key (each
-        // interval walks its own chain), so no in-flight reservation.
+        // A single run never races two workers onto the same key (the
+        // share plan consults the store once per group of equal chains),
+        // so no in-flight reservation.
         match self.lookup(key) {
             Some(hit) => StoreAcquire::Hit(hit),
             None => StoreAcquire::Solve(None),
@@ -705,9 +707,9 @@ mod tests {
 
     #[test]
     fn key_chain_is_order_and_content_sensitive() {
-        let a0 = ZoneKeyChain::new(9, ps(1.0), ps(2.0));
-        let b0 = ZoneKeyChain::new(9, ps(1.0), ps(2.5));
-        assert_ne!(a0.key_for(0), b0.key_for(0), "interval bounds feed the key");
+        let a0 = ZoneKeyChain::new(9);
+        let b0 = ZoneKeyChain::new(10);
+        assert_ne!(a0.key_for(0), b0.key_for(0), "the seed feeds the key");
         assert_ne!(
             a0.key_for(0),
             a0.key_for(1),

@@ -104,6 +104,8 @@ struct Counters {
     zone_faults: AtomicU64,
     zone_salvages: AtomicU64,
     zones_reused: AtomicU64,
+    zones_shared: AtomicU64,
+    zone_cells: AtomicU64,
     zones_spilled: AtomicU64,
     zone_recomputes: AtomicU64,
     /// Gauge, not a sum: the largest VmRSS sampled at a pipeline
@@ -449,6 +451,18 @@ impl MetricsRegistry {
         }
     }
 
+    /// Counts one answered (intersection, zone) cell; `shared` when its
+    /// answer came from an identical subproblem another cell of the run
+    /// solved or spliced.
+    pub fn record_zone_cell(&self, shared: bool) {
+        if let Some(inner) = self.inner.as_ref() {
+            inner.counters.zone_cells.fetch_add(1, Ordering::Relaxed);
+            if shared {
+                inner.counters.zones_shared.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Counts one resident zone evicted from the zone store to stay
     /// under the memory budget.
     pub fn record_zone_spill(&self) {
@@ -592,6 +606,8 @@ impl MetricsRegistry {
                 zone_faults: load(&c.zone_faults),
                 zone_salvages: load(&c.zone_salvages),
                 zones_reused: load(&c.zones_reused),
+                zones_shared: load(&c.zones_shared),
+                zone_cells: load(&c.zone_cells),
                 zones_spilled: load(&c.zones_spilled),
                 zone_recomputes: load(&c.zone_recomputes),
                 peak_rss_bytes: load(&c.peak_rss_bytes),
@@ -1001,7 +1017,8 @@ pub struct RunCounters {
     pub solver_work: u64,
     /// Pareto paths returned at the destinations (Σ front sizes).
     pub pareto_paths: u64,
-    /// Zone × interval subproblem solves performed.
+    /// Zone subproblem solves performed; each share-plan group that no
+    /// store answers is solved once.
     pub zone_solves: u64,
     /// Zone solves that exhausted their resource budget.
     pub exhausted_solves: u64,
@@ -1027,10 +1044,19 @@ pub struct RunCounters {
     /// Faulted zones whose greedy salvage retry succeeded.
     #[serde(default)]
     pub zone_salvages: u64,
-    /// Zone results served from the checkpoint journal instead of being
-    /// re-solved (`--resume`).
+    /// Zone results served from a zone store (the checkpoint journal on
+    /// `--resume`, or the serve-mode zone cache) instead of being solved.
     #[serde(default)]
     pub zones_reused: u64,
+    /// (Intersection, zone) cells answered by an identical subproblem
+    /// another cell of the same run solved or spliced (the share plan).
+    /// Additive schema field — 0 in reports written before it existed.
+    #[serde(default)]
+    pub zones_shared: u64,
+    /// (Intersection, zone) cells the run answered: solved, spliced from
+    /// a store, or shared. Additive schema field — 0 in older reports.
+    #[serde(default)]
+    pub zone_cells: u64,
     /// Resident zones evicted from the zone store to stay under the
     /// memory budget. Environment-dependent (eviction order follows
     /// worker interleaving) — zeroed by [`RunReport::normalized`].
@@ -1493,6 +1519,12 @@ impl RunReport {
                 self.counters.arena_unique_weights, self.counters.arena_arcs
             ));
         }
+        if self.counters.zones_shared > self.counters.zone_cells {
+            return Err(format!(
+                "zones_shared {} exceeds the {} answered zone cells",
+                self.counters.zones_shared, self.counters.zone_cells
+            ));
+        }
         if self.counters.exhausted_solves > self.counters.zone_solves {
             return Err(format!(
                 "exhausted_solves {} exceeds zone_solves {}",
@@ -1856,6 +1888,8 @@ mod decode {
                 "zone_faults",
                 "zone_salvages",
                 "zones_reused",
+                "zones_shared",
+                "zone_cells",
                 "zones_spilled",
                 "zone_recomputes",
                 "peak_rss_bytes",
@@ -1879,6 +1913,8 @@ mod decode {
             zone_faults: opt_u64_field(entries, "zone_faults")?,
             zone_salvages: opt_u64_field(entries, "zone_salvages")?,
             zones_reused: opt_u64_field(entries, "zones_reused")?,
+            zones_shared: opt_u64_field(entries, "zones_shared")?,
+            zone_cells: opt_u64_field(entries, "zone_cells")?,
             zones_spilled: opt_u64_field(entries, "zones_spilled")?,
             zone_recomputes: opt_u64_field(entries, "zone_recomputes")?,
             peak_rss_bytes: opt_u64_field(entries, "peak_rss_bytes")?,
@@ -2093,7 +2129,8 @@ mod tests {
             .replace(
                 ",\"zone_faults\":0,\"zone_salvages\":0,\"zones_reused\":0",
                 "",
-            );
+            )
+            .replace(",\"zones_shared\":0,\"zone_cells\":0", "");
         assert_ne!(legacy, json, "fixture must actually strip the fields");
         let back = RunReport::from_json(&legacy).expect("legacy decodes");
         assert_eq!(back.kernel, "");
@@ -2101,6 +2138,8 @@ mod tests {
         assert_eq!(back.counters.dominance_skipped, 0);
         assert_eq!(back.counters.zone_faults, 0);
         assert_eq!(back.counters.zones_reused, 0);
+        assert_eq!(back.counters.zones_shared, 0);
+        assert_eq!(back.counters.zone_cells, 0);
         back.validate().expect("defaults stay self-consistent");
     }
 
@@ -2217,6 +2256,15 @@ mod tests {
         report.counters.labels_created += 1;
         let err = report.validate().expect_err("tampered counter");
         assert!(err.contains("labels_created"), "{err}");
+        r.record_zone_cell(false);
+        r.record_zone_cell(true);
+        let mut over_shared = r.report(&ReportContext::default()).expect("enabled");
+        over_shared.validate().expect("one shared cell of two");
+        over_shared.counters.zones_shared = 3;
+        let err = over_shared
+            .validate()
+            .expect_err("more shared cells than cells");
+        assert!(err.contains("zones_shared"), "{err}");
         let mut wrong_version = r.report(&ReportContext::default()).expect("enabled");
         wrong_version.schema_version = 99;
         assert!(wrong_version.validate().is_err());

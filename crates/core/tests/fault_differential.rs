@@ -285,3 +285,46 @@ fn checkpoint_resumes_under_a_different_memory_budget() {
     );
     assert_eq!(counters.zone_solves, 0, "nothing left to re-solve");
 }
+
+#[test]
+fn a_journal_from_an_older_format_is_started_fresh() {
+    // A `v2` journal keyed its chains on the interval bounds; its keys mean
+    // nothing under the current chain, so resuming from one must start a
+    // fresh journal instead of splicing anything from it.
+    let d = Design::from_benchmark(&Benchmark::s15850(), 7);
+    let cfg = base_config().with_threads(1).with_metrics(true);
+
+    let path = scratch("older-format.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let full = ClkWaveMin::new(cfg.clone().with_checkpoint(&path))
+        .run(&d)
+        .expect("checkpointed run");
+    let full_solves = full.report.as_ref().expect("report").counters.zone_solves;
+
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let (header, body) = text.split_once('\n').expect("journal header");
+    let current = format!("wavemin-checkpoint {}", wavemin::checkpoint::FORMAT_VERSION);
+    assert_eq!(wavemin::checkpoint::FORMAT_VERSION, "v3");
+    assert!(header.starts_with(&current), "{header}");
+    let old_header = header.replacen(&current, "wavemin-checkpoint v2", 1);
+    std::fs::write(&path, format!("{old_header}\n{body}")).expect("rewrite header");
+
+    let resumed = ClkWaveMin::new(cfg.with_checkpoint(&path).with_resume(true))
+        .run(&d)
+        .expect("resume from an older journal");
+    assert_eq!(full.assignment, resumed.assignment, "assignment");
+    let counters = &resumed.report.as_ref().expect("report").counters;
+    assert_eq!(
+        counters.zones_reused, 0,
+        "nothing is spliced from a v2 journal"
+    );
+    assert_eq!(
+        counters.zone_solves, full_solves,
+        "every group is solved again"
+    );
+    let rewritten = std::fs::read_to_string(&path).expect("read journal");
+    assert!(
+        rewritten.starts_with(&current),
+        "the journal restarts under the current format"
+    );
+}

@@ -32,8 +32,9 @@ fn concurrent_jobs_share_the_cache_without_duplicate_solves() {
     assert!(baseline_solves > 0);
 
     // Two jobs race cold onto one shared cache. In-flight reservations
-    // must make each (interval, zone) solve happen exactly once across
-    // the pair: one job solves it, the other blocks and splices.
+    // must make each distinct zone subproblem (one share-plan group of
+    // equal restriction prefixes) be solved exactly once across the
+    // pair: one job solves it, the other blocks and splices.
     let session = Arc::new(characterize(design));
     let cache = Arc::new(ZoneCache::new(64 << 20));
     let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
