@@ -1,11 +1,13 @@
-//! Criterion bench: the numeric kernel primitives in isolation, vectorized
-//! vs scalar-reference, at the dimensionalities the solver actually runs
-//! (|S| = 4·k sampled waveform points; 156 matches the paper's ≈158-point
-//! waveforms, 8/32 cover small zones) — plus the slab dominance scan that
-//! `ParetoFront` batch-checks candidates against.
+//! Criterion bench: the numeric kernel primitives in isolation, the
+//! shipped vectorized bodies (`vector`) vs the scalar reference, at the
+//! dimensionalities the solver actually runs (|S| = 4·k sampled waveform
+//! points; 156 matches the paper's ≈158-point waveforms, 8/32 cover small
+//! zones) — plus the slab dominance scans that `ParetoFront` and the
+//! Warburton ε-grid front batch-check candidates against. This is the
+//! per-primitive measurement a kernel body is chosen from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wavemin_mosp::kernels::{scalar, vector};
+use wavemin_mosp::kernels::{self, scalar};
 
 /// Deterministic pseudo-random operands (no RNG dependency needed — a
 /// fixed linear-congruential walk is plenty for timing).
@@ -28,7 +30,7 @@ fn bench_add(c: &mut Criterion) {
         let b = operand(dims, 2);
         let mut out = vec![0.0; dims];
         group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::add_into(&mut out, std::hint::black_box(&a), &b));
+            bch.iter(|| kernels::add_into(&mut out, std::hint::black_box(&a), &b));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::add_into(&mut out, std::hint::black_box(&a), &b));
@@ -43,7 +45,7 @@ fn bench_add_max(c: &mut Criterion) {
         let a = operand(dims, 3);
         let b = operand(dims, 4);
         group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::add_max(std::hint::black_box(&a), &b));
+            bch.iter(|| kernels::add_max(std::hint::black_box(&a), &b));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::add_max(std::hint::black_box(&a), &b));
@@ -57,7 +59,7 @@ fn bench_max_component(c: &mut Criterion) {
     for dims in [8usize, 32, 156] {
         let a = operand(dims, 5);
         group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::max_component(std::hint::black_box(&a)));
+            bch.iter(|| kernels::max_component(std::hint::black_box(&a)));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::max_component(std::hint::black_box(&a)));
@@ -74,7 +76,7 @@ fn bench_dominates(c: &mut Criterion) {
         let a = operand(dims, 6);
         let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
         group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::dominates(std::hint::black_box(&a), &b));
+            bch.iter(|| kernels::dominates(std::hint::black_box(&a), &b));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::dominates(std::hint::black_box(&a), &b));
@@ -96,7 +98,7 @@ fn bench_slab_scan(c: &mut Criterion) {
         let cand: Vec<f64> = operand(dims, 99).iter().map(|x| x - 200.0).collect();
         group.bench_with_input(BenchmarkId::new("vector", rows), &rows, |bch, _| {
             bch.iter(|| {
-                vector::dominated_weakly_by_any(std::hint::black_box(&slab), dims, rows, &cand)
+                kernels::dominated_weakly_by_any(std::hint::black_box(&slab), dims, rows, &cand)
             });
         });
         group.bench_with_input(BenchmarkId::new("scalar", rows), &rows, |bch, _| {
@@ -108,12 +110,61 @@ fn bench_slab_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// Operands on the Warburton ε-grid: the f64 operand scaled to integers.
+fn grid_operand(len: usize, salt: u64) -> Vec<i64> {
+    operand(len, salt)
+        .iter()
+        .map(|x| (x * 1e3) as i64)
+        .collect()
+}
+
+fn bench_scaled_leq(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_scaled_leq");
+    for dims in [8usize, 32, 156] {
+        // a <= b componentwise forces the full scan, as in `dominates`.
+        let a = grid_operand(dims, 8);
+        let b: Vec<i64> = a.iter().map(|x| x + 1).collect();
+        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
+            bch.iter(|| kernels::scaled_leq(std::hint::black_box(&a), &b));
+        });
+        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
+            bch.iter(|| scalar::scaled_leq(std::hint::black_box(&a), &b));
+        });
+    }
+    group.finish();
+}
+
+fn bench_scaled_leq_any(c: &mut Criterion) {
+    // The ε-grid rejection scan: one candidate against 16 incumbent rows.
+    // The candidate is above every row except in its last component, so
+    // each row is compared in full and fails there (the admit case, worst
+    // for the scan).
+    let mut group = c.benchmark_group("kernel_scaled_leq_any");
+    let rows = 16;
+    for dims in [8usize, 32, 156] {
+        let slab: Vec<i64> = (0..rows)
+            .flat_map(|r| grid_operand(dims, 20 + r as u64))
+            .collect();
+        let mut cand = vec![i64::MAX; dims];
+        cand[dims - 1] = -1;
+        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
+            bch.iter(|| kernels::scaled_leq_any(std::hint::black_box(&slab), dims, rows, &cand));
+        });
+        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
+            bch.iter(|| scalar::scaled_leq_any(std::hint::black_box(&slab), dims, rows, &cand));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_add,
     bench_add_max,
     bench_max_component,
     bench_dominates,
-    bench_slab_scan
+    bench_slab_scan,
+    bench_scaled_leq,
+    bench_scaled_leq_any
 );
 criterion_main!(benches);

@@ -11,21 +11,14 @@ use std::time::Duration;
 use wavemin::prelude::*;
 use wavemin_bench::mosp_fixtures::{layered, median_secs};
 use wavemin_bench::{append_history, ExperimentArgs};
-use wavemin_mosp::{kernels, solve, Kernel};
+use wavemin_mosp::solve;
 
 /// One timed measurement, named like its criterion counterpart, with the
-/// solver's label counters from an instrumented reference solve. Each
-/// solve is timed twice — once per kernel family — so the record carries
-/// the vectorized-vs-scalar before/after on the same fixture.
+/// solver's label counters from an instrumented reference solve.
 #[derive(Serialize)]
 struct Measurement {
     name: String,
-    /// Median with the vectorized kernels (the production path).
     median_us: f64,
-    /// Median with the scalar-reference kernels forced.
-    median_us_scalar: f64,
-    /// `median_us_scalar / median_us` (>1 means the vector path wins).
-    kernel_speedup: f64,
     labels_created: u64,
     labels_pruned: u64,
     front_size: u64,
@@ -65,8 +58,6 @@ struct MetricsSummary {
     arena_unique_weights: u64,
     /// `1 - unique/arcs`: fraction of arc weights served from the arena.
     intern_hit_rate: f64,
-    /// Kernel family the instrumented run executed with.
-    kernel: String,
     dominance_checks: u64,
     dominance_skipped: u64,
 }
@@ -106,19 +97,13 @@ const E2E_BUDGET: Duration = Duration::from_millis(1500);
 
 #[allow(clippy::unwrap_used)]
 fn measure(name: String, run: impl Fn() -> wavemin_mosp::ParetoSet) -> Measurement {
-    kernels::force(Some(Kernel::Scalar));
-    let secs_scalar = median_secs(&run, BATCHES, SOLVER_BUDGET);
-    kernels::force(Some(Kernel::Vector));
     let secs = median_secs(&run, BATCHES, SOLVER_BUDGET);
-    kernels::force(None);
     // One reference solve for the label counters (deterministic, so any
     // repetition reports the same numbers as the timed ones).
     let stats = *run().stats();
     Measurement {
         name,
         median_us: secs * 1e6,
-        median_us_scalar: secs_scalar * 1e6,
-        kernel_speedup: secs_scalar / secs,
         labels_created: stats.labels_created,
         labels_pruned: stats.labels_pruned,
         front_size: stats.front_size,
@@ -174,7 +159,6 @@ fn metrics_summary(seed: u64) -> MetricsSummary {
         arena_arcs: report.counters.arena_arcs,
         arena_unique_weights: report.counters.arena_unique_weights,
         intern_hit_rate: report.counters.intern_hit_rate(),
-        kernel: report.kernel.clone(),
         dominance_checks: report.counters.dominance_checks,
         dominance_skipped: report.counters.dominance_skipped,
     }
@@ -276,11 +260,9 @@ fn main() {
     };
     for m in &record.solver {
         println!(
-            "{:<28} {:>10.1} us (scalar {:>10.1} us, {:.2}x)   {:>7} labels ({} pruned, front {}, dom {}/{} skipped)",
+            "{:<28} {:>10.1} us   {:>7} labels ({} pruned, front {}, dom {}/{} skipped)",
             m.name,
             m.median_us,
-            m.median_us_scalar,
-            m.kernel_speedup,
             m.labels_created,
             m.labels_pruned,
             m.front_size,

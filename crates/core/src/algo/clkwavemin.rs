@@ -1,10 +1,10 @@
 //! ClkWaveMin: the MOSP-based approximation algorithm (Section V).
 
 use crate::algo::{
-    characterize_design, open_checkpoint, solve_prepared, Degradation, DegradationStep, Outcome,
-    PreparedRun, ZoneProblem, ZoneSolution, ZoneSolver,
+    characterize_design, solve_prepared, Degradation, DegradationStep, Outcome, PreparedRun,
+    ZoneProblem, ZoneSolution, ZoneSolver,
 };
-use crate::checkpoint::ZoneStore;
+use crate::checkpoint::{design_fingerprint, ZoneCache};
 use crate::config::{SolverKind, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -87,20 +87,24 @@ impl ClkWaveMin {
         // The time budget's deadline covers characterization too.
         let budget = self.config.budget();
         let prep = characterize_design(design, &self.config, ins)?;
-        let checkpoint = open_checkpoint(design, &self.config)?;
-        solve_single_mode(
-            design,
-            &self.config,
-            &prep,
-            budget,
-            checkpoint.as_ref().map(|j| j as &dyn ZoneStore),
-            ins,
-        )
+        // The checkpoint journal, when asked for, is a file-backed zone
+        // cache. Keys chain through every predecessor zone's content and
+        // solution, so a hit is reusable bit-for-bit (see
+        // `crate::checkpoint`).
+        let journal = match &self.config.checkpoint_path {
+            Some(path) => Some(ZoneCache::open(
+                path,
+                design_fingerprint(design, &self.config)?,
+                self.config.resume,
+            )?),
+            None => None,
+        };
+        solve_single_mode(design, &self.config, &prep, budget, journal.as_ref(), ins)
     }
 }
 
 /// The single-mode MOSP solve of [`ClkWaveMin`] and the session, which
-/// differ only in their zone store (checkpoint journal or zone cache):
+/// differ only in their zone cache (the checkpoint journal's or serve's):
 /// solves and validates `prep` on `budget` (keeping the tree as-is when
 /// no candidate validates), then records degradation, report and peak
 /// attribution.
@@ -109,7 +113,7 @@ pub(crate) fn solve_single_mode(
     config: &WaveMinConfig,
     prep: &PreparedRun,
     budget: Budget,
-    store: Option<&dyn ZoneStore>,
+    store: Option<&ZoneCache>,
     ins: &Instruments,
 ) -> Result<Outcome, WaveMinError> {
     let solver = MospZoneSolver::new(config, budget, ins);

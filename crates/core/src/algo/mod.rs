@@ -36,6 +36,7 @@ pub use samanta::SamantaBalanced;
 pub use yield_aware::{normal_quantile, YieldAwareWaveMin, YieldOutcome};
 
 use crate::assignment::Assignment;
+use crate::checkpoint::{StoreAcquire, ZoneCache};
 use crate::config::{BackgroundMode, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -223,7 +224,6 @@ impl Outcome {
             degenerate_zones: self.degenerate_zones,
             ladder_rung,
             budget_units,
-            kernel: wavemin_mosp::kernels::active().name(),
         });
     }
 
@@ -569,10 +569,10 @@ pub(crate) trait ZoneSolver: Sync {
 }
 
 /// The shared interval-based optimization skeleton for the solvers
-/// without a degradation ladder: characterizes the design, opens the
-/// checkpoint journal the config asks for, solves and validates every
-/// interval (keeping the tree as-is when no candidate validates), and
-/// attaches the run report.
+/// without a degradation ladder: characterizes the design, solves and
+/// validates every interval (keeping the tree as-is when no candidate
+/// validates), and attaches the run report. No zone store is attached:
+/// store keys do not name the solver, so only [`ClkWaveMin`] journals.
 pub(crate) fn run_interval_framework<S: ZoneSolver>(
     design: &Design,
     config: &WaveMinConfig,
@@ -580,32 +580,10 @@ pub(crate) fn run_interval_framework<S: ZoneSolver>(
     ins: &Instruments,
 ) -> Result<Outcome, WaveMinError> {
     let prep = characterize_design(design, config, ins)?;
-    let checkpoint = open_checkpoint(design, config)?;
-    let store = checkpoint
-        .as_ref()
-        .map(|j| j as &dyn crate::checkpoint::ZoneStore);
     let mut out =
-        solve_prepared(design, config, &prep, solver, store, ins)?.or_identity(design, ins)?;
+        solve_prepared(design, config, &prep, solver, None, ins)?.or_identity(design, ins)?;
     out.attach_report(config, ins, None);
     Ok(out)
-}
-
-/// The per-zone checkpoint journal, when the config asks for one. Keys
-/// chain through every predecessor zone's content and solution, so a hit
-/// is reusable bit-for-bit (see `crate::checkpoint`).
-pub(crate) fn open_checkpoint(
-    design: &Design,
-    config: &WaveMinConfig,
-) -> Result<Option<crate::checkpoint::CheckpointJournal>, WaveMinError> {
-    let Some(path) = &config.checkpoint_path else {
-        return Ok(None);
-    };
-    let fingerprint = crate::checkpoint::design_fingerprint(design, config)?;
-    Ok(Some(crate::checkpoint::CheckpointJournal::open(
-        path,
-        fingerprint,
-        config.resume,
-    )?))
 }
 
 /// Everything the interval framework derives from a design before any
@@ -799,7 +777,7 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
     threads: usize,
     prep: &PreparedRun,
     solver: &S,
-    store: Option<&dyn crate::checkpoint::ZoneStore>,
+    store: Option<&ZoneCache>,
     seed: Option<u64>,
     ins: &Instruments,
 ) -> (Vec<IntersectionResult>, Vec<usize>) {
@@ -881,39 +859,29 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
                 .fold(prep.zone_hashes[zi], |h, &w| crate::checkpoint::step(h, w))
         });
         let key = chain.as_ref().zip(input).map(|(c, i)| c.key_for(i));
-        let acquired = match (store, key) {
-            (Some(s), Some(k)) => Some(s.acquire(k)),
-            _ => None,
+        // The hot zone (and the solver's Pareto tables) lives only for
+        // this solve.
+        let solve = || {
+            let zone = zones.acquire(zi, tables, ins);
+            contained_solve(zi, &zone, intersection, accumulated)
         };
-        let solution = match acquired {
-            Some(crate::checkpoint::StoreAcquire::Hit(hit)) => {
-                // Splicing a checkpointed solution needs only the zone's
-                // spec: the vectors stay cold.
+        let solution = match store.zip(key).map(|(s, k)| s.acquire(k)) {
+            Some(StoreAcquire::Hit(hit)) => {
+                // Splicing a stored solution needs only the zone's spec:
+                // the vectors stay cold.
                 registry.record_zone_reused();
                 Ok(ZoneSolution {
                     choices: hit.choices_ps(),
                     cost: hit.cost(),
                 })
             }
-            other => {
-                // Miss (or no store): solve here. The reservation, if any,
-                // marks the key in flight for concurrent jobs; it is
-                // released on every exit path, and a successful record
-                // resolves it to a hit.
-                let _reservation = match other {
-                    Some(crate::checkpoint::StoreAcquire::Solve(r)) => r,
-                    _ => None,
-                };
-                // The hot zone (and the solver's Pareto tables) lives only
-                // for this solve; it drops at the end of the match arm.
-                let zone = zones.acquire(zi, tables, ins);
-                contained_solve(zi, &zone, intersection, accumulated).and_then(|sol| {
-                    if let (Some(s), Some(k)) = (store, key) {
-                        s.record(k, sol.cost.to_bits(), &sol.choices)?;
-                    }
-                    Ok(sol)
-                })
-            }
+            // A miss holds its key in flight for concurrent jobs until the
+            // reservation drops; a successful record resolves it to a hit.
+            Some(StoreAcquire::Solve(reservation)) => solve().and_then(|sol| {
+                reservation.record(sol.cost.to_bits(), &sol.choices)?;
+                Ok(sol)
+            }),
+            None => solve(),
         };
         if let (Some(c), Some(i), Ok(sol)) = (chain.as_mut(), input, &solution) {
             c.absorb(i, sol.cost.to_bits(), &sol.choices);
@@ -1011,14 +979,13 @@ impl Solved {
 
 /// Solves a [`PreparedRun`] ([`solve_each_intersection`]), ranks the
 /// intersections by cost and validates the candidates with exact timing
-/// in every mode, best first. With a [`crate::checkpoint::ZoneStore`] attached
-/// (checkpoint journal or the serve-mode [`crate::checkpoint::ZoneCache`]),
-/// zones whose chain key hits are spliced bit-for-bit and counted as
-/// `zones_reused`; every intersection's key chain starts from the solver
-/// config's fingerprint (see [`crate::checkpoint::config_fingerprint`])
-/// and absorbs each zone's content hash and restriction over every mode,
-/// so a key names one share-plan group and the store is consulted once
-/// per group.
+/// in every mode, best first. With a [`ZoneCache`] attached (the
+/// checkpoint journal's or the serve-mode one), zones whose chain key
+/// hits are spliced bit-for-bit and counted as `zones_reused`; every
+/// intersection's key chain starts from the solver config's fingerprint
+/// (see [`crate::checkpoint::config_fingerprint`]) and absorbs each
+/// zone's content hash and restriction over every mode, so a key names
+/// one share-plan group and the store is consulted once per group.
 ///
 /// Each candidate that misses the bound becomes a `candidate_rejected`
 /// journal instant (rank, cost, exact skew).
@@ -1027,7 +994,7 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
     config: &WaveMinConfig,
     prep: &PreparedRun,
     solver: &S,
-    store: Option<&dyn crate::checkpoint::ZoneStore>,
+    store: Option<&ZoneCache>,
     ins: &Instruments,
 ) -> Result<Solved, WaveMinError> {
     let seed = store

@@ -1,14 +1,15 @@
-//! Content-hashed zone-result stores: the on-disk checkpoint journal and
-//! the in-memory serve-mode zone cache.
+//! The content-hashed zone-result store, [`ZoneCache`], and its optional
+//! file tier, the checkpoint journal.
 //!
-//! `optimize --checkpoint PATH` appends each completed zone's solution to
-//! a line-oriented journal as it lands; `--resume` replays the journal
-//! and re-solves only the zones it cannot vouch for. Serve mode promotes
-//! the same keying scheme into [`ZoneCache`], an LRU-bounded in-memory
-//! map shared by concurrent jobs, so a re-submitted design with local
-//! edits splices cached results for clean zones and re-solves only dirty
-//! ones. Keys are *content* hashes, so a stale or foreign entry can never
-//! be mistaken for a hit — it is simply never looked up.
+//! Serve mode holds an LRU-bounded in-memory [`ZoneCache`] shared by
+//! concurrent jobs, so a re-submitted design with local edits splices
+//! cached results for clean zones and re-solves only dirty ones.
+//! `optimize --checkpoint PATH` opens the same cache backed by a
+//! line-oriented journal: each completed zone's solution is appended as
+//! it lands, and `--resume` loads the journal and re-solves only the
+//! zones it cannot vouch for. Keys are *content* hashes, so a stale or
+//! foreign entry can never be mistaken for a hit — it is simply never
+//! looked up.
 //!
 //! # Format
 //!
@@ -186,178 +187,45 @@ pub(crate) fn step(h: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What [`ZoneStore::acquire`] hands back for a key.
+/// What [`ZoneCache::acquire`] hands back for a key.
 pub enum StoreAcquire<'a> {
-    /// The store vouches for this solution; splice it bit-for-bit.
+    /// The cache vouches for this solution; splice it bit-for-bit.
     Hit(CachedZone),
-    /// The caller must solve. When the store dedups concurrent work, the
-    /// reservation marks the key in flight; dropping it without a
-    /// [`ZoneStore::record`] releases waiting peers to solve themselves.
-    Solve(Option<ZoneReservation<'a>>),
+    /// The caller must solve. The reservation marks the key in flight;
+    /// dropping it without a [`ZoneReservation::record`] releases waiting
+    /// peers to solve themselves.
+    Solve(ZoneReservation<'a>),
 }
 
-/// A shared zone-solution store: hit → splice, miss → solve and record.
-///
-/// Implemented by the on-disk [`CheckpointJournal`] (single run,
-/// crash-recovery) and the in-memory [`ZoneCache`] (serve mode, shared
-/// across concurrent jobs and sessions).
-pub trait ZoneStore: Sync {
-    /// Looks up `key`, possibly reserving it for the caller to solve.
-    fn acquire(&self, key: u64) -> StoreAcquire<'_>;
-
-    /// Publishes a solved zone under `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveMinError::Checkpoint`] if the store's backing medium
-    /// rejects the write (only the journal can fail).
-    fn record(
-        &self,
-        key: u64,
-        cost_bits: u64,
-        choices: &[(usize, Picoseconds)],
-    ) -> Result<(), WaveMinError>;
-}
-
-struct Inner {
-    writer: BufWriter<File>,
-    cache: HashMap<u64, CachedZone>,
-}
-
-/// The append-only journal handle shared by zone workers.
-pub struct CheckpointJournal {
+/// The journal file behind a file-backed [`ZoneCache`].
+struct JournalFile {
     path: String,
-    inner: Mutex<Inner>,
+    writer: Mutex<BufWriter<File>>,
 }
 
-impl CheckpointJournal {
-    /// Opens (or creates) the journal at `path` for `fingerprint`.
-    ///
-    /// With `resume` set, an existing journal whose header fingerprint
-    /// matches is loaded into the hit cache and appended to; a missing
-    /// file, mismatched fingerprint, or unreadable header starts fresh
-    /// (every zone dirty). Without `resume`, the file is truncated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveMinError::Checkpoint`] on I/O failure, or when a
-    /// resumed journal is corrupt anywhere but its final line.
-    pub fn open(path: &str, fingerprint: u64, resume: bool) -> Result<Self, WaveMinError> {
-        let cache = if resume {
-            load_entries(path, fingerprint)?
-        } else {
-            None
-        };
-        match cache {
-            Some(cache) => {
-                let file = OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| WaveMinError::Checkpoint(format!("{path}: {e}")))?;
-                Ok(Self {
-                    path: path.to_string(),
-                    inner: Mutex::new(Inner {
-                        writer: BufWriter::new(file),
-                        cache,
-                    }),
-                })
-            }
-            None => {
-                let file = File::create(path)
-                    .map_err(|e| WaveMinError::Checkpoint(format!("{path}: {e}")))?;
-                let mut writer = BufWriter::new(file);
-                writeln!(
-                    writer,
-                    "{HEADER_TAG} {FORMAT_VERSION} fingerprint={fingerprint:016x}"
-                )
-                .and_then(|()| writer.flush())
-                .map_err(|e| WaveMinError::Checkpoint(format!("{path}: {e}")))?;
-                Ok(Self {
-                    path: path.to_string(),
-                    inner: Mutex::new(Inner {
-                        writer,
-                        cache: HashMap::new(),
-                    }),
-                })
-            }
-        }
-    }
-
-    /// Number of reusable entries loaded at open.
-    #[must_use]
-    pub fn loaded(&self) -> usize {
-        self.lock().cache.len()
-    }
-
-    /// Looks up a zone by its chain key.
-    #[must_use]
-    pub fn lookup(&self, key: u64) -> Option<CachedZone> {
-        self.lock().cache.get(&key).cloned()
-    }
-
-    /// Appends a completed zone and flushes, so a killed process loses at
-    /// most the zone in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WaveMinError::Checkpoint`] on I/O failure.
-    pub fn record(
-        &self,
-        key: u64,
-        cost_bits: u64,
-        choices: &[(usize, Picoseconds)],
-    ) -> Result<(), WaveMinError> {
-        let mut line = format!("zone {key:016x} {cost_bits:016x} {}", choices.len());
-        for &(sink, code) in choices {
-            use std::fmt::Write as _;
-            let _ = write!(line, " {sink}:{:016x}", code.value().to_bits());
-        }
-        let mut g = self.lock();
-        writeln!(g.writer, "{line}")
-            .and_then(|()| g.writer.flush())
-            .map_err(|e| WaveMinError::Checkpoint(format!("{}: {e}", self.path)))?;
-        g.cache.insert(
-            key,
-            CachedZone {
-                cost_bits,
-                choices: choices
-                    .iter()
-                    .map(|&(s, c)| (s, c.value().to_bits()))
-                    .collect(),
-            },
+impl JournalFile {
+    /// Appends one entry and flushes, so a killed process loses at most
+    /// the zone in flight.
+    fn append(&self, key: u64, zone: &CachedZone) -> Result<(), WaveMinError> {
+        use std::fmt::Write as _;
+        let mut line = format!(
+            "zone {key:016x} {:016x} {}",
+            zone.cost_bits,
+            zone.choices.len()
         );
-        Ok(())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        for &(sink, bits) in &zone.choices {
+            let _ = write!(line, " {sink}:{bits:016x}");
+        }
         // A worker that panicked mid-append can only have poisoned the
         // lock after its own writeln completed or failed atomically at
-        // the line level; the cache and writer state remain coherent.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-impl ZoneStore for CheckpointJournal {
-    fn acquire(&self, key: u64) -> StoreAcquire<'_> {
-        // A single run never races two workers onto the same key (the
-        // share plan consults the store once per group of equal chains),
-        // so no in-flight reservation.
-        match self.lookup(key) {
-            Some(hit) => StoreAcquire::Hit(hit),
-            None => StoreAcquire::Solve(None),
-        }
-    }
-
-    fn record(
-        &self,
-        key: u64,
-        cost_bits: u64,
-        choices: &[(usize, Picoseconds)],
-    ) -> Result<(), WaveMinError> {
-        CheckpointJournal::record(self, key, cost_bits, choices)
+        // the line level; the writer stays coherent.
+        let mut w = self
+            .writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        writeln!(w, "{line}")
+            .and_then(|()| w.flush())
+            .map_err(|e| WaveMinError::Checkpoint(format!("{}: {e}", self.path)))
     }
 }
 
@@ -455,12 +323,17 @@ struct CacheInner {
     stats: CacheStats,
 }
 
-/// The serve-mode in-memory zone store: a content-keyed LRU map shared by
-/// concurrent jobs. A miss reserves the key, so two jobs racing onto the
-/// same zone never duplicate the solve — the loser blocks on the
-/// reservation and splices the winner's result.
+/// The zone-result store: a content-keyed LRU map shared by concurrent
+/// jobs. A miss reserves the key, so two jobs racing onto the same zone
+/// never duplicate the solve — the loser blocks on the reservation and
+/// splices the winner's result.
+///
+/// Serve mode holds an in-memory cache ([`ZoneCache::new`]);
+/// `optimize --checkpoint` opens a file-backed one ([`ZoneCache::open`])
+/// that appends every recorded zone to the journal and is never bounded.
 pub struct ZoneCache {
     max_bytes: usize,
+    journal: Option<JournalFile>,
     inner: Mutex<CacheInner>,
     ready: Condvar,
 }
@@ -471,11 +344,66 @@ impl ZoneCache {
     /// record is immediately evicted) but still dedups in-flight solves.
     #[must_use]
     pub fn new(max_bytes: usize) -> Self {
+        Self::with_entries(max_bytes, None, HashMap::new())
+    }
+
+    /// Opens (or creates) the checkpoint journal at `path` for
+    /// `fingerprint` as an unbounded file-backed cache.
+    ///
+    /// With `resume` set, an existing journal whose header fingerprint
+    /// matches is loaded into the cache and appended to; a missing file,
+    /// mismatched fingerprint, or unreadable header starts fresh (every
+    /// zone dirty). Without `resume`, the file is truncated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WaveMinError::Checkpoint`] on I/O failure, or when a
+    /// resumed journal is corrupt anywhere but its final line.
+    pub fn open(path: &str, fingerprint: u64, resume: bool) -> Result<Self, WaveMinError> {
+        let io_err = |e: std::io::Error| WaveMinError::Checkpoint(format!("{path}: {e}"));
+        let loaded = if resume {
+            load_entries(path, fingerprint)?
+        } else {
+            None
+        };
+        let (writer, entries) = match loaded {
+            Some(entries) => {
+                let file = OpenOptions::new().append(true).open(path).map_err(io_err)?;
+                (BufWriter::new(file), entries)
+            }
+            None => {
+                let mut writer = BufWriter::new(File::create(path).map_err(io_err)?);
+                writeln!(
+                    writer,
+                    "{HEADER_TAG} {FORMAT_VERSION} fingerprint={fingerprint:016x}"
+                )
+                .and_then(|()| writer.flush())
+                .map_err(io_err)?;
+                (writer, HashMap::new())
+            }
+        };
+        let journal = JournalFile {
+            path: path.to_string(),
+            writer: Mutex::new(writer),
+        };
+        Ok(Self::with_entries(usize::MAX, Some(journal), entries))
+    }
+
+    fn with_entries(
+        max_bytes: usize,
+        journal: Option<JournalFile>,
+        entries: HashMap<u64, CachedZone>,
+    ) -> Self {
+        let bytes = entries.values().map(CachedZone::weight).sum();
         Self {
             max_bytes,
+            journal,
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                bytes: 0,
+                map: entries
+                    .into_iter()
+                    .map(|(key, zone)| (key, (Slot::Done(zone), 0)))
+                    .collect(),
+                bytes,
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -497,11 +425,71 @@ impl ZoneCache {
         s
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+    /// Looks up `key`: a completed entry is a hit; a key another worker
+    /// is solving blocks until it publishes or abandons; otherwise the
+    /// caller gets a reservation to solve under.
+    pub fn acquire(&self, key: u64) -> StoreAcquire<'_> {
+        let mut g = self.lock();
+        loop {
+            match g.map.get(&key) {
+                Some((Slot::Done(zone), _)) => {
+                    let hit = zone.clone();
+                    g.tick += 1;
+                    let tick = g.tick;
+                    if let Some((_, t)) = g.map.get_mut(&key) {
+                        *t = tick;
+                    }
+                    g.stats.hits += 1;
+                    return StoreAcquire::Hit(hit);
+                }
+                Some((Slot::InFlight, _)) => {
+                    g = self
+                        .ready
+                        .wait(g)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                }
+                None => {
+                    g.tick += 1;
+                    let tick = g.tick;
+                    g.map.insert(key, (Slot::InFlight, tick));
+                    g.stats.misses += 1;
+                    return StoreAcquire::Solve(ZoneReservation { cache: self, key });
+                }
+            }
         }
+    }
+
+    /// Publishes a solved zone under `key`. A file-backed cache first
+    /// appends and flushes the journal line.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WaveMinError::Checkpoint`] if the journal write fails;
+    /// nothing is published then.
+    pub fn record(
+        &self,
+        key: u64,
+        cost_bits: u64,
+        choices: &[(usize, Picoseconds)],
+    ) -> Result<(), WaveMinError> {
+        let zone = CachedZone {
+            cost_bits,
+            choices: choices
+                .iter()
+                .map(|&(s, c)| (s, c.value().to_bits()))
+                .collect(),
+        };
+        if let Some(journal) = &self.journal {
+            journal.append(key, &zone)?;
+        }
+        self.publish(key, zone);
+        Ok(())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn publish(&self, key: u64, zone: CachedZone) {
@@ -516,7 +504,7 @@ impl ZoneCache {
         // Evict least-recently-used completed entries until under budget.
         // The entry just published is fair game too: with a zero budget
         // it leaves immediately, which still satisfies the contract
-        // (record never fails, waiters were notified of completion).
+        // (waiters are notified of completion and retry the lookup).
         while g.bytes > self.max_bytes {
             let victim = g
                 .map
@@ -544,64 +532,28 @@ impl ZoneCache {
     }
 }
 
-impl ZoneStore for ZoneCache {
-    fn acquire(&self, key: u64) -> StoreAcquire<'_> {
-        let mut g = self.lock();
-        loop {
-            match g.map.get(&key) {
-                Some((Slot::Done(zone), _)) => {
-                    let hit = zone.clone();
-                    g.tick += 1;
-                    let tick = g.tick;
-                    if let Some((_, t)) = g.map.get_mut(&key) {
-                        *t = tick;
-                    }
-                    g.stats.hits += 1;
-                    return StoreAcquire::Hit(hit);
-                }
-                Some((Slot::InFlight, _)) => {
-                    g = match self.ready.wait(g) {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                }
-                None => {
-                    g.tick += 1;
-                    let tick = g.tick;
-                    g.map.insert(key, (Slot::InFlight, tick));
-                    g.stats.misses += 1;
-                    return StoreAcquire::Solve(Some(ZoneReservation { cache: self, key }));
-                }
-            }
-        }
-    }
-
-    fn record(
-        &self,
-        key: u64,
-        cost_bits: u64,
-        choices: &[(usize, Picoseconds)],
-    ) -> Result<(), WaveMinError> {
-        self.publish(
-            key,
-            CachedZone {
-                cost_bits,
-                choices: choices
-                    .iter()
-                    .map(|&(s, c)| (s, c.value().to_bits()))
-                    .collect(),
-            },
-        );
-        Ok(())
-    }
-}
-
-/// Marks a key as being solved by the holder. Dropping it without a
-/// matching [`ZoneStore::record`] (error or panic path) releases the
-/// claim so blocked peers retry and solve for themselves.
+/// Marks a key as being solved by the holder. Dropping it without
+/// [`Self::record`] (error or panic path) releases the claim so blocked
+/// peers retry and solve for themselves.
 pub struct ZoneReservation<'a> {
     cache: &'a ZoneCache,
     key: u64,
+}
+
+impl ZoneReservation<'_> {
+    /// Publishes the solved zone under the reserved key
+    /// ([`ZoneCache::record`]); the claim is released either way.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ZoneCache::record`].
+    pub fn record(
+        self,
+        cost_bits: u64,
+        choices: &[(usize, Picoseconds)],
+    ) -> Result<(), WaveMinError> {
+        self.cache.record(self.key, cost_bits, choices)
+    }
 }
 
 impl Drop for ZoneReservation<'_> {
@@ -624,18 +576,35 @@ mod tests {
         Picoseconds::new(v)
     }
 
+    /// A lookup that leaves nothing in flight: a miss drops its
+    /// reservation at once.
+    fn lookup(cache: &ZoneCache, key: u64) -> Option<CachedZone> {
+        match cache.acquire(key) {
+            StoreAcquire::Hit(zone) => Some(zone),
+            StoreAcquire::Solve(_) => None,
+        }
+    }
+
     #[test]
     fn round_trips_entries_bit_for_bit() {
         let path = tmp("roundtrip.ckpt");
-        let j = CheckpointJournal::open(&path, 0xdead_beef, false).expect("create");
+        let j = ZoneCache::open(&path, 0xdead_beef, false).expect("create");
         let choices = vec![(0usize, ps(12.5)), (3, ps(-0.0)), (7, ps(0.1 + 0.2))];
         j.record(42, 1.75_f64.to_bits(), &choices).expect("record");
         j.record(43, f64::NAN.to_bits(), &[]).expect("record");
         drop(j);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read journal"),
+            "wavemin-checkpoint v3 fingerprint=00000000deadbeef\n\
+             zone 000000000000002a 3ffc000000000000 3 \
+             0:4029000000000000 3:8000000000000000 7:3fd3333333333334\n\
+             zone 000000000000002b 7ff8000000000000 0\n",
+            "the journal format is fixed"
+        );
 
-        let j = CheckpointJournal::open(&path, 0xdead_beef, true).expect("resume");
-        assert_eq!(j.loaded(), 2);
-        let hit = j.lookup(42).expect("key 42");
+        let j = ZoneCache::open(&path, 0xdead_beef, true).expect("resume");
+        assert_eq!(j.stats().entries, 2);
+        let hit = lookup(&j, 42).expect("key 42");
         assert_eq!(hit.cost().to_bits(), 1.75_f64.to_bits());
         let back = hit.choices_ps();
         assert_eq!(back.len(), 3);
@@ -644,45 +613,45 @@ mod tests {
             assert_eq!(c0.value().to_bits(), c1.value().to_bits());
         }
         // NaN cost survives as exact bits too (costs are opaque payloads).
-        let nan = j.lookup(43).expect("key 43");
+        let nan = lookup(&j, 43).expect("key 43");
         assert_eq!(nan.cost_bits, f64::NAN.to_bits());
-        assert!(j.lookup(99).is_none());
+        assert!(lookup(&j, 99).is_none());
     }
 
     #[test]
     fn fingerprint_mismatch_discards_everything() {
         let path = tmp("mismatch.ckpt");
-        let j = CheckpointJournal::open(&path, 1, false).expect("create");
+        let j = ZoneCache::open(&path, 1, false).expect("create");
         j.record(7, 0, &[]).expect("record");
         drop(j);
-        let j = CheckpointJournal::open(&path, 2, true).expect("resume other fp");
-        assert_eq!(j.loaded(), 0, "foreign entries must not be trusted");
+        let j = ZoneCache::open(&path, 2, true).expect("resume other fp");
+        assert_eq!(j.stats().entries, 0, "foreign entries must not be trusted");
         // And the file was restarted under the new fingerprint.
         drop(j);
-        let j = CheckpointJournal::open(&path, 2, true).expect("reopen");
-        assert_eq!(j.loaded(), 0);
+        let j = ZoneCache::open(&path, 2, true).expect("reopen");
+        assert_eq!(j.stats().entries, 0);
     }
 
     #[test]
     fn truncated_trailing_line_is_ignored() {
         let path = tmp("truncated.ckpt");
-        let j = CheckpointJournal::open(&path, 5, false).expect("create");
+        let j = ZoneCache::open(&path, 5, false).expect("create");
         j.record(1, 10, &[(0, ps(1.0))]).expect("record");
         drop(j);
         // Simulate a kill mid-append: a dangling half line.
         let mut f = OpenOptions::new().append(true).open(&path).expect("append");
         write!(f, "zone 00000000000000ff 000000").expect("write partial");
         drop(f);
-        let j = CheckpointJournal::open(&path, 5, true).expect("resume");
-        assert_eq!(j.loaded(), 1, "only the complete entry survives");
-        assert!(j.lookup(1).is_some());
-        assert!(j.lookup(0xff).is_none());
+        let j = ZoneCache::open(&path, 5, true).expect("resume");
+        assert_eq!(j.stats().entries, 1, "only the complete entry survives");
+        assert!(lookup(&j, 1).is_some());
+        assert!(lookup(&j, 0xff).is_none());
     }
 
     #[test]
     fn interior_corruption_is_a_typed_error_not_a_silent_skip() {
         let path = tmp("interior.ckpt");
-        let j = CheckpointJournal::open(&path, 5, false).expect("create");
+        let j = ZoneCache::open(&path, 5, false).expect("create");
         j.record(1, 10, &[(0, ps(1.0))]).expect("record");
         drop(j);
         // Corrupt the middle of the file: a mangled line *followed by* a
@@ -691,7 +660,7 @@ mod tests {
         writeln!(f, "zone 00000000000000ff 000000").expect("write corrupt");
         writeln!(f, "zone 0000000000000002 0000000000000014 0").expect("write valid");
         drop(f);
-        match CheckpointJournal::open(&path, 5, true) {
+        match ZoneCache::open(&path, 5, true) {
             Err(WaveMinError::Checkpoint(msg)) => {
                 assert!(msg.contains("corrupt"), "message names the cause: {msg}");
                 assert!(msg.contains("line 3"), "message locates the line: {msg}");
@@ -701,8 +670,11 @@ mod tests {
         }
         // A fresh (non-resume) open of the same path still works: it
         // truncates rather than trusting the corrupt body.
-        let j = CheckpointJournal::open(&path, 5, false).expect("fresh open truncates");
-        assert_eq!(j.loaded(), 0);
+        let j = ZoneCache::open(&path, 5, false).expect("fresh open truncates");
+        assert_eq!(j.stats().entries, 0);
+        drop(j);
+        let header = std::fs::read_to_string(&path).expect("read journal");
+        assert_eq!(header.lines().count(), 1, "only the header is left");
     }
 
     #[test]
@@ -783,13 +755,11 @@ mod tests {
         let cache = ZoneCache::new(1 << 20);
         // First acquire: miss with a reservation.
         let res = match cache.acquire(7) {
-            StoreAcquire::Solve(Some(r)) => r,
-            _ => panic!("cold key must miss with a reservation"),
+            StoreAcquire::Solve(r) => r,
+            StoreAcquire::Hit(_) => panic!("cold key must miss with a reservation"),
         };
-        cache
-            .record(7, 2.5_f64.to_bits(), &[(1, ps(4.0))])
+        res.record(2.5_f64.to_bits(), &[(1, ps(4.0))])
             .expect("record");
-        drop(res);
         // Second acquire: hit, bit-identical payload.
         match cache.acquire(7) {
             StoreAcquire::Hit(z) => {
@@ -806,14 +776,14 @@ mod tests {
     fn abandoned_reservation_releases_waiters() {
         let cache = ZoneCache::new(1 << 20);
         let res = match cache.acquire(3) {
-            StoreAcquire::Solve(Some(r)) => r,
-            _ => panic!("cold key must miss"),
+            StoreAcquire::Solve(r) => r,
+            StoreAcquire::Hit(_) => panic!("cold key must miss"),
         };
         drop(res); // solve failed; key must be claimable again
-        match cache.acquire(3) {
-            StoreAcquire::Solve(Some(_)) => {}
-            _ => panic!("abandoned key must be reserved anew, not hit or block"),
-        };
+        assert!(
+            matches!(cache.acquire(3), StoreAcquire::Solve(_)),
+            "abandoned key must be reserved anew, not hit or block"
+        );
     }
 
     #[test]
@@ -830,8 +800,7 @@ mod tests {
                     StoreAcquire::Solve(reservation) => {
                         solves.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(10));
-                        cache.record(11, 9.0_f64.to_bits(), &[]).expect("record");
-                        drop(reservation);
+                        reservation.record(9.0_f64.to_bits(), &[]).expect("record");
                     }
                 });
             }

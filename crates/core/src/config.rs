@@ -100,10 +100,11 @@ pub struct WaveMinConfig {
     /// Defaults from the `WAVEMIN_FAULTS=seed:rate` environment variable.
     #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
-    /// Path of the zone-result checkpoint journal. When set, every solved
-    /// zone's result is appended (and flushed) as it completes, keyed by a
-    /// content hash covering the design, config, interval, and predecessor
-    /// solutions.
+    /// Path of the zone-result checkpoint journal, the file tier of
+    /// `ClkWaveMin`'s zone cache (the other algorithms ignore it). When
+    /// set, every solved zone's result is appended (and flushed) as it
+    /// completes, keyed by a content hash covering the config, the zone's
+    /// content and restriction, and predecessor solutions.
     #[serde(default)]
     pub checkpoint_path: Option<String>,
     /// Resume from an existing checkpoint journal at

@@ -162,14 +162,6 @@ fn summary_cards(report: &RunReport) -> String {
         ("pareto paths", human(c.pareto_paths)),
         ("ladder rung", report.ladder_rung.to_string()),
         ("threads", report.threads.to_string()),
-        (
-            "kernel",
-            if report.kernel.is_empty() {
-                "?".to_string()
-            } else {
-                report.kernel.clone()
-            },
-        ),
     ];
     let mut out = String::from("<div class=\"cards\">");
     for (label, value) in cards {

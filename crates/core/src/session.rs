@@ -15,7 +15,7 @@
 
 use crate::algo::clkwavemin::solve_single_mode;
 use crate::algo::{characterize_design, Outcome, PreparedRun};
-use crate::checkpoint::{ZoneCache, ZoneStore};
+use crate::checkpoint::ZoneCache;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -179,7 +179,7 @@ impl CharacterizedDesign {
             &config,
             &self.prep,
             config.budget(),
-            cache.map(|c| c as &dyn ZoneStore),
+            cache,
             ins,
         )
     }

@@ -328,3 +328,49 @@ fn a_journal_from_an_older_format_is_started_fresh() {
         "the journal restarts under the current format"
     );
 }
+
+/// Runs `foreign` with a checkpoint path, then resumes ClkWaveMin on that
+/// path: only ClkWaveMin journals zone results, and the journal's header
+/// and key chain do not name the algorithm, so a foreign journal would
+/// otherwise resume as if it held ClkWaveMin's solutions.
+fn assert_foreign_run_leaves_nothing_to_resume(
+    name: &str,
+    foreign: impl Fn(WaveMinConfig, &Design),
+) {
+    let d = Design::from_benchmark(&Benchmark::s13207(), 3);
+    let cfg = base_config().with_threads(1).with_metrics(true);
+    let baseline = ClkWaveMin::new(cfg.clone()).run(&d).expect("baseline run");
+
+    let path = scratch(&format!("{name}-then-wavemin.ckpt"));
+    let _ = std::fs::remove_file(&path);
+    foreign(cfg.clone().with_checkpoint(&path), &d);
+
+    let resumed = ClkWaveMin::new(cfg.with_checkpoint(&path).with_resume(true))
+        .run(&d)
+        .expect("wavemin resume");
+    assert_eq!(
+        baseline.assignment, resumed.assignment,
+        "{name}: assignment"
+    );
+    assert_eq!(
+        baseline.estimated_cost.to_bits(),
+        resumed.estimated_cost.to_bits(),
+        "{name}: cost bits"
+    );
+    let counters = &resumed.report.as_ref().expect("report").counters;
+    assert_eq!(counters.zones_reused, 0, "{name}: nothing to splice");
+}
+
+#[test]
+fn a_fast_run_never_journals_so_a_wavemin_resume_solves_for_itself() {
+    assert_foreign_run_leaves_nothing_to_resume("fast", |cfg, d| {
+        ClkWaveMinFast::new(cfg).run(d).expect("fast run");
+    });
+}
+
+#[test]
+fn a_peakmin_run_never_journals_so_a_wavemin_resume_solves_for_itself() {
+    assert_foreign_run_leaves_nothing_to_resume("peakmin", |cfg, d| {
+        ClkPeakMin::new(cfg).run(d).expect("peakmin run");
+    });
+}

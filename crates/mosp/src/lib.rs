@@ -43,6 +43,5 @@ pub mod solve;
 
 pub use budget::{Budget, Exhaustion};
 pub use graph::{MospError, MospGraph, VertexId};
-pub use kernels::Kernel;
 pub use pareto::{ParetoFront, ParetoPath, ParetoSet, SolveStats};
 pub use solve::SolveObserver;

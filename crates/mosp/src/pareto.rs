@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// `true` when `a` dominates `b`: componentwise `a <= b` with at least one
-/// strict inequality. Dispatches to the runtime-selected
-/// [`crate::kernels`] implementation (both families are bit-identical).
+/// strict inequality. Computed by [`crate::kernels::dominates`]
+/// (bit-identical to its scalar reference).
 ///
 /// Edge cases, pinned by unit tests so kernel rewrites cannot drift:
 ///
@@ -304,9 +304,9 @@ pub struct ParetoPath {
 
 impl ParetoPath {
     /// The maximum cost component — the min–max objective value of this
-    /// path. Computed by the selected [`crate::kernels`] family; a `-0.0`
+    /// path. Computed by [`crate::kernels::max_component`]; a `-0.0`
     /// maximum is canonicalized to `+0.0` (value-equal, and it keeps the
-    /// scalar and vector reductions bit-identical).
+    /// lane-split reduction bit-identical to the scalar reference).
     #[must_use]
     pub fn max_component(&self) -> f64 {
         kernels::max_component(&self.cost)

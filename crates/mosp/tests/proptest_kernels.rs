@@ -5,11 +5,11 @@
 //! across adversarial values (NaN, ±inf, ±0.0, mixed magnitudes).
 //!
 //! Bit identity (`to_bits` equality, not approximate closeness) is what
-//! lets the solver flip between families at runtime without changing any
-//! result; these properties are the proof obligation behind that claim.
+//! lets a kernel body be rewritten for speed without changing any result;
+//! these properties are the proof obligation behind that claim.
 
 use proptest::prelude::*;
-use wavemin_mosp::kernels::{scalar, vector};
+use wavemin_mosp::kernels::{self, scalar};
 
 /// f64s weighted toward the values that break naive SIMD rewrites: NaN,
 /// ±inf, ±0.0, plus finite magnitudes spanning many exponents.
@@ -49,7 +49,7 @@ proptest! {
         let mut out_s = vec![0.0; a.len()];
         let mut out_v = vec![0.0; a.len()];
         scalar::add_into(&mut out_s, &a, &b);
-        vector::add_into(&mut out_v, &a, &b);
+        kernels::add_into(&mut out_v, &a, &b);
         prop_assert_eq!(bits(&out_s), bits(&out_v));
     }
 
@@ -58,7 +58,7 @@ proptest! {
         let mut acc_s = a.clone();
         let mut acc_v = a.clone();
         scalar::add_assign(&mut acc_s, &b);
-        vector::add_assign(&mut acc_v, &b);
+        kernels::add_assign(&mut acc_v, &b);
         prop_assert_eq!(bits(&acc_s), bits(&acc_v));
     }
 
@@ -73,7 +73,7 @@ proptest! {
         let mut acc_v = a;
         for _ in 0..rounds {
             scalar::add_assign(&mut acc_s, &b);
-            vector::add_assign(&mut acc_v, &b);
+            kernels::add_assign(&mut acc_v, &b);
         }
         prop_assert_eq!(bits(&acc_s), bits(&acc_v));
     }
@@ -82,34 +82,34 @@ proptest! {
     fn max_component_and_add_max_are_bit_identical((a, b) in arb_pair()) {
         prop_assert_eq!(
             scalar::max_component(&a).to_bits(),
-            vector::max_component(&a).to_bits()
+            kernels::max_component(&a).to_bits()
         );
         prop_assert_eq!(
             scalar::add_max(&a, &b).to_bits(),
-            vector::add_max(&a, &b).to_bits()
+            kernels::add_max(&a, &b).to_bits()
         );
         // add_max must also agree with the two-step add-then-max route.
         let mut sum = vec![0.0; a.len()];
-        vector::add_into(&mut sum, &a, &b);
+        kernels::add_into(&mut sum, &a, &b);
         prop_assert_eq!(
-            vector::add_max(&a, &b).to_bits(),
-            vector::max_component(&sum).to_bits()
+            kernels::add_max(&a, &b).to_bits(),
+            kernels::max_component(&sum).to_bits()
         );
     }
 
     #[test]
     fn dominance_families_agree((a, b) in arb_pair()) {
-        prop_assert_eq!(scalar::dominates(&a, &b), vector::dominates(&a, &b));
-        prop_assert_eq!(scalar::dominates(&b, &a), vector::dominates(&b, &a));
+        prop_assert_eq!(scalar::dominates(&a, &b), kernels::dominates(&a, &b));
+        prop_assert_eq!(scalar::dominates(&b, &a), kernels::dominates(&b, &a));
         prop_assert_eq!(
             scalar::dominates_or_eq(&a, &b),
-            vector::dominates_or_eq(&a, &b)
+            kernels::dominates_or_eq(&a, &b)
         );
         // Self-comparison: never strict, always weak (on any input,
         // including NaN/±inf — a == a is false for NaN components, but
         // that makes `unequal` true, never `strict`).
-        prop_assert_eq!(scalar::dominates(&a, &a), vector::dominates(&a, &a));
-        prop_assert!(!vector::dominates(&a, &a));
+        prop_assert_eq!(scalar::dominates(&a, &a), kernels::dominates(&a, &a));
+        prop_assert!(!kernels::dominates(&a, &a));
     }
 
     #[test]
@@ -120,9 +120,9 @@ proptest! {
     ) {
         let a = &seed_a[..len];
         let b = &seed_b[..len];
-        prop_assert_eq!(scalar::scaled_leq(a, b), vector::scaled_leq(a, b));
-        prop_assert_eq!(scalar::scaled_leq(b, a), vector::scaled_leq(b, a));
-        prop_assert!(vector::scaled_leq(a, a), "weak dominance is reflexive");
+        prop_assert_eq!(scalar::scaled_leq(a, b), kernels::scaled_leq(a, b));
+        prop_assert_eq!(scalar::scaled_leq(b, a), kernels::scaled_leq(b, a));
+        prop_assert!(kernels::scaled_leq(a, a), "weak dominance is reflexive");
     }
 
     #[test]
@@ -150,7 +150,7 @@ proptest! {
             bad
         });
         let s = scalar::invalid_weight(&v);
-        let vec_ = vector::invalid_weight(&v);
+        let vec_ = kernels::invalid_weight(&v);
         prop_assert_eq!(s.map(f64::to_bits), vec_.map(f64::to_bits));
         match planted {
             None => prop_assert!(s.is_none(), "clean vector flagged: {:?}", s),
@@ -181,7 +181,7 @@ proptest! {
             .map(f64::to_bits);
         prop_assert!(expect.is_some(), "at least one offender was planted");
         prop_assert_eq!(scalar::invalid_weight(&v).map(f64::to_bits), expect);
-        prop_assert_eq!(vector::invalid_weight(&v).map(f64::to_bits), expect);
+        prop_assert_eq!(kernels::invalid_weight(&v).map(f64::to_bits), expect);
     }
 
     #[test]
@@ -195,13 +195,13 @@ proptest! {
         let cand = &cand_seed[..dim];
         prop_assert_eq!(
             scalar::dominated_weakly_by_any(slab, dim, rows, cand),
-            vector::dominated_weakly_by_any(slab, dim, rows, cand)
+            kernels::dominated_weakly_by_any(slab, dim, rows, cand)
         );
         let islab: Vec<i64> = slab.iter().map(|x| if x.is_finite() { *x as i64 } else { 0 }).collect();
         let icand: Vec<i64> = cand.iter().map(|x| if x.is_finite() { *x as i64 } else { 0 }).collect();
         prop_assert_eq!(
             scalar::scaled_leq_any(&islab, dim, rows, &icand),
-            vector::scaled_leq_any(&islab, dim, rows, &icand)
+            kernels::scaled_leq_any(&islab, dim, rows, &icand)
         );
     }
 }

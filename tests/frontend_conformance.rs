@@ -1,8 +1,7 @@
 //! Front-end conformance: the committed real-format fixtures under
 //! `tests/fixtures/` must import, validate, and optimize to the frozen
 //! golden outcomes under `tests/golden/` — and the outcome must be
-//! identical under both kernel families (vector / scalar) and under
-//! threads=1 vs threads=4. Regenerate snapshots (and the generated
+//! identical under threads=1 vs threads=4. Regenerate snapshots (and the generated
 //! `mixed16.sdf` fixture) with:
 //!
 //! ```text
@@ -10,15 +9,9 @@
 //! ```
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 use wavemin::prelude::*;
 use wavemin_cells::units::Picoseconds;
-use wavemin_mosp::{kernels, Kernel};
 use wavemin_testkit::golden;
-
-/// Kernel selection is a process-wide switch; tests that force it must
-/// not interleave.
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
 
 fn repo_tests_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests")
@@ -42,30 +35,18 @@ fn conformance_config(threads: usize) -> WaveMinConfig {
         .with_threads(threads)
 }
 
-/// Optimizes `design` under every (kernel family × thread count) corner,
-/// asserts all corners render identically, and returns the rendering.
+/// Optimizes `design` at every thread-count corner, asserts all corners
+/// render identically, and returns the rendering.
 fn render_all_corners(design: &Design) -> String {
-    let _guard = KERNEL_LOCK.lock().unwrap();
-    let run = |kernel: Kernel, threads: usize| {
-        kernels::force(Some(kernel));
+    let run = |threads: usize| {
         let out = ClkWaveMin::new(conformance_config(threads))
             .run(design)
             .expect("optimize");
-        kernels::force(None);
         golden::render_outcome(&out)
     };
-    let vector_1 = run(Kernel::Vector, 1);
-    let scalar_1 = run(Kernel::Scalar, 1);
-    let vector_4 = run(Kernel::Vector, 4);
-    assert_eq!(
-        vector_1, scalar_1,
-        "outcome must not depend on the kernel family"
-    );
-    assert_eq!(
-        vector_1, vector_4,
-        "outcome must not depend on the thread count"
-    );
-    vector_1
+    let one = run(1);
+    assert_eq!(one, run(4), "outcome must not depend on the thread count");
+    one
 }
 
 #[test]
