@@ -21,10 +21,10 @@ use crate::spec::CellSpec;
 use crate::supply::SupplyModel;
 use crate::units::{Femtofarads, MicroAmps, Ohms, Picoseconds, Volts};
 use crate::waveform::Waveform;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A supply rail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Rail {
     /// The VDD (power) rail: `I_DD` flows here.
     Vdd,
@@ -33,7 +33,7 @@ pub enum Rail {
 }
 
 /// A clock edge at the cell input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ClockEdge {
     /// Rising input edge.
     Rise,
@@ -49,7 +49,7 @@ impl ClockEdge {
 /// The dynamic behaviour of one cell under one operating point
 /// (load, input slew, supply): delays, output slews and the four current
 /// waveforms, with time measured from the input edge (50 % crossing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellProfile {
     /// Propagation delay for a rising input edge.
     pub t_d_rise: Picoseconds,
@@ -134,7 +134,7 @@ impl CellProfile {
 }
 
 /// Analytic characterizer (see the module docs for the model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Characterizer {
     supply: SupplyModel,
     /// Unit output resistance of a drive-1 inverter stage.

@@ -1,6 +1,6 @@
 //! Cell kinds and signal polarities.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The polarity of a clock buffering element's output relative to the clock
@@ -9,7 +9,7 @@ use std::fmt;
 /// A buffering element has **positive** polarity when its output switches in
 /// the same direction as the clock source and **negative** polarity when it
 /// switches in the opposite direction (footnote 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Polarity {
     /// Output follows the clock source (buffer-like).
     Positive,
@@ -55,7 +55,7 @@ impl fmt::Display for Polarity {
 }
 
 /// The functional kind of a clock buffering element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum CellKind {
     /// A plain clock buffer (two cascaded inverters): positive polarity.
     Buffer,

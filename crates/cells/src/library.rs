@@ -3,7 +3,7 @@
 use crate::kind::CellKind;
 use crate::spec::CellSpec;
 use crate::units::Picoseconds;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// An ordered collection of [`CellSpec`]s with name lookup.
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 /// assert!(lib.get("BUF_X8").is_some());
 /// assert!(lib.of_kind(CellKind::Inverter).count() >= 4);
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct CellLibrary {
     cells: Vec<CellSpec>,
     #[serde(skip)]
@@ -155,9 +155,10 @@ impl Extend<CellSpec> for CellLibrary {
 }
 
 impl CellLibrary {
-    /// Rebuilds the name index after deserialization.
+    /// Rebuilds the name index from the cell list.
     ///
-    /// `serde` skips the index; call this after deserializing a library.
+    /// `serde` skips the index, so a library built from serialized cells
+    /// needs this call.
     pub fn reindex(&mut self) {
         self.index = self
             .cells

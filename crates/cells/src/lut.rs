@@ -28,10 +28,10 @@ use crate::characterize::{CellProfile, Characterizer};
 use crate::spec::CellSpec;
 use crate::units::{Femtofarads, Picoseconds, Volts};
 use crate::waveform::Waveform;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A characterized (load × slew) grid for one cell at one supply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NoiseLut {
     cell: String,
     vdd: Volts,

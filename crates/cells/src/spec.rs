@@ -2,7 +2,7 @@
 
 use crate::kind::{CellKind, Polarity};
 use crate::units::{Femtofarads, Ohms, Picoseconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A static description of a clock buffering cell (the datasheet view).
@@ -24,7 +24,7 @@ use std::fmt;
 /// assert_eq!(cell.drive(), 4);
 /// assert!(!cell.is_adjustable());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellSpec {
     name: String,
     kind: CellKind,

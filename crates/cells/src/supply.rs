@@ -7,7 +7,7 @@
 //! lowers the peak current of velocity-saturated devices.
 
 use crate::units::Volts;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Alpha-power-law supply scaling model.
 ///
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(m.delay_factor(Volts::new(0.9)) > 1.0);
 /// assert!(m.current_factor(Volts::new(0.9)) < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SupplyModel {
     /// Reference supply at which cells were characterized.
     v_ref: Volts,

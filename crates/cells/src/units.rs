@@ -5,7 +5,7 @@
 //! cross-type operations (e.g. `Ohms * Femtofarads -> Picoseconds`) are
 //! provided as operator impls.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize)]
         #[serde(transparent)]
         pub struct $name(f64);
 

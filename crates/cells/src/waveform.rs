@@ -9,7 +9,7 @@
 //! extraction cheap.
 
 use crate::units::{MicroAmps, Picoseconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A piecewise-linear current waveform (µA over ps).
 ///
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(sum.peak().value() > a.peak().value());
 /// assert!(sum.peak().value() <= 200.0);
 /// ```
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize)]
 pub struct Waveform {
     /// Breakpoints sorted by time; value is zero outside the first/last.
     points: Vec<(f64, f64)>,

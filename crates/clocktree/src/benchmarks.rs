@@ -14,12 +14,12 @@ use crate::tree::ClockTree;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Femtofarads;
 use wavemin_cells::{CellLibrary, Characterizer};
 
 /// A benchmark circuit description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Benchmark {
     /// Circuit name (e.g. `"s35932"`).
     pub name: String,

@@ -10,12 +10,12 @@
 use crate::timing::{SupplyAssignment, Timing, TimingError};
 use crate::tree::{ClockTree, NodeId};
 use crate::wire::WireModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::{Picoseconds, Volts};
 use wavemin_cells::{CellLibrary, Characterizer};
 
 /// Options for the slew repair pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SlewRepairOptions {
     /// Maximum allowed input slew at any node.
     pub max_slew: Picoseconds,
@@ -42,7 +42,7 @@ impl Default for SlewRepairOptions {
 }
 
 /// The outcome of a slew repair pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SlewRepairReport {
     /// Repeaters inserted.
     pub repeaters_added: usize,

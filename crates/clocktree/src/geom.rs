@@ -1,11 +1,11 @@
 //! Planar geometry for cell placement.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use wavemin_cells::units::Microns;
 
 /// A placement location in microns.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: Microns,
@@ -77,7 +77,7 @@ impl fmt::Display for Point {
 }
 
 /// An axis-aligned rectangle in microns.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -12,11 +12,11 @@ use crate::tree::ClockTree;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::{Microns, Volts};
 
 /// A voltage island: a named region of the die.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PowerDomain {
     /// Domain name (e.g. `"A1"`).
     pub name: String,
@@ -25,7 +25,7 @@ pub struct PowerDomain {
 }
 
 /// One power mode: a supply voltage per domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PowerMode {
     /// Mode name (e.g. `"M1"`).
     pub name: String,
@@ -34,7 +34,7 @@ pub struct PowerMode {
 }
 
 /// The power intent of a design: domains plus the modes that drive them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PowerDesign {
     domains: Vec<PowerDomain>,
     modes: Vec<PowerMode>,

@@ -2,13 +2,13 @@
 
 use crate::tree::{ClockTree, NodeId};
 use crate::wire::WireModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use wavemin_cells::units::{Femtofarads, Microns, Picoseconds};
 use wavemin_cells::{CellKind, CellLibrary};
 
 /// Summary statistics of a buffered clock tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TreeStats {
     /// Total nodes (the paper's `n`).
     pub nodes: usize,

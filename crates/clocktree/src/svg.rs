@@ -6,11 +6,11 @@
 //! optional legend. Pure string generation, no graphics dependencies.
 
 use crate::tree::{ClockTree, NodeKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::{CellLibrary, Polarity};
 
 /// Rendering options.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SvgOptions {
     /// Pixels per micron.
     pub scale: f64,

@@ -15,12 +15,12 @@ use crate::geom::Point;
 use crate::timing::{SupplyAssignment, Timing, TimingError};
 use crate::tree::{ClockTree, NodeId};
 use crate::wire::WireModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::{Femtofarads, Microns, Picoseconds, Volts};
 use wavemin_cells::{CellLibrary, Characterizer};
 
 /// Options controlling synthesis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SynthesisOptions {
     /// Cell assigned to every sink (leaf buffering element).
     pub leaf_cell: String,

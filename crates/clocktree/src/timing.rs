@@ -8,7 +8,7 @@
 
 use crate::tree::{ClockTree, NodeId, TreeError};
 use crate::wire::WireModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use wavemin_cells::characterize::ClockEdge;
 use wavemin_cells::kind::Polarity;
@@ -16,7 +16,7 @@ use wavemin_cells::units::{Femtofarads, Picoseconds, Volts};
 use wavemin_cells::{CellLibrary, Characterizer};
 
 /// Supply voltage seen by each node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum SupplyAssignment {
     /// Every node operates at the same supply (single power mode).
     Uniform(Volts),
@@ -44,7 +44,7 @@ impl SupplyAssignment {
 ///
 /// All vectors are indexed by node id; an empty vector means "no
 /// adjustment".
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize)]
 pub struct TimingAdjust {
     /// Multiplier on each node's cell delay (process variation).
     pub cell_delay_mult: Vec<f64>,
@@ -129,7 +129,7 @@ impl From<TreeError> for TimingError {
 
 /// The result of a timing analysis pass: arrivals, slews, loads and the
 /// clock edge seen at each node, all indexed by node id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Timing {
     /// Arrival of the tracked clock edge at each node's input.
     pub input_arrival: Vec<Picoseconds>,

@@ -7,12 +7,12 @@
 //! leaf cells through [`ClockTree::set_cell`].
 
 use crate::geom::Point;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use wavemin_cells::units::{Femtofarads, Microns, Picoseconds};
 
 /// Index of a node within a [`ClockTree`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -22,7 +22,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The structural role of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum NodeKind {
     /// The clock source (root); exactly one per tree.
     Source,
@@ -33,7 +33,7 @@ pub enum NodeKind {
 }
 
 /// One buffering element of the clock tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Node {
     pub(crate) parent: Option<NodeId>,
     pub(crate) children: Vec<NodeId>,
@@ -133,7 +133,7 @@ pub(crate) struct NodeRecord {
 /// assert_eq!(tree.leaves().len(), 1);
 /// assert_eq!(tree.node(leaf).cell, "BUF_X4");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClockTree {
     nodes: Vec<Node>,
     root: NodeId,

@@ -9,10 +9,10 @@
 use crate::timing::TimingAdjust;
 use crate::tree::ClockTree;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Gaussian variation magnitudes (all as `σ/µ` fractions).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VariationModel {
     /// Cell delay variation (device width + threshold voltage combined).
     pub cell_delay_sigma: f64,
@@ -37,7 +37,7 @@ impl Default for VariationModel {
 }
 
 /// One sampled variation instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Variation {
     /// Timing-side multipliers (consumed by [`crate::timing::Timing`]).
     pub timing: TimingAdjust,

@@ -1,6 +1,6 @@
 //! Interconnect RC model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::{Femtofarads, Microns, Ohms};
 
 /// Per-micron wire parasitics for the clock routing layer.
@@ -18,7 +18,7 @@ use wavemin_cells::units::{Femtofarads, Microns, Ohms};
 /// let c = w.capacitance(Microns::new(100.0));
 /// assert!(r.value() > 0.0 && c.value() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WireModel {
     /// Sheet resistance per micron of routed length.
     pub r_per_um: Ohms,

@@ -6,12 +6,12 @@
 
 use crate::geom::{Point, Rect};
 use crate::tree::{ClockTree, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use wavemin_cells::units::Microns;
 
 /// One optimization zone: a grid cell and the sinks placed inside it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Zone {
     /// Grid coordinates of the zone.
     pub gx: u32,
@@ -35,7 +35,7 @@ impl Zone {
 }
 
 /// A square-grid partition of a tree's sinks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ZoneGrid {
     pitch: Microns,
     zones: Vec<Zone>,

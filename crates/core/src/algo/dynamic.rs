@@ -14,12 +14,12 @@ use crate::assignment::Assignment;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::Polarity;
 use wavemin_clocktree::{NodeId, PowerDesign};
 
 /// The result of a dynamic (per-mode) polarity optimization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DynamicOutcome {
     /// One full single-mode outcome per power mode.
     pub per_mode: Vec<Outcome>,

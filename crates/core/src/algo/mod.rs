@@ -47,7 +47,7 @@ use crate::noise_table::{BackgroundAccumulator, NoiseTable};
 use crate::observe::{Instruments, ReportContext, RunReport, Stage};
 use crate::sampling::SamplePlan;
 use crate::trace::TraceEventKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use share::SharePlan;
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,7 +59,7 @@ use wavemin_mosp::Exhaustion;
 
 /// One relaxation the optimizer applied while descending the degradation
 /// ladder (exact → ε-approximate → tightly capped → greedy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum DegradationStep {
     /// Exact Pareto enumeration was abandoned for Warburton's
     /// ε-approximation.
@@ -127,7 +127,7 @@ impl std::fmt::Display for DegradationStep {
 /// A machine-readable account of everything the optimizer relaxed to fit
 /// its resource budget. Absent from an [`Outcome`] when the run completed
 /// at full fidelity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Degradation {
     /// The relaxations, in the order they were applied.
     pub steps: Vec<DegradationStep>,
@@ -152,7 +152,7 @@ impl std::fmt::Display for Degradation {
 }
 
 /// The result of running an optimization algorithm on a design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Outcome {
     /// The chosen sink → cell mapping (plus delay codes).
     pub assignment: Assignment,

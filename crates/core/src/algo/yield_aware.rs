@@ -14,14 +14,14 @@ use crate::design::Design;
 use crate::error::WaveMinError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 use wavemin_clocktree::variation::VariationModel;
 use wavemin_clocktree::Timing;
 
 /// The yield-aware result: the underlying outcome plus the statistical
 /// figures that produced and validated it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct YieldOutcome {
     /// The optimization outcome (against the tightened bound).
     pub outcome: Outcome,

@@ -1,7 +1,7 @@
 //! The result of an optimization: the sink → cell mapping φ.
 
 use crate::design::Design;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::{CellKind, Polarity};
@@ -9,7 +9,7 @@ use wavemin_clocktree::NodeId;
 
 /// A mapping from sinks to library cells, plus per-mode delay codes for
 /// adjustable cells (Problem 1's φ, extended for multiple power modes).
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize)]
 pub struct Assignment {
     /// Cell per reassigned sink (sinks absent keep their current cell).
     pub cells: BTreeMap<NodeId, String>,

@@ -2,14 +2,14 @@
 
 use crate::error::WaveMinError;
 use crate::fault::FaultPlan;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 use wavemin_cells::units::{Microns, Picoseconds};
 use wavemin_mosp::Budget;
 
 /// How the fixed non-leaf buffers' noise enters each zone's objective
 /// (Observation 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BackgroundMode {
     /// Non-leaf elements placed in or near the zone (noise is local).
     LocalZone,
@@ -20,7 +20,7 @@ pub enum BackgroundMode {
 }
 
 /// Which solver runs inside each zone × interval subproblem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SolverKind {
     /// Warburton's ε-approximate MOSP solve (the paper's ClkWaveMin).
     Warburton {
@@ -41,7 +41,7 @@ impl Default for SolverKind {
 }
 
 /// Configuration of a WaveMin run (Problem 1 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WaveMinConfig {
     /// Clock skew bound κ.
     pub skew_bound: Picoseconds,

@@ -1,7 +1,7 @@
 //! The design under optimization: tree + libraries + power intent.
 
 use crate::error::WaveMinError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::units::Volts;
 use wavemin_cells::{CellLibrary, Characterizer};
@@ -11,7 +11,7 @@ use wavemin_clocktree::timing::TimingAdjust;
 /// Everything a WaveMin optimization consumes: the synthesized clock tree,
 /// the cell library and characterizer, the wire model, the power intent
 /// (domains + modes) and the per-mode adjustable-delay settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Design {
     /// The buffered clock tree.
     pub tree: ClockTree,

@@ -11,14 +11,14 @@
 use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::noise_table::EventWaveforms;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::characterize::{ClockEdge, Rail};
 use wavemin_cells::units::{MicroAmps, Microns, MilliAmps, Millivolts, Picoseconds};
 use wavemin_clocktree::variation::Variation;
 use wavemin_pgrid::{GridOptions, PowerGrid};
 
 /// The evaluator's output for one power mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NoiseReport {
     /// Worst instantaneous total current over all rails and events.
     pub peak: MilliAmps,

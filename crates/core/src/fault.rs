@@ -18,7 +18,7 @@
 //! injection-free by construction: the fault layer tests recovery, it
 //! does not chase it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::OnceLock;
 use wavemin_mosp::{Budget, Exhaustion, SolveObserver};
 
@@ -31,7 +31,7 @@ pub const FAULT_ENV: &str = "WAVEMIN_FAULTS";
 pub const INJECTED_MARKER: &str = "injected fault";
 
 /// A seeded, rate-controlled schedule of synthetic faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Seed mixed into every site hash.
     pub seed: u64,

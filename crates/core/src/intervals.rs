@@ -8,12 +8,12 @@
 //! feasible interval and keeps the best.
 
 use crate::noise_table::NoiseTable;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 
 /// One feasible interval `[t_hi − κ, t_hi]` plus, per sink, the candidate
 /// options allowed inside it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeasibleInterval {
     /// Upper end of the interval.
     pub t_hi: Picoseconds,
@@ -34,7 +34,7 @@ impl FeasibleInterval {
 
 /// All feasible intervals of an instance, sorted by decreasing degree of
 /// freedom.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IntervalSet {
     intervals: Vec<FeasibleInterval>,
 }

@@ -11,13 +11,13 @@ use crate::eval::NoiseEvaluator;
 use crate::observe::{Instruments, Stage};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 use wavemin_clocktree::variation::VariationModel;
 use wavemin_mosp::Budget;
 
 /// Summary statistics of one observed quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Spread {
     /// Observed mean µ̂.
     pub mean: f64,
@@ -54,7 +54,7 @@ impl Spread {
 }
 
 /// Results of a Monte-Carlo run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MonteCarloStats {
     /// Number of instances actually analyzed (smaller than the requested
     /// count when the deadline expired mid-study).

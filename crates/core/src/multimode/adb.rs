@@ -12,13 +12,13 @@
 
 use crate::design::Design;
 use crate::error::WaveMinError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::CellKind;
 use wavemin_clocktree::NodeId;
 
 /// The result of ADB insertion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdbPlan {
     /// Nodes converted to ADBs (leaves and internals).
     pub adb_nodes: Vec<NodeId>,

@@ -5,12 +5,12 @@ use crate::config::WaveMinConfig;
 use crate::error::WaveMinError;
 use crate::intervals::{FeasibleInterval, IntervalSet};
 use crate::noise_table::NoiseTable;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 
 /// One feasible intersection: a per-mode window plus, per sink, the
 /// options allowed in **all** modes simultaneously.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeasibleIntersection {
     /// `(t_lo, t_hi)` per power mode.
     pub windows: Vec<(Picoseconds, Picoseconds)>,
@@ -51,7 +51,7 @@ impl From<FeasibleInterval> for FeasibleIntersection {
 
 /// The set of feasible intersections, sorted by decreasing degree of
 /// freedom.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IntersectionSet {
     intersections: Vec<FeasibleIntersection>,
 }

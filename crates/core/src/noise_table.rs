@@ -12,7 +12,7 @@
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use wavemin_cells::characterize::{ClockEdge, Rail};
 use wavemin_cells::lut::NoiseLut;
@@ -23,7 +23,7 @@ use wavemin_clocktree::prelude::*;
 /// Current waveforms organized by **source event** rather than cell-input
 /// edge: `rise` slots describe what happens when the *clock source* rises,
 /// regardless of how many inverting stages sit above the cell.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize)]
 pub struct EventWaveforms {
     /// `I_DD` during the source-rising event.
     pub vdd_rise: Waveform,
@@ -224,7 +224,7 @@ impl BackgroundAccumulator {
 }
 
 /// One candidate cell for one sink.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SinkOption {
     /// The candidate cell's library name.
     pub cell: String,
@@ -275,7 +275,7 @@ impl SinkOption {
 }
 
 /// Per-sink characterization results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SinkEntry {
     /// The leaf node.
     pub node: NodeId,
@@ -291,7 +291,7 @@ pub struct SinkEntry {
 
 /// The complete preprocessing result for one power mode: every sink's
 /// candidate profiles plus the accumulated non-leaf background.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NoiseTable {
     /// The power mode this table was built for.
     pub mode: usize,

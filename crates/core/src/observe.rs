@@ -992,6 +992,7 @@ pub struct ReportContext {
 
 /// One stage's aggregated span timing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StageTiming {
     /// Stage name ([`Stage::name`]).
     pub stage: String,
@@ -1003,6 +1004,7 @@ pub struct StageTiming {
 
 /// The run-wide counter aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunCounters {
     /// MOSP labels that survived insertion, across all zone solves.
     pub labels_created: u64,
@@ -1028,9 +1030,12 @@ pub struct RunCounters {
     /// runs, whose fast path never touches the atomic).
     pub budget_units: u64,
     /// Pairwise dominance comparisons the frontier actually performed.
+    /// Additive schema field — 0 in reports written before it existed.
+    #[serde(default)]
     pub dominance_checks: u64,
     /// Dominance comparisons the sorted max-component index proved
-    /// unnecessary and skipped.
+    /// unnecessary and skipped. Additive schema field — 0 in older reports.
+    #[serde(default)]
     pub dominance_skipped: u64,
     /// Zone-worker faults (panics or poisoned inputs) the containment
     /// layer caught. Additive schema field — defaults to 0 in reports
@@ -1103,6 +1108,7 @@ impl RunCounters {
 
 /// One zone's aggregated solver metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ZoneMetrics {
     /// Zone id (index into the run's zone partition).
     pub zone: usize,
@@ -1118,9 +1124,13 @@ pub struct ZoneMetrics {
     pub pareto_paths: u64,
     /// This zone's solves that exhausted the budget.
     pub exhausted_solves: u64,
-    /// Dominance comparisons performed by this zone's solves.
+    /// Dominance comparisons performed by this zone's solves (0 in reports
+    /// written before the field existed).
+    #[serde(default)]
     pub dominance_checks: u64,
-    /// Dominance comparisons skipped via the sorted-key index.
+    /// Dominance comparisons skipped via the sorted-key index (0 in older
+    /// reports).
+    #[serde(default)]
     pub dominance_skipped: u64,
     /// Total wall time of this zone's solves, nanoseconds.
     pub wall_ns: u64,
@@ -1133,6 +1143,7 @@ pub struct ZoneMetrics {
 
 /// One occupied histogram bucket (sparse: empty buckets are omitted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HistogramBucket {
     /// Bucket index in the fixed log2 layout ([`bucket_index`]).
     pub index: u32,
@@ -1149,6 +1160,7 @@ pub struct HistogramBucket {
 /// stored quantiles always equal [`RunHistogram::quantile`] recomputed
 /// from the buckets ([`RunReport::validate`] enforces both).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunHistogram {
     /// Total observations.
     pub count: u64,
@@ -1311,6 +1323,7 @@ impl RunHistogram {
 /// The report's histogram set. Additive schema-v1 field — reports
 /// written before it existed decode to the empty default.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunHistograms {
     /// Wall time of each zone × interval subproblem solve, nanoseconds.
     /// Environment-dependent — emptied by [`RunReport::normalized`].
@@ -1358,6 +1371,7 @@ impl RunHistograms {
 /// One node's share of the total rail current at the attributed peak
 /// instant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Contribution {
     /// Node id in the clock tree.
     pub node: usize,
@@ -1379,6 +1393,7 @@ pub struct Contribution {
 /// reproduces `peak_ma` bit-for-bit ([`RunReport::validate`] enforces a
 /// 1e-9 tolerance to stay robust against hand-edited reports).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PeakAttribution {
     /// Power-mode index the peak occurred in.
     pub mode: usize,
@@ -1409,6 +1424,7 @@ impl PeakAttribution {
 /// an unbudgeted run; [`RunReport::normalized`] strips exactly those
 /// fields for differential comparisons.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunReport {
     /// Schema version of this report ([`RunReport::SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -1617,332 +1633,19 @@ impl RunReport {
     }
 
     /// Parses a report back from its JSON serialization (the format
-    /// `--metrics-out` writes). Unknown fields are rejected so a report
-    /// that decodes is structurally exactly this schema.
+    /// `--metrics-out` writes). Unknown and duplicate fields are rejected
+    /// so a report that decodes is structurally exactly this schema.
     ///
     /// # Errors
     ///
     /// A description of the first syntax or schema problem.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        decode::report(&value)
-    }
-}
-
-/// Hand-rolled decoding of the report's JSON [`serde::Value`] tree — the
-/// vendored serde stack has no typed deserializer.
-mod decode {
-    use super::{
-        Contribution, HistogramBucket, PeakAttribution, RunCounters, RunHistogram, RunHistograms,
-        RunReport, StageTiming, ZoneMetrics,
-    };
-    use serde::Value;
-
-    fn fields<'a>(
-        v: &'a Value,
-        expected: &'static [&'static str],
-        what: &str,
-    ) -> Result<&'a [(String, Value)], String> {
-        let Value::Map(entries) = v else {
-            return Err(format!("{what}: expected a JSON object"));
-        };
-        for (k, _) in entries {
-            if !expected.contains(&k.as_str()) {
-                return Err(format!("{what}: unknown field '{k}'"));
-            }
+        let mut value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        // The retired kernel-family stamp: accepted and ignored.
+        if let serde::Value::Map(entries) = &mut value {
+            entries.retain(|(key, _)| key != "kernel");
         }
-        Ok(entries)
-    }
-
-    fn get<'a>(entries: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{key}'"))
-    }
-
-    fn u64_field(entries: &[(String, Value)], key: &str) -> Result<u64, String> {
-        match get(entries, key)? {
-            Value::UInt(u) => Ok(*u),
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            other => Err(format!(
-                "field '{key}': expected an unsigned integer, got {other:?}"
-            )),
-        }
-    }
-
-    /// Like [`u64_field`] but defaults to 0 when the field is absent —
-    /// for additive schema fields that older reports predate.
-    fn opt_u64_field(entries: &[(String, Value)], key: &str) -> Result<u64, String> {
-        if entries.iter().any(|(k, _)| k == key) {
-            u64_field(entries, key)
-        } else {
-            Ok(0)
-        }
-    }
-
-    /// Like [`str_field`] but defaults to "" when the field is absent.
-    fn usize_field(entries: &[(String, Value)], key: &str) -> Result<usize, String> {
-        usize::try_from(u64_field(entries, key)?)
-            .map_err(|_| format!("field '{key}': value does not fit usize"))
-    }
-
-    fn str_field(entries: &[(String, Value)], key: &str) -> Result<String, String> {
-        match get(entries, key)? {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(format!("field '{key}': expected a string, got {other:?}")),
-        }
-    }
-
-    fn seq_field<'a>(entries: &'a [(String, Value)], key: &str) -> Result<&'a [Value], String> {
-        match get(entries, key)? {
-            Value::Seq(items) => Ok(items),
-            other => Err(format!("field '{key}': expected an array, got {other:?}")),
-        }
-    }
-
-    fn f64_field(entries: &[(String, Value)], key: &str) -> Result<f64, String> {
-        match get(entries, key)? {
-            Value::Float(f) => Ok(*f),
-            Value::UInt(u) => Ok(*u as f64),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(format!("field '{key}': expected a number, got {other:?}")),
-        }
-    }
-
-    pub(super) fn report(v: &Value) -> Result<RunReport, String> {
-        let entries = fields(
-            v,
-            &[
-                "schema_version",
-                "threads",
-                // The retired kernel-family stamp: accepted and ignored.
-                "kernel",
-                "counters",
-                "stages",
-                "zones",
-                "degenerate_zones",
-                "ladder_rung",
-                "attribution",
-                "histograms",
-            ],
-            "report",
-        )?;
-        let schema_version = u64_field(entries, "schema_version")?;
-        let schema_version = u32::try_from(schema_version)
-            .map_err(|_| format!("schema_version {schema_version} does not fit u32"))?;
-        Ok(RunReport {
-            schema_version,
-            threads: usize_field(entries, "threads")?,
-            counters: counters(get(entries, "counters")?)?,
-            stages: seq_field(entries, "stages")?
-                .iter()
-                .map(stage_timing)
-                .collect::<Result<_, _>>()?,
-            zones: seq_field(entries, "zones")?
-                .iter()
-                .map(zone_metrics)
-                .collect::<Result<_, _>>()?,
-            degenerate_zones: usize_field(entries, "degenerate_zones")?,
-            ladder_rung: usize_field(entries, "ladder_rung")?,
-            attribution: attribution(entries)?,
-            histograms: histograms(entries)?,
-        })
-    }
-
-    /// Additive v1 field: absent (legacy reports) decodes to the empty
-    /// default, mirroring [`attribution`].
-    fn histograms(entries: &[(String, Value)]) -> Result<RunHistograms, String> {
-        let Some((_, v)) = entries.iter().find(|(k, _)| k == "histograms") else {
-            return Ok(RunHistograms::default());
-        };
-        let entries = fields(
-            v,
-            &[
-                "zone_solve_ns",
-                "labels_per_zone",
-                "front_size",
-                "job_wall_ns",
-            ],
-            "histograms",
-        )?;
-        Ok(RunHistograms {
-            zone_solve_ns: histogram(get(entries, "zone_solve_ns")?)?,
-            labels_per_zone: histogram(get(entries, "labels_per_zone")?)?,
-            front_size: histogram(get(entries, "front_size")?)?,
-            job_wall_ns: histogram(get(entries, "job_wall_ns")?)?,
-        })
-    }
-
-    fn histogram(v: &Value) -> Result<RunHistogram, String> {
-        let entries = fields(
-            v,
-            &["count", "sum", "min", "max", "buckets", "p50", "p90", "p99"],
-            "histogram",
-        )?;
-        Ok(RunHistogram {
-            count: u64_field(entries, "count")?,
-            sum: u64_field(entries, "sum")?,
-            min: u64_field(entries, "min")?,
-            max: u64_field(entries, "max")?,
-            buckets: seq_field(entries, "buckets")?
-                .iter()
-                .map(histogram_bucket)
-                .collect::<Result<_, _>>()?,
-            p50: u64_field(entries, "p50")?,
-            p90: u64_field(entries, "p90")?,
-            p99: u64_field(entries, "p99")?,
-        })
-    }
-
-    fn histogram_bucket(v: &Value) -> Result<HistogramBucket, String> {
-        let entries = fields(v, &["index", "count"], "histogram bucket")?;
-        let index = u64_field(entries, "index")?;
-        Ok(HistogramBucket {
-            index: u32::try_from(index)
-                .map_err(|_| format!("histogram bucket index {index} does not fit u32"))?,
-            count: u64_field(entries, "count")?,
-        })
-    }
-
-    /// Additive v1 field: absent (legacy reports) and explicit `null`
-    /// both decode to `None`.
-    fn attribution(entries: &[(String, Value)]) -> Result<Option<PeakAttribution>, String> {
-        let Some((_, v)) = entries.iter().find(|(k, _)| k == "attribution") else {
-            return Ok(None);
-        };
-        if matches!(v, Value::Null) {
-            return Ok(None);
-        }
-        let entries = fields(
-            v,
-            &[
-                "mode",
-                "rail",
-                "edge",
-                "time_ps",
-                "peak_ma",
-                "contributions",
-            ],
-            "attribution",
-        )?;
-        Ok(Some(PeakAttribution {
-            mode: usize_field(entries, "mode")?,
-            rail: str_field(entries, "rail")?,
-            edge: str_field(entries, "edge")?,
-            time_ps: f64_field(entries, "time_ps")?,
-            peak_ma: f64_field(entries, "peak_ma")?,
-            contributions: seq_field(entries, "contributions")?
-                .iter()
-                .map(contribution)
-                .collect::<Result<_, _>>()?,
-        }))
-    }
-
-    fn contribution(v: &Value) -> Result<Contribution, String> {
-        let entries = fields(v, &["node", "cell", "kind", "amps_ma"], "contribution")?;
-        Ok(Contribution {
-            node: usize_field(entries, "node")?,
-            cell: str_field(entries, "cell")?,
-            kind: str_field(entries, "kind")?,
-            amps_ma: f64_field(entries, "amps_ma")?,
-        })
-    }
-
-    fn counters(v: &Value) -> Result<RunCounters, String> {
-        let entries = fields(
-            v,
-            &[
-                "labels_created",
-                "labels_pruned",
-                "solver_work",
-                "pareto_paths",
-                "zone_solves",
-                "exhausted_solves",
-                "arena_arcs",
-                "arena_unique_weights",
-                "rung_transitions",
-                "budget_units",
-                "dominance_checks",
-                "dominance_skipped",
-                "zone_faults",
-                "zone_salvages",
-                "zones_reused",
-                "zones_shared",
-                "zone_cells",
-                "zones_spilled",
-                "zone_recomputes",
-                "peak_rss_bytes",
-                "solve_rss_bytes",
-            ],
-            "counters",
-        )?;
-        Ok(RunCounters {
-            labels_created: u64_field(entries, "labels_created")?,
-            labels_pruned: u64_field(entries, "labels_pruned")?,
-            solver_work: u64_field(entries, "solver_work")?,
-            pareto_paths: u64_field(entries, "pareto_paths")?,
-            zone_solves: u64_field(entries, "zone_solves")?,
-            exhausted_solves: u64_field(entries, "exhausted_solves")?,
-            arena_arcs: u64_field(entries, "arena_arcs")?,
-            arena_unique_weights: u64_field(entries, "arena_unique_weights")?,
-            rung_transitions: u64_field(entries, "rung_transitions")?,
-            budget_units: u64_field(entries, "budget_units")?,
-            dominance_checks: opt_u64_field(entries, "dominance_checks")?,
-            dominance_skipped: opt_u64_field(entries, "dominance_skipped")?,
-            zone_faults: opt_u64_field(entries, "zone_faults")?,
-            zone_salvages: opt_u64_field(entries, "zone_salvages")?,
-            zones_reused: opt_u64_field(entries, "zones_reused")?,
-            zones_shared: opt_u64_field(entries, "zones_shared")?,
-            zone_cells: opt_u64_field(entries, "zone_cells")?,
-            zones_spilled: opt_u64_field(entries, "zones_spilled")?,
-            zone_recomputes: opt_u64_field(entries, "zone_recomputes")?,
-            peak_rss_bytes: opt_u64_field(entries, "peak_rss_bytes")?,
-            solve_rss_bytes: opt_u64_field(entries, "solve_rss_bytes")?,
-        })
-    }
-
-    fn stage_timing(v: &Value) -> Result<StageTiming, String> {
-        let entries = fields(v, &["stage", "count", "total_ns"], "stage timing")?;
-        Ok(StageTiming {
-            stage: str_field(entries, "stage")?,
-            count: u64_field(entries, "count")?,
-            total_ns: u64_field(entries, "total_ns")?,
-        })
-    }
-
-    fn zone_metrics(v: &Value) -> Result<ZoneMetrics, String> {
-        let entries = fields(
-            v,
-            &[
-                "zone",
-                "solves",
-                "labels_created",
-                "labels_pruned",
-                "solver_work",
-                "pareto_paths",
-                "exhausted_solves",
-                "dominance_checks",
-                "dominance_skipped",
-                "wall_ns",
-                "worst_rung",
-            ],
-            "zone metrics",
-        )?;
-        Ok(ZoneMetrics {
-            zone: usize_field(entries, "zone")?,
-            solves: u64_field(entries, "solves")?,
-            labels_created: u64_field(entries, "labels_created")?,
-            labels_pruned: u64_field(entries, "labels_pruned")?,
-            solver_work: u64_field(entries, "solver_work")?,
-            pareto_paths: u64_field(entries, "pareto_paths")?,
-            exhausted_solves: u64_field(entries, "exhausted_solves")?,
-            dominance_checks: opt_u64_field(entries, "dominance_checks")?,
-            dominance_skipped: opt_u64_field(entries, "dominance_skipped")?,
-            wall_ns: u64_field(entries, "wall_ns")?,
-            worst_rung: opt_u64_field(entries, "worst_rung")?,
-        })
+        serde::from_value(&value).map_err(|e| e.to_string())
     }
 }
 
@@ -2115,6 +1818,22 @@ mod tests {
         assert_eq!(back.counters.zones_shared, 0);
         assert_eq!(back.counters.zone_cells, 0);
         back.validate().expect("defaults stay self-consistent");
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_and_unknown_fields() {
+        let r = MetricsRegistry::enabled();
+        r.record_zone_solve(0, &sample_record(4));
+        let json = serde_json::to_string(&r.report(&ReportContext::default()).expect("enabled"))
+            .expect("serialize");
+        let twice = json.replace("\"zone_solves\":1,", "\"zone_solves\":1,\"zone_solves\":0,");
+        assert_ne!(twice, json, "fixture must actually repeat the key");
+        let err = RunReport::from_json(&twice).expect_err("duplicate key");
+        assert_eq!(err, "counters: duplicate field `zone_solves`");
+        let extra = json.replace("\"wall_ns\":", "\"bogus\":1,\"wall_ns\":");
+        assert_ne!(extra, json, "fixture must actually add the key");
+        let err = RunReport::from_json(&extra).expect_err("unknown key");
+        assert_eq!(err, "zones[0]: unknown field `bogus`");
     }
 
     #[test]

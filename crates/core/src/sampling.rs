@@ -7,13 +7,13 @@
 //! the hot spots near the clock edges are sampled).
 
 use crate::noise_table::{EventWaveforms, NoiseTable, SinkEntry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::Picoseconds;
 
 /// A concrete sampling plan: `k` shared times applied to each of the four
 /// (rail, event) slots, giving `|S| = 4k` dimensions in canonical slot
 /// order (VDD-rise, GND-rise, VDD-fall, GND-fall).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SamplePlan {
     times: Vec<Picoseconds>,
     /// `true` when the hot window was degenerate (empty or inverted) and

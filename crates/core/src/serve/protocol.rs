@@ -1,11 +1,10 @@
 //! The serve-mode wire protocol: line-delimited JSON over a unix socket.
 //!
 //! Each request is one JSON object on one line; each response is one JSON
-//! object on one line with an `"ok"` boolean. Requests are decoded by
-//! hand from [`serde::Value`] trees (the same pattern as
-//! [`crate::observe::RunReport::from_json`]) with unknown fields
-//! rejected, so protocol drift fails loudly instead of being silently
-//! ignored.
+//! object on one line with an `"ok"` boolean. Each command's payload is
+//! a struct deriving `Deserialize`, the only statement of its schema:
+//! unknown and duplicate fields are rejected, so protocol drift fails
+//! loudly instead of being silently ignored.
 //!
 //! Commands:
 //!
@@ -28,10 +27,11 @@
 //!   counters, gauges, and latency histograms.
 //! * `{"cmd":"shutdown"}` — stop accepting and drain.
 
-use serde::Value;
+use serde::{Deserialize, Value};
 
 /// An ECO edit: add `delay_trim_ps` to one node's delay trim.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct EcoEdit {
     /// Tree node id.
     pub node: usize,
@@ -40,7 +40,8 @@ pub struct EcoEdit {
 }
 
 /// The `load` command payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LoadRequest {
     /// Session name (created or replaced).
     pub session: String,
@@ -53,7 +54,8 @@ pub struct LoadRequest {
     /// Liberty-subset library path used with `sdf` (default: the
     /// built-in nangate45 library).
     pub lib: Option<String>,
-    /// Tree-synthesis seed.
+    /// Tree-synthesis seed (absent or `null`: 1).
+    #[serde(default = "default_seed", null_is_default)]
     pub seed: u64,
     /// Skew bound override, picoseconds.
     pub skew_bound_ps: Option<f64>,
@@ -64,20 +66,37 @@ pub struct LoadRequest {
     /// Per-session worker-thread override.
     pub threads: Option<usize>,
     /// ECO trims applied to the design before characterization.
+    #[serde(default)]
     pub edits: Vec<EcoEdit>,
 }
 
+fn default_seed() -> u64 {
+    1
+}
+
 /// The `solve` command payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SolveRequest {
     /// Session to solve.
     pub session: String,
-    /// Queue priority; higher runs first (FIFO within a priority).
+    /// Queue priority; higher runs first (FIFO within a priority; absent
+    /// or `null`: 0).
+    #[serde(default, null_is_default)]
     pub priority: i64,
     /// Per-job wall-clock budget, milliseconds.
     pub time_budget_ms: Option<u64>,
-    /// Stream progress lines on the job connection while the job runs.
+    /// Stream progress lines on the job connection while the job runs
+    /// (absent or `null`: off).
+    #[serde(default, null_is_default)]
     pub progress: bool,
+}
+
+/// The `stats` command payload.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct StatsRequest {
+    session: String,
 }
 
 /// A decoded request line.
@@ -107,75 +126,30 @@ pub enum Request {
 /// A human-readable message naming the malformed or unknown part.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let Value::Map(entries) = &v else {
+    let Value::Map(mut payload) = v else {
         return Err("request must be a JSON object".to_string());
     };
-    let cmd = str_field(entries, "cmd")?;
+    // The payload is every key but the first `cmd`; a second `cmd` stays
+    // in it and is rejected as an unknown field.
+    let Some(at) = payload.iter().position(|(k, _)| k == "cmd") else {
+        return Err("missing field `cmd`".to_string());
+    };
+    let Value::Str(cmd) = payload.remove(at).1 else {
+        return Err("cmd must be a string".to_string());
+    };
+    let bare = |request| match payload.first() {
+        Some((key, _)) => Err(format!("unknown field `{key}`")),
+        None => Ok(request),
+    };
     match cmd.as_str() {
-        "ping" => {
-            expect_fields(entries, &["cmd"])?;
-            Ok(Request::Ping)
-        }
-        "shutdown" => {
-            expect_fields(entries, &["cmd"])?;
-            Ok(Request::Shutdown)
-        }
-        "metrics" => {
-            expect_fields(entries, &["cmd"])?;
-            Ok(Request::Metrics)
-        }
-        "stats" => {
-            expect_fields(entries, &["cmd", "session"])?;
-            Ok(Request::Stats {
-                session: str_field(entries, "session")?,
-            })
-        }
+        "ping" => bare(Request::Ping),
+        "shutdown" => bare(Request::Shutdown),
+        "metrics" => bare(Request::Metrics),
+        "stats" => decode(payload).map(|stats: StatsRequest| Request::Stats {
+            session: stats.session,
+        }),
         "load" => {
-            expect_fields(
-                entries,
-                &[
-                    "cmd",
-                    "session",
-                    "benchmark",
-                    "sdf",
-                    "lib",
-                    "seed",
-                    "skew_bound_ps",
-                    "sample_count",
-                    "max_intervals",
-                    "threads",
-                    "edits",
-                ],
-            )?;
-            let edits = match get(entries, "edits") {
-                None => Vec::new(),
-                Some(Value::Seq(items)) => items
-                    .iter()
-                    .map(|item| {
-                        let Value::Map(e) = item else {
-                            return Err("each edit must be an object".to_string());
-                        };
-                        expect_fields(e, &["node", "delay_trim_ps"])?;
-                        Ok(EcoEdit {
-                            node: usize_field(e, "node")?,
-                            delay_trim_ps: f64_field(e, "delay_trim_ps")?,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?,
-                Some(_) => return Err("edits must be a list".to_string()),
-            };
-            let load = LoadRequest {
-                session: str_field(entries, "session")?,
-                benchmark: opt_str_field(entries, "benchmark")?,
-                sdf: opt_str_field(entries, "sdf")?,
-                lib: opt_str_field(entries, "lib")?,
-                seed: opt_u64_field(entries, "seed")?.unwrap_or(1),
-                skew_bound_ps: opt_f64_field(entries, "skew_bound_ps")?,
-                sample_count: opt_usize_field(entries, "sample_count")?,
-                max_intervals: opt_usize_field(entries, "max_intervals")?,
-                threads: opt_usize_field(entries, "threads")?,
-                edits,
-            };
+            let load: LoadRequest = decode(payload)?;
             match (&load.benchmark, &load.sdf) {
                 (None, None) => return Err("load needs either benchmark or sdf".to_string()),
                 (Some(_), Some(_)) => {
@@ -188,20 +162,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Ok(Request::Load(load))
         }
-        "solve" => {
-            expect_fields(
-                entries,
-                &["cmd", "session", "priority", "time_budget_ms", "progress"],
-            )?;
-            Ok(Request::Solve(SolveRequest {
-                session: str_field(entries, "session")?,
-                priority: opt_i64_field(entries, "priority")?.unwrap_or(0),
-                time_budget_ms: opt_u64_field(entries, "time_budget_ms")?,
-                progress: opt_bool_field(entries, "progress")?.unwrap_or(false),
-            }))
-        }
+        "solve" => decode(payload).map(Request::Solve),
         other => Err(format!("unknown cmd {other:?}")),
     }
+}
+
+fn decode<T: Deserialize>(payload: Vec<(String, Value)>) -> Result<T, String> {
+    serde::from_value(&Value::Map(payload)).map_err(|e| e.to_string())
 }
 
 /// Renders a success response with the given extra fields.
@@ -224,85 +191,6 @@ pub fn err_response(error: &str) -> String {
 fn render(v: &Value) -> String {
     // Value serialization cannot fail (no non-representable types).
     serde_json::to_string(v).unwrap_or_else(|_| "{\"ok\":false,\"error\":\"render\"}".to_string())
-}
-
-fn get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn expect_fields(entries: &[(String, Value)], allowed: &[&str]) -> Result<(), String> {
-    for (k, _) in entries {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("unknown field {k:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn str_field(entries: &[(String, Value)], key: &str) -> Result<String, String> {
-    match get(entries, key) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("{key} must be a string")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn opt_str_field(entries: &[(String, Value)], key: &str) -> Result<Option<String>, String> {
-    match get(entries, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(format!("{key} must be a string")),
-    }
-}
-
-fn opt_bool_field(entries: &[(String, Value)], key: &str) -> Result<Option<bool>, String> {
-    match get(entries, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(format!("{key} must be a boolean")),
-    }
-}
-
-fn opt_u64_field(entries: &[(String, Value)], key: &str) -> Result<Option<u64>, String> {
-    match get(entries, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::UInt(n)) => Ok(Some(*n)),
-        Some(Value::Int(n)) if *n >= 0 => Ok(Some(*n as u64)),
-        Some(_) => Err(format!("{key} must be a non-negative integer")),
-    }
-}
-
-fn opt_i64_field(entries: &[(String, Value)], key: &str) -> Result<Option<i64>, String> {
-    match get(entries, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Int(n)) => Ok(Some(*n)),
-        Some(Value::UInt(n)) => i64::try_from(*n)
-            .map(Some)
-            .map_err(|_| format!("{key} out of range")),
-        Some(_) => Err(format!("{key} must be an integer")),
-    }
-}
-
-fn opt_usize_field(entries: &[(String, Value)], key: &str) -> Result<Option<usize>, String> {
-    Ok(opt_u64_field(entries, key)?.map(|n| usize::try_from(n).unwrap_or(usize::MAX)))
-}
-
-fn usize_field(entries: &[(String, Value)], key: &str) -> Result<usize, String> {
-    opt_usize_field(entries, key)?.ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn f64_field(entries: &[(String, Value)], key: &str) -> Result<f64, String> {
-    opt_f64_field(entries, key)?.ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn opt_f64_field(entries: &[(String, Value)], key: &str) -> Result<Option<f64>, String> {
-    match get(entries, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Float(f)) => Ok(Some(*f)),
-        Some(Value::Int(n)) => Ok(Some(*n as f64)),
-        Some(Value::UInt(n)) => Ok(Some(*n as f64)),
-        Some(_) => Err(format!("{key} must be a number")),
-    }
 }
 
 #[cfg(test)]
@@ -401,6 +289,162 @@ mod tests {
             parse_request(r#"{"cmd":"solve"}"#).is_err(),
             "session required"
         );
+    }
+
+    #[test]
+    fn optional_fields_decode_absent_null_and_present() {
+        let bench = LoadRequest {
+            session: "a".to_string(),
+            benchmark: Some("b".to_string()),
+            sdf: None,
+            lib: None,
+            seed: 1,
+            skew_bound_ps: None,
+            sample_count: None,
+            max_intervals: None,
+            threads: None,
+            edits: Vec::new(),
+        };
+        let sdf = LoadRequest {
+            benchmark: None,
+            sdf: Some("t.sdf".to_string()),
+            ..bench.clone()
+        };
+        let solve = SolveRequest {
+            session: "a".to_string(),
+            priority: 0,
+            time_budget_ms: None,
+            progress: false,
+        };
+        let load = |l: LoadRequest| Some(Request::Load(l));
+        let on_bench =
+            |extra: &str| format!(r#"{{"cmd":"load","session":"a","benchmark":"b"{extra}}}"#);
+        let on_sdf =
+            |extra: &str| format!(r#"{{"cmd":"load","session":"a","sdf":"t.sdf"{extra}}}"#);
+        let on_solve = |extra: &str| format!(r#"{{"cmd":"solve","session":"a"{extra}}}"#);
+        // (line, decoded request or None for a rejected line)
+        let table = [
+            (on_bench(""), load(bench.clone())),
+            (on_bench(r#","seed":null"#), load(bench.clone())),
+            (
+                on_bench(r#","seed":9"#),
+                load(LoadRequest {
+                    seed: 9,
+                    ..bench.clone()
+                }),
+            ),
+            (on_bench(r#","skew_bound_ps":null"#), load(bench.clone())),
+            (
+                on_bench(r#","skew_bound_ps":25"#),
+                load(LoadRequest {
+                    skew_bound_ps: Some(25.0),
+                    ..bench.clone()
+                }),
+            ),
+            (on_bench(r#","sample_count":null"#), load(bench.clone())),
+            (
+                on_bench(r#","sample_count":16"#),
+                load(LoadRequest {
+                    sample_count: Some(16),
+                    ..bench.clone()
+                }),
+            ),
+            (on_bench(r#","max_intervals":null"#), load(bench.clone())),
+            (
+                on_bench(r#","max_intervals":4"#),
+                load(LoadRequest {
+                    max_intervals: Some(4),
+                    ..bench.clone()
+                }),
+            ),
+            (on_bench(r#","threads":null"#), load(bench.clone())),
+            (
+                on_bench(r#","threads":2"#),
+                load(LoadRequest {
+                    threads: Some(2),
+                    ..bench.clone()
+                }),
+            ),
+            (on_bench(r#","edits":null"#), None),
+            (on_bench(r#","edits":[]"#), load(bench.clone())),
+            (
+                on_bench(r#","edits":[{"node":1,"delay_trim_ps":-2}]"#),
+                load(LoadRequest {
+                    edits: vec![EcoEdit {
+                        node: 1,
+                        delay_trim_ps: -2.0,
+                    }],
+                    ..bench.clone()
+                }),
+            ),
+            (on_bench(r#","sdf":null"#), load(bench.clone())),
+            (on_bench(r#","lib":null"#), load(bench.clone())),
+            (on_bench(r#","lib":"x.lib""#), None),
+            (on_sdf(""), load(sdf.clone())),
+            (on_sdf(r#","benchmark":null"#), load(sdf.clone())),
+            (on_sdf(r#","benchmark":"b""#), None),
+            (
+                on_sdf(r#","lib":"x.lib""#),
+                load(LoadRequest {
+                    lib: Some("x.lib".to_string()),
+                    ..sdf.clone()
+                }),
+            ),
+            (on_solve(""), Some(Request::Solve(solve.clone()))),
+            (
+                on_solve(r#","priority":null"#),
+                Some(Request::Solve(solve.clone())),
+            ),
+            (
+                on_solve(r#","priority":-2"#),
+                Some(Request::Solve(SolveRequest {
+                    priority: -2,
+                    ..solve.clone()
+                })),
+            ),
+            (
+                on_solve(r#","time_budget_ms":null"#),
+                Some(Request::Solve(solve.clone())),
+            ),
+            (
+                on_solve(r#","time_budget_ms":500"#),
+                Some(Request::Solve(SolveRequest {
+                    time_budget_ms: Some(500),
+                    ..solve.clone()
+                })),
+            ),
+            (
+                on_solve(r#","progress":null"#),
+                Some(Request::Solve(solve.clone())),
+            ),
+            (
+                on_solve(r#","progress":true"#),
+                Some(Request::Solve(SolveRequest {
+                    progress: true,
+                    ..solve.clone()
+                })),
+            ),
+        ];
+        for (line, expected) in table {
+            assert_eq!(parse_request(&line).ok(), expected, "{line}");
+        }
+    }
+
+    #[test]
+    fn rejects_duplicate_fields() {
+        for line in [
+            r#"{"cmd":"solve","session":"a","session":"b"}"#,
+            r#"{"cmd":"solve","cmd":"ping","session":"a"}"#,
+            r#"{"cmd":"ping","cmd":"ping"}"#,
+            r#"{"cmd":"load","session":"a","benchmark":"b","seed":1,"seed":2}"#,
+            r#"{"cmd":"load","session":"a","benchmark":"b","edits":[{"node":1,"node":2,"delay_trim_ps":0}]}"#,
+        ] {
+            let err = parse_request(line).expect_err(line);
+            assert!(
+                err.contains("duplicate") || err.contains("unknown"),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! of the budget, so concurrent zone solves on a worker pool all draw
 //! from one global cap instead of each getting a private allowance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which resource ran out first during a budgeted solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Exhaustion {
     /// The wall-clock deadline passed mid-solve.
     DeadlineExpired,

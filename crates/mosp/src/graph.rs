@@ -7,12 +7,12 @@
 //! vectors are interned once per graph instead of cloned per arc, and the
 //! solvers propagate labels over contiguous arena slices.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a vertex within a [`MospGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct VertexId(pub usize);
 
 impl fmt::Display for VertexId {
@@ -67,22 +67,22 @@ impl std::error::Error for MospError {}
 
 /// A directed graph with `r`-dimensional non-negative arc weights backed
 /// by a flat interned weight arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MospGraph {
     dim: usize,
     /// Flat weight storage; slot `i` occupies `weights[i*dim .. (i+1)*dim]`.
     weights: Vec<f64>,
     /// Outgoing adjacency: `(target, weight slot)` per source vertex.
     adjacency: Vec<Vec<(VertexId, u32)>>,
-    /// Intern table: weight hash → candidate slots (rebuilt lazily after
-    /// deserialization; misses only cost arena space, never correctness).
+    /// Intern table: weight hash → candidate slots (not serialized; misses
+    /// only cost arena space, never correctness).
     #[serde(skip)]
     intern: HashMap<u64, Vec<u32>>,
 }
 
 /// Graphs compare observationally: same dimension and the same arcs with
 /// the same weight *values* (slot numbering and intern state are ignored,
-/// so a deserialized graph equals its original).
+/// so a graph with an emptied intern table equals its original).
 impl PartialEq for MospGraph {
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim
@@ -452,8 +452,8 @@ mod tests {
 
     #[test]
     fn graph_without_intern_table_still_works() {
-        // The intern table is `#[serde(skip)]`: a deserialized graph has
-        // an empty one. Simulate that state — serialization must succeed
+        // The intern table is `#[serde(skip)]` and may be empty. Simulate
+        // that state — serialization must succeed
         // and later arc additions must still be correct (an intern miss
         // only appends a duplicate slot, never corrupts weights).
         let mut g = MospGraph::new(2);

@@ -3,7 +3,7 @@
 use crate::budget::Exhaustion;
 use crate::graph::VertexId;
 use crate::kernels;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 
 /// `true` when `a` dominates `b`: componentwise `a <= b` with at least one
@@ -253,7 +253,7 @@ impl<T> ParetoFront<T> {
 /// counters are plain local integers inside the DP loop, so the cost is a
 /// handful of register increments per label attempt — far below the
 /// dominance comparisons they count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SolveStats {
     /// Labels that survived insertion into some vertex frontier (including
     /// the source label).
@@ -294,7 +294,7 @@ impl SolveStats {
 }
 
 /// One Pareto-optimal source→destination path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ParetoPath {
     /// Componentwise sum of the arc weights along the path.
     pub cost: Vec<f64>,
@@ -314,7 +314,7 @@ impl ParetoPath {
 }
 
 /// The set of (approximately) Pareto-optimal paths returned by a solver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ParetoSet {
     paths: Vec<ParetoPath>,
     /// `true` when the solver truncated the label sets (the frontier may

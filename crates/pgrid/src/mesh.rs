@@ -1,10 +1,10 @@
 //! Resistive power-grid mesh and IR-drop solve.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wavemin_cells::units::{MicroAmps, Microns, Millivolts, Ohms};
 
 /// Where the ideal supply connections (pads) sit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PadPlacement {
     /// Every border node is a pad (a flip-chip-like ring; the default).
     Ring,
@@ -14,7 +14,7 @@ pub enum PadPlacement {
 }
 
 /// Mesh construction options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GridOptions {
     /// Grid pitch (stripe spacing).
     pub pitch: Microns,
@@ -30,12 +30,7 @@ pub struct GridOptions {
     /// a coarser effective pitch so the node count stays bounded. The
     /// segment resistance is scaled with the pitch so the sheet
     /// resistance of the modeled grid is unchanged.
-    #[serde(default = "default_max_cells")]
     pub max_cells: usize,
-}
-
-fn default_max_cells() -> usize {
-    256
 }
 
 impl Default for GridOptions {
@@ -46,13 +41,13 @@ impl Default for GridOptions {
             tolerance_uv: 0.05,
             max_iterations: 20_000,
             pads: PadPlacement::Ring,
-            max_cells: default_max_cells(),
+            max_cells: 256,
         }
     }
 }
 
 /// Errors from power-grid construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum GridError {
     /// The die side was zero, negative, or non-finite.
     BadDieSide,
@@ -75,7 +70,7 @@ impl std::error::Error for GridError {}
 ///
 /// The VDD and ground grids are symmetric, so one mesh serves both rails:
 /// inject the rail's instantaneous currents and read the worst drop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PowerGrid {
     nx: usize,
     ny: usize,
