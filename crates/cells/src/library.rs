@@ -154,21 +154,6 @@ impl Extend<CellSpec> for CellLibrary {
     }
 }
 
-impl CellLibrary {
-    /// Rebuilds the name index from the cell list.
-    ///
-    /// `serde` skips the index, so a library built from serialized cells
-    /// needs this call.
-    pub fn reindex(&mut self) {
-        self.index = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name().to_owned(), i))
-            .collect();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,14 +210,5 @@ mod tests {
         let mut lib = CellLibrary::new();
         lib.extend(CellLibrary::nangate45().inverters().cloned());
         assert_eq!(lib.len(), 6);
-    }
-
-    #[test]
-    fn reindex_restores_lookup() {
-        let mut lib = CellLibrary::nangate45();
-        lib.index.clear();
-        assert!(lib.get("BUF_X8").is_none());
-        lib.reindex();
-        assert!(lib.get("BUF_X8").is_some());
     }
 }

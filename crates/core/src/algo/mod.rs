@@ -763,14 +763,74 @@ struct SharedAnswer {
     chain: Option<crate::checkpoint::ZoneKeyChain>,
 }
 
-/// Solves every intersection of a [`PreparedRun`]: they fan out over
-/// the worker pool and come back in input order (bit-identical to a
-/// sequential run), while inside one intersection the zones chain
-/// through the per-mode accumulated background. Cells (intersection,
-/// zone) whose restriction prefixes along `zone_order` are equal pose
-/// one subproblem; a [`SharePlan`] solves each such group once (counted
-/// in `zone_solves`, or `zones_reused` on a store hit) and hands the
-/// answer to the other members (`zones_shared`). Also returns the zones
+/// Everything the zones after a restriction prefix start from, shared by
+/// every intersection with that prefix: the accumulated background per
+/// mode, the key chain, the worst zone cost so far and the zone solutions
+/// along the prefix.
+#[derive(Clone)]
+struct Prefix {
+    accumulated: Vec<BackgroundAccumulator>,
+    chain: Option<crate::checkpoint::ZoneKeyChain>,
+    cost: f64,
+    solutions: Option<Arc<ZoneLink>>,
+}
+
+/// One zone's solution on a prefix, linked to the solutions before it.
+/// Prefixes that split share their common links.
+struct ZoneLink {
+    zone: usize,
+    solution: ZoneSolution,
+    before: Option<Arc<ZoneLink>>,
+}
+
+impl Drop for ZoneLink {
+    /// Unlinks iteratively: a 20,000-zone chain must not recurse.
+    fn drop(&mut self) {
+        let mut next = self.before.take();
+        while let Some(link) = next {
+            next = Arc::try_unwrap(link).ok().and_then(|mut l| l.before.take());
+        }
+    }
+}
+
+/// Calls `pick(mode, node, option, code, adjustable)` for every sink of
+/// zone `zi` in `solution`, in every mode, with the mode's delay code for
+/// the chosen option in `intersection` (zero when it has none).
+fn for_each_pick(
+    prep: &PreparedRun,
+    zi: usize,
+    solution: &ZoneSolution,
+    intersection: &FeasibleIntersection,
+    mut pick: impl FnMut(
+        usize,
+        wavemin_clocktree::NodeId,
+        &crate::noise_table::SinkOption,
+        Picoseconds,
+        bool,
+    ),
+) {
+    let tables = &prep.tables;
+    for (local, &(opt, _)) in solution.choices.iter().enumerate() {
+        let entry = &tables[0].sinks[prep.zones.spec(zi).sinks[local]];
+        let adjustable = entry.options[opt].is_adjustable();
+        for (m, &(lo, hi)) in intersection.windows.iter().enumerate() {
+            let o = &tables[m].sinks[prep.zones.spec_in(m, zi).sinks[local]].options[opt];
+            let code = o.delay_code_for(lo, hi).unwrap_or(Picoseconds::ZERO);
+            pick(m, entry.node, o, code, adjustable);
+        }
+    }
+}
+
+/// Solves every intersection of a [`PreparedRun`], with results in input
+/// order. Inside one intersection the zones chain through the per-mode
+/// accumulated background along `zone_order`. Cells (intersection, zone)
+/// whose restriction prefixes are equal pose one subproblem, so the
+/// [`SharePlan`] tree is walked instead of the intersections: each group
+/// is solved once from its parent's prefix (counted in `zone_solves`, or
+/// `zones_reused` on a store hit) and serves every member
+/// (`zones_shared`), and independent groups run concurrently. Results are
+/// bit-identical at any thread count, and one thread solves in the order
+/// of a plain intersection-by-intersection loop. Also returns the zones
 /// that faulted and were salvaged, across all intersections. See
 /// [`solve_prepared`] for the `store` and `seed` contract.
 pub(crate) fn solve_each_intersection<S: ZoneSolver>(
@@ -784,7 +844,7 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
     let registry = &ins.registry;
     let tables = &prep.tables[..];
     let zones = &prep.zones;
-    let plan: SharePlan<SharedAnswer> = SharePlan::build(
+    let plan = SharePlan::build(
         prep.intersections.len(),
         prep.zone_order.len(),
         |xi, rank, out| prep.restriction(xi, prep.zone_order[rank], out),
@@ -889,51 +949,85 @@ pub(crate) fn solve_each_intersection<S: ZoneSolver>(
         SharedAnswer { solution, chain }
     };
 
-    let solve_one = |xi: usize, intersection: &FeasibleIntersection| -> IntersectionResult {
-        let mut cost = 0.0_f64;
-        let mut assignment = Assignment::new();
-        let mut accumulated = vec![BackgroundAccumulator::zero(); tables.len()];
-        let mut chain = seed.map(crate::checkpoint::ZoneKeyChain::new);
-        for (rank, &zi) in prep.zone_order.iter().enumerate() {
-            let (answer, shared) =
-                plan.answer(xi, rank, || solve_cell(xi, zi, &accumulated, chain.clone()));
-            registry.record_zone_cell(shared);
-            let sol = match &answer.solution {
-                Ok(sol) => sol,
-                Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
-                Err(e) => return Err(e.clone()),
-            };
-            chain.clone_from(&answer.chain);
+    // Answer one group from its parent's prefix, solving in the group's
+    // first intersection; a zone without a feasible option ends the
+    // prefix for every member.
+    let answer = |rank: usize, members: &[usize], mut prefix: Prefix| {
+        let (xi, zi) = (members[0], prep.zone_order[rank]);
+        let SharedAnswer { solution, chain } =
+            solve_cell(xi, zi, &prefix.accumulated, prefix.chain.take());
+        for member in 0..members.len() {
+            registry.record_zone_cell(member > 0);
+        }
+        let solution = match solution {
+            Ok(sol) => sol,
+            Err(WaveMinError::NoFeasibleInterval) => return Err(Ok(None)),
+            Err(e) => return Err(Err(e)),
+        };
+        for _ in members {
             ins.progress.zone_done();
-            cost = cost.max(sol.cost);
-            for (local, &(opt, _)) in sol.choices.iter().enumerate() {
-                let entry = &tables[0].sinks[zones.spec(zi).sinks[local]];
-                let adjustable = entry.options[opt].is_adjustable();
-                assignment.set(entry.node, entry.options[opt].cell.clone());
-                for (m, (acc, &(lo, hi))) in accumulated
-                    .iter_mut()
-                    .zip(&intersection.windows)
-                    .enumerate()
-                {
-                    let o = &tables[m].sinks[zones.spec_in(m, zi).sinks[local]].options[opt];
-                    let code = o.delay_code_for(lo, hi).unwrap_or(Picoseconds::ZERO);
+        }
+        // Every member has the same delay codes on its prefix, so the
+        // first intersection's windows accumulate for all of them.
+        for_each_pick(
+            prep,
+            zi,
+            &solution,
+            &prep.intersections[xi],
+            |m, _, o, code, _| {
+                let acc = &mut prefix.accumulated[m];
+                if code > Picoseconds::ZERO {
+                    acc.push(&o.waves.shifted(code));
+                } else {
+                    acc.push(&o.waves);
+                }
+            },
+        );
+        prefix.chain = chain;
+        prefix.cost = prefix.cost.max(solution.cost);
+        prefix.solutions = Some(Arc::new(ZoneLink {
+            zone: zi,
+            solution,
+            before: prefix.solutions.take(),
+        }));
+        Ok(prefix)
+    };
+    // Assemble one intersection's assignment from its prefix. Zones own
+    // disjoint sinks, so the walk back from the last zone sets each entry
+    // once.
+    let finish = |xi: usize, prefix: &Prefix| -> IntersectionResult {
+        let intersection = &prep.intersections[xi];
+        let mut assignment = Assignment::new();
+        let mut at = prefix.solutions.as_deref();
+        while let Some(link) = at {
+            for_each_pick(
+                prep,
+                link.zone,
+                &link.solution,
+                intersection,
+                |m, node, o, code, adjustable| {
+                    if m == 0 {
+                        assignment.set(node, o.cell.clone());
+                    }
                     // Adjustable codes are always recorded: a zero code
                     // overwrites any stale insertion-phase code.
                     if adjustable {
-                        assignment.set_delay_code(m, entry.node, code);
+                        assignment.set_delay_code(m, node, code);
                     }
-                    if code > Picoseconds::ZERO {
-                        acc.push(&o.waves.shifted(code));
-                    } else {
-                        acc.push(&o.waves);
-                    }
-                }
-            }
+                },
+            );
+            at = link.before.as_deref();
         }
         registry.sample_rss();
-        Ok(Some((cost, assignment)))
+        Ok(Some((prefix.cost, assignment)))
     };
-    let solved = crate::parallel::map_ordered(&prep.intersections, threads, solve_one);
+    let root = Prefix {
+        accumulated: vec![BackgroundAccumulator::zero(); tables.len()],
+        chain: seed.map(crate::checkpoint::ZoneKeyChain::new),
+        cost: 0.0,
+        solutions: None,
+    };
+    let solved = plan.run(threads, root, answer, finish);
     let faulted = faulted
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -10,14 +10,16 @@
 //!
 //! [`SharePlan::build`] partitions the cells into groups by exact equality
 //! of those prefixes (the encoded restrictions are compared element by
-//! element, never by hash). [`SharePlan::answer`] then runs each group's
-//! solve exactly once: the first member to arrive solves, concurrent
-//! members block on it, and the answer is released after its last member
-//! has taken it. The number of solves therefore depends on the problem
-//! alone, not on the worker count.
+//! element, never by hash). The groups form a tree: a group at rank `r + 1`
+//! lies inside one group at rank `r`, its parent. [`SharePlan::run`] walks
+//! that tree. A group is solved once, from its parent's state, as soon as
+//! the parent is answered, and its answer serves every member, so no
+//! worker ever blocks on a group another worker is solving. The number of
+//! solves therefore depends on the problem alone, not on the worker count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use wavemin_cells::units::Picoseconds;
 
 /// Appends one zone's restriction in one intersection to `out`: per
@@ -47,23 +49,27 @@ pub(crate) fn encode_restriction(
     }
 }
 
-/// One group's answer slot.
-struct Slot<T> {
-    answer: Mutex<Option<Arc<T>>>,
-    /// Members that have not taken the answer yet.
-    remaining: AtomicUsize,
+/// One group: the cells sharing one restriction prefix up to `rank`.
+struct Group {
+    rank: usize,
+    /// The member cells, as a range of [`SharePlan::order`].
+    members: Range<usize>,
+    /// The groups at `rank + 1` inside this one, ordered by first member.
+    children: Range<usize>,
 }
 
 /// The groups of equal restriction prefixes over a grid of `cells`
-/// intersections × `ranks` zone ranks, with one answer slot per group.
-pub(crate) struct SharePlan<T> {
-    ranks: usize,
-    /// `group[cell * ranks + rank]`.
-    group: Vec<usize>,
-    slots: Vec<Slot<T>>,
+/// intersections × `ranks` zone ranks, as a tree.
+pub(crate) struct SharePlan {
+    /// A permutation of the cells in which every group's members form one
+    /// run, led by the group's lowest cell (its first member).
+    order: Vec<usize>,
+    groups: Vec<Group>,
+    /// The rank-0 groups (the children of the empty prefix).
+    roots: Range<usize>,
 }
 
-impl<T> SharePlan<T> {
+impl SharePlan {
     /// Groups the cells. `restriction(cell, rank, out)` appends the
     /// encoded restriction of the cell's zone at `rank` to `out`; it is
     /// only called where the cell's prefix up to `rank - 1` is shared with
@@ -73,98 +79,221 @@ impl<T> SharePlan<T> {
         ranks: usize,
         mut restriction: impl FnMut(usize, usize, &mut Vec<u64>),
     ) -> Self {
-        let mut group = vec![0; cells * ranks];
-        let mut members: Vec<usize> = Vec::new();
-        // Each cell's group at the previous rank, as an index into
-        // `parent_size`; every cell shares the empty prefix.
-        let mut parent = vec![0; cells];
-        let mut parent_size = vec![cells];
+        let mut order: Vec<usize> = (0..cells).collect();
+        let mut groups: Vec<Group> = Vec::new();
+        let mut roots = 0..0;
+        // The groups at the previous rank and their member runs; the empty
+        // prefix (no group) spans every cell.
+        let mut parents: Vec<(Option<usize>, Range<usize>)> = vec![(None, 0..cells)];
         for rank in 0..ranks {
-            let base = members.len();
-            // Per parent group: the distinct restrictions met so far and
-            // the group each one opened.
-            let mut children: Vec<Vec<(Vec<u64>, usize)>> = vec![Vec::new(); parent_size.len()];
-            for cell in 0..cells {
-                let p = parent[cell];
-                let local = if parent_size[p] == 1 {
-                    members.push(0);
-                    members.len() - 1 - base
+            let mut next = Vec::new();
+            for (parent, run) in parents {
+                let first = groups.len();
+                if run.len() == 1 {
+                    groups.push(Group {
+                        rank,
+                        members: run,
+                        children: 0..0,
+                    });
                 } else {
-                    let mut key = Vec::new();
-                    restriction(cell, rank, &mut key);
-                    match children[p].iter().find(|(k, _)| *k == key) {
-                        Some(&(_, g)) => g,
-                        None => {
-                            members.push(0);
-                            let g = members.len() - 1 - base;
-                            children[p].push((key, g));
-                            g
+                    // The run is still ascending (its descendants are split
+                    // later). A stable split keeps each child's run
+                    // ascending and orders the children by first member, so
+                    // the first child leads with the parent's first member.
+                    let mut split: Vec<(Vec<u64>, Vec<usize>)> = Vec::new();
+                    for &cell in &order[run.clone()] {
+                        let mut key = Vec::new();
+                        restriction(cell, rank, &mut key);
+                        match split.iter_mut().find(|(k, _)| *k == key) {
+                            Some((_, members)) => members.push(cell),
+                            None => split.push((key, vec![cell])),
                         }
                     }
-                };
-                members[base + local] += 1;
-                group[cell * ranks + rank] = base + local;
-                parent[cell] = local;
+                    let mut at = run.start;
+                    for (_, members) in split {
+                        order[at..at + members.len()].copy_from_slice(&members);
+                        groups.push(Group {
+                            rank,
+                            members: at..at + members.len(),
+                            children: 0..0,
+                        });
+                        at += members.len();
+                    }
+                }
+                let kids = first..groups.len();
+                match parent {
+                    Some(p) => groups[p].children = kids.clone(),
+                    None => roots = kids.clone(),
+                }
+                next.extend(kids.map(|g| (Some(g), groups[g].members.clone())));
             }
-            parent_size = members[base..].to_vec();
+            parents = next;
         }
-        let slots = members
-            .into_iter()
-            .map(|n| Slot {
-                answer: Mutex::new(None),
-                remaining: AtomicUsize::new(n),
-            })
-            .collect();
         Self {
-            ranks,
-            group,
-            slots,
+            order,
+            groups,
+            roots,
         }
     }
 
-    /// The group of cell `(cell, rank)`.
-    pub(crate) fn group(&self, cell: usize, rank: usize) -> usize {
-        self.group[cell * self.ranks + rank]
+    fn members(&self, group: usize) -> &[usize] {
+        &self.order[self.groups[group].members.clone()]
     }
 
-    /// Number of groups (distinct subproblems).
-    #[cfg(test)]
-    pub(crate) fn groups(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The answer for cell `(cell, rank)`, and whether another member of
-    /// its group produced it. The group's first member runs `solve` while
-    /// holding the slot, so concurrent members block until it lands. Each
-    /// member must ask exactly once: the slot drops the answer when its
-    /// last member has it.
-    pub(crate) fn answer(
+    /// Solves every group reachable from the empty prefix and returns one
+    /// result per cell, in cell order.
+    ///
+    /// `solve(rank, members, state)` answers one group from its parent's
+    /// state (`root` for a rank-0 group), where `members` are its cells,
+    /// lowest first. It returns the state the group's children start
+    /// from, or the result every member gets when the prefix ends there (an
+    /// infeasible or failed zone). At the last rank, `finish(cell, state)`
+    /// makes each member's result.
+    ///
+    /// Ready groups wait in a set ordered by first member. A worker takes
+    /// the first one and walks down through the child that holds the
+    /// group's first member, publishing only the other children. The walk
+    /// moves the state on; the published children share one copy of it,
+    /// which each clones when it starts except the last, which takes it.
+    /// At one thread the groups are therefore solved in (first member,
+    /// rank) order: intersection by intersection, each zone when its first
+    /// intersection reaches it. The set is touched only where the tree
+    /// splits. A group's state, and whatever its answer holds, is dropped
+    /// once its last descendant has been taken up.
+    pub(crate) fn run<S, R>(
         &self,
-        cell: usize,
-        rank: usize,
-        solve: impl FnOnce() -> T,
-    ) -> (Arc<T>, bool) {
-        let slot = &self.slots[self.group(cell, rank)];
-        // A solve that panicked leaves the slot empty, which is a valid
-        // state: the next member solves again.
-        let lock = || slot.answer.lock().unwrap_or_else(PoisonError::into_inner);
-        let taken = {
-            let mut held = lock();
-            match held.as_ref() {
-                Some(answer) => (Arc::clone(answer), true),
-                None => {
-                    let answer = Arc::new(solve());
-                    *held = Some(Arc::clone(&answer));
-                    (answer, false)
+        threads: usize,
+        root: S,
+        solve: impl Fn(usize, &[usize], S) -> Result<S, R> + Sync,
+        finish: impl Fn(usize, &S) -> R + Sync,
+    ) -> Vec<R>
+    where
+        S: Clone + Send + Sync,
+        R: Clone + Send,
+    {
+        let cells = self.order.len();
+        if self.roots.is_empty() {
+            // No zones: every cell is its empty prefix.
+            return (0..cells).map(|cell| finish(cell, &root)).collect();
+        }
+        let queue = Queue {
+            state: Mutex::new(Ready {
+                groups: BTreeMap::new(),
+                busy: 0,
+            }),
+            wake: Condvar::new(),
+        };
+        let first = |g: usize| self.order[self.groups[g].members.start];
+        queue.publish(self.roots.clone().map(|g| (first(g), g)), Arc::new(root));
+        // One worker's walk from a taken group to the end of its prefix.
+        let walk = |mut group: usize, mut state: S, out: &mut Vec<(usize, R)>| loop {
+            let g = &self.groups[group];
+            let members = self.members(group);
+            match solve(g.rank, members, state) {
+                Err(result) => {
+                    out.extend(members.iter().map(|&cell| (cell, result.clone())));
+                    return;
+                }
+                Ok(next) if g.children.is_empty() => {
+                    out.extend(members.iter().map(|&cell| (cell, finish(cell, &next))));
+                    return;
+                }
+                Ok(next) => {
+                    let others = g.children.start + 1..g.children.end;
+                    if !others.is_empty() {
+                        queue.publish(others.map(|c| (first(c), c)), Arc::new(next.clone()));
+                    }
+                    group = g.children.start;
+                    state = next;
                 }
             }
         };
-        // The count only picks the member that empties the slot; the
-        // answer itself is published and dropped under the mutex.
-        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *lock() = None;
+        let work = || {
+            let mut out = Vec::new();
+            while let Some((group, shared)) = queue.take() {
+                let _busy = Busy(&queue);
+                let state = Arc::try_unwrap(shared).unwrap_or_else(|s| S::clone(&s));
+                walk(group, state, &mut out);
+            }
+            out
+        };
+        let workers = threads.clamp(1, cells.max(1));
+        let mut finished: Vec<(usize, R)> = if workers == 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        // Every cell ends in exactly one group: a failed one or a leaf.
+        finished.sort_unstable_by_key(|&(cell, _)| cell);
+        debug_assert!(finished.iter().enumerate().all(|(i, &(cell, _))| i == cell));
+        finished.into_iter().map(|(_, result)| result).collect()
+    }
+}
+
+/// The groups ready to solve with their parent's shared state, keyed by
+/// first member (unique: two ready groups sharing a member would be
+/// ancestor and descendant), and the number of workers walking.
+struct Ready<S> {
+    groups: BTreeMap<usize, (usize, Arc<S>)>,
+    busy: usize,
+}
+
+struct Queue<S> {
+    state: Mutex<Ready<S>>,
+    wake: Condvar,
+}
+
+impl<S: Clone> Queue<S> {
+    /// Every update under the lock leaves the set and the count valid, so
+    /// a worker that panicked elsewhere leaves nothing to repair.
+    fn lock(&self) -> MutexGuard<'_, Ready<S>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Makes `(first member, group)` pairs ready, all from `state`.
+    fn publish(&self, groups: impl Iterator<Item = (usize, usize)>, state: Arc<S>) {
+        let ready = groups.map(|(first, g)| (first, (g, Arc::clone(&state))));
+        self.lock().groups.extend(ready);
+        self.wake.notify_all();
+    }
+
+    /// The ready group with the lowest first member, waiting while other
+    /// workers may still publish; `None` once the tree is done.
+    fn take(&self) -> Option<(usize, Arc<S>)> {
+        let mut ready = self.lock();
+        loop {
+            if let Some((_, taken)) = ready.groups.pop_first() {
+                ready.busy += 1;
+                return Some(taken);
+            }
+            if ready.busy == 0 {
+                return None;
+            }
+            ready = self
+                .wake
+                .wait(ready)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        taken
+    }
+}
+
+/// Marks a worker's walk finished, also when it unwinds, so that idle
+/// workers never wait on a walk that cannot publish any more.
+struct Busy<'a, S: Clone>(&'a Queue<S>);
+
+impl<S: Clone> Drop for Busy<'_, S> {
+    fn drop(&mut self) {
+        let mut ready = self.0.lock();
+        ready.busy -= 1;
+        if ready.busy == 0 {
+            self.0.wake.notify_all();
+        }
     }
 }
 
@@ -191,7 +320,27 @@ mod tests {
         out
     }
 
-    fn plan_of(grid: &[Vec<Restriction>], modes: usize) -> SharePlan<()> {
+    impl SharePlan {
+        /// The group of cell `(cell, rank)`.
+        fn group(&self, cell: usize, rank: usize) -> usize {
+            let mut kids = self.roots.clone();
+            let mut group = usize::MAX;
+            for _ in 0..=rank {
+                group = kids
+                    .find(|&g| self.members(g).contains(&cell))
+                    .expect("every cell has a group at every rank");
+                kids = self.groups[group].children.clone();
+            }
+            group
+        }
+
+        /// Number of groups (distinct subproblems).
+        fn groups(&self) -> usize {
+            self.groups.len()
+        }
+    }
+
+    fn plan_of(grid: &[Vec<Restriction>], modes: usize) -> SharePlan {
         let ranks = grid.first().map_or(0, Vec::len);
         SharePlan::build(grid.len(), ranks, |cell, rank, out| {
             out.extend(encode(&grid[cell][rank], modes));
@@ -238,6 +387,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
+        #[test]
         fn cells_share_exactly_when_their_restriction_prefixes_are_equal(
             (bases, fresh, picks) in (1usize..5).prop_flat_map(|ranks| {
                 (
@@ -430,61 +580,117 @@ mod tests {
         assert_ne!(plan.group(0, 1), plan.group(1, 1));
     }
 
-    #[test]
-    fn each_group_solves_once_and_releases_after_its_last_member() {
-        let r: Restriction = vec![vec![(0, vec![Some(0.0)])]];
-        let grid = vec![vec![r.clone()]; 3];
-        let plan: SharePlan<usize> = SharePlan::build(3, 1, |cell, rank, out| {
-            out.extend(encode(&grid[cell][rank], 1));
+    /// A grid of `cells` cells over `ranks` ranks drawn from a tiny
+    /// alphabet, so that prefixes are shared and split at every depth.
+    fn arb_grid() -> impl Strategy<Value = Vec<Vec<usize>>> {
+        (1usize..5).prop_flat_map(|ranks| {
+            prop::collection::vec(prop::collection::vec(0usize..3, ranks), 1..12)
+        })
+    }
+
+    /// What one run saw: the solves in order as (rank, first member), and
+    /// each cell's result: its prefix path, or the rank where it failed.
+    type Trace = (Vec<(usize, usize)>, Vec<Result<Vec<usize>, usize>>);
+
+    /// Runs a plan over `grid` where a group fails when `fails(rank,
+    /// first member)`; the state is the path of first members.
+    fn run_traced(
+        grid: &[Vec<usize>],
+        threads: usize,
+        fails: impl Fn(usize, usize) -> bool + Sync,
+    ) -> Trace {
+        let ranks = grid[0].len();
+        let plan = SharePlan::build(grid.len(), ranks, |cell, rank, out| {
+            out.push(grid[cell][rank] as u64);
         });
-        let solves = AtomicUsize::new(0);
-        let solve = || solves.fetch_add(1, Ordering::Relaxed) + 41;
-        let (first, shared) = plan.answer(0, 0, solve);
-        assert!(!shared);
-        let (second, shared) = plan.answer(2, 0, || unreachable!("solved already"));
-        assert!(shared);
-        assert_eq!((*first, *second), (41, 41));
-        assert!(plan.slots[0].answer.lock().expect("slot").is_some());
-        let _ = plan.answer(1, 0, || unreachable!("solved already"));
-        assert!(plan.slots[0].answer.lock().expect("slot").is_none());
-        assert_eq!(solves.load(Ordering::Relaxed), 1);
+        let log = Mutex::new(Vec::new());
+        let results = plan.run(
+            threads,
+            Vec::new(),
+            |rank, members: &[usize], mut path: Vec<usize>| {
+                assert_eq!(members.iter().min(), Some(&members[0]), "lowest first");
+                log.lock().expect("log").push((rank, members[0]));
+                if fails(rank, members[0]) {
+                    return Err(Err(rank));
+                }
+                path.push(members[0]);
+                Ok(path)
+            },
+            |_, path| Ok(path.clone()),
+        );
+        (log.into_inner().expect("log"), results)
+    }
+
+    /// The per-intersection loop the scheduler replaced: each cell walks
+    /// its ranks in order and a group is solved when its first cell
+    /// arrives; a failed group ends every member's walk.
+    fn sequential(grid: &[Vec<usize>], fails: impl Fn(usize, usize) -> bool) -> Trace {
+        let ranks = grid[0].len();
+        let mut log = Vec::new();
+        let mut results = Vec::new();
+        for (cell, row) in grid.iter().enumerate() {
+            let mut path = Vec::new();
+            let mut result = Ok(());
+            for rank in 0..ranks {
+                let first = (0..=cell)
+                    .find(|&c| grid[c][..=rank] == row[..=rank])
+                    .expect("the cell itself matches");
+                if first == cell {
+                    log.push((rank, first));
+                }
+                if fails(rank, first) {
+                    result = Err(rank);
+                    break;
+                }
+                path.push(first);
+            }
+            results.push(result.map(|()| path));
+        }
+        (log, results)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn the_tree_walk_solves_each_group_once_as_the_sequential_loop_would(
+            grid in arb_grid(),
+            modulus in 0usize..5,
+        ) {
+            let fails = |rank: usize, first: usize| modulus > 0 && (rank * 7 + first).is_multiple_of(modulus + 2);
+            let (order, results) = sequential(&grid, fails);
+            // One thread reproduces the sequential solve order exactly.
+            prop_assert_eq!(&run_traced(&grid, 1, fails), &(order.clone(), results.clone()));
+            for threads in [2, 4] {
+                let (mut seen, got) = run_traced(&grid, threads, fails);
+                prop_assert_eq!(&got, &results, "threads {}", threads);
+                seen.sort_unstable();
+                let mut want = order.clone();
+                want.sort_unstable();
+                prop_assert_eq!(seen, want, "threads {}", threads);
+            }
+        }
     }
 
     #[test]
-    fn members_arriving_during_the_solve_take_its_answer() {
-        let grid = vec![vec![vec![vec![(0, vec![Some(0.0)])]]]; 8];
-        let plan: SharePlan<u64> = SharePlan::build(8, 1, |cell, rank, out| {
-            out.extend(encode(&grid[cell][rank], 1));
+    fn no_zones_finish_every_cell_from_the_root_state() {
+        let plan = SharePlan::build(3, 0, |_, _, _| unreachable!("no ranks"));
+        let results: Vec<usize> = plan.run(
+            2,
+            7,
+            |_, _, _| -> Result<usize, usize> { unreachable!("no groups") },
+            |cell, &root| root + cell,
+        );
+        assert_eq!(results, vec![7, 8, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "solve panicked")]
+    fn a_panicking_solve_propagates_instead_of_stalling_the_pool() {
+        let grid: Vec<Vec<usize>> = (0..6).map(|c| vec![c % 3, c]).collect();
+        let _ = run_traced(&grid, 3, |rank, first| {
+            assert!(!(rank == 1 && first == 4), "solve panicked");
+            false
         });
-        let solves = AtomicUsize::new(0);
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let others_ready = std::sync::Barrier::new(8);
-        std::thread::scope(|scope| {
-            let (plan, solves) = (&plan, &solves);
-            // Cell 0 solves, and holds its solve open until the other seven
-            // members have been started and are about to ask.
-            scope.spawn(move || {
-                let (answer, shared) = plan.answer(0, 0, || {
-                    solves.fetch_add(1, Ordering::Relaxed);
-                    started_tx.send(()).expect("main thread listens");
-                    release_rx.recv().expect("main thread releases");
-                    7
-                });
-                assert_eq!((*answer, shared), (7, false));
-            });
-            started_rx.recv().expect("cell 0 starts solving");
-            for cell in 1..8 {
-                let others_ready = &others_ready;
-                scope.spawn(move || {
-                    others_ready.wait();
-                    let (answer, shared) = plan.answer(cell, 0, || unreachable!("solving"));
-                    assert_eq!((*answer, shared), (7, true));
-                });
-            }
-            others_ready.wait();
-            release_tx.send(()).expect("cell 0 waits");
-        });
-        assert_eq!(solves.load(Ordering::Relaxed), 1);
     }
 }

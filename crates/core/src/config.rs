@@ -253,8 +253,7 @@ impl WaveMinConfig {
     /// configured [`Self::threads`], or one per available core. The core
     /// count is resolved once per process and then pinned, so a daemon
     /// whose cgroup limits change between jobs keeps a stable worker
-    /// count (and therefore stable `map_ordered` batching) for every job
-    /// of a session.
+    /// count for every job of a session.
     #[must_use]
     pub fn effective_threads(&self) -> usize {
         self.threads

@@ -429,6 +429,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        #[test]
         fn mask_beam_matches_the_oracle(
             seed in 0u64..u64::MAX,
             modes in 1usize..=4,

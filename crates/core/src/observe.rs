@@ -10,7 +10,7 @@
 //! the instrumented hot paths cost nothing when metrics are off (the
 //! `metrics_overhead` criterion group in `wavemin-bench` keeps that
 //! honest). When enabled, all counters are relaxed [`AtomicU64`]s —
-//! recording from the `parallel::map_ordered` workers never locks, and
+//! recording from the zone-solve workers never locks, and
 //! because every counter is a commutative sum, the aggregates are
 //! identical for any worker count on an unbudgeted run.
 //!

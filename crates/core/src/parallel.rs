@@ -1,12 +1,14 @@
-//! A minimal deterministic worker pool for independent solve units.
+//! A minimal deterministic worker pool for independent units.
 //!
-//! The pipeline fans out over *independent* units — feasible intervals in
-//! the single-mode flow, interval intersections and power modes in the
-//! multi-mode flow, Monte-Carlo instances — while zones inside one unit
-//! stay sequential (their accumulated-background chaining is order
-//! dependent). Results always come back in input order, so the outcome of
-//! a run is independent of the worker count: the same contiguous-chunk
-//! scheme as [`crate::montecarlo`], built on [`std::thread::scope`].
+//! The pipeline fans out over *independent* units with [`map_ordered`]:
+//! power modes in characterization, zoning and the dynamic-polarity flow.
+//! Results always come back in input order, so the outcome of a run is
+//! independent of the worker count: the same contiguous-chunk scheme as
+//! [`crate::montecarlo`], built on [`std::thread::scope`]. Zone solves do
+//! not go through it. Zones chain through the accumulated background, so
+//! they are scheduled over the share-plan tree instead
+//! ([`crate::algo`]'s `share` module), where a group is ready once its
+//! parent prefix is answered.
 
 /// The process-wide default worker count, resolved from
 /// [`std::thread::available_parallelism`] exactly once and cached for the

@@ -374,3 +374,42 @@ fn a_peakmin_run_never_journals_so_a_wavemin_resume_solves_for_itself() {
         ClkPeakMin::new(cfg).run(d).expect("peakmin run");
     });
 }
+
+/// FNV-1a over a byte string: a content pin that needs no golden file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn a_one_thread_journal_pins_the_solve_order_and_more_threads_write_the_same_entries() {
+    // The journal records one line per distinct zone subproblem in solve
+    // order. At one thread that order is the plain intersection-by-
+    // intersection loop: each share-plan group when its first intersection
+    // reaches it. The pinned hash is that order's journal, byte for byte.
+    // More threads solve the same groups in another order.
+    let d = Design::from_benchmark(&Benchmark::s15850(), 7);
+    let journal = |threads: usize| {
+        let path = scratch(&format!("solve-order-t{threads}.ckpt"));
+        let _ = std::fs::remove_file(&path);
+        ClkWaveMin::new(base_config().with_threads(threads).with_checkpoint(&path))
+            .run(&d)
+            .expect("checkpointed run");
+        std::fs::read_to_string(&path).expect("read journal")
+    };
+    let one = journal(1);
+    assert_eq!(
+        (one.lines().count(), fnv1a(one.as_bytes())),
+        (41, 0x15ee_b853_2c12_db75),
+        "the one-thread journal changed"
+    );
+    let sorted = |text: &str| {
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        lines[1..].sort_unstable();
+        lines
+    };
+    for threads in [2, 4] {
+        assert_eq!(sorted(&journal(threads)), sorted(&one), "threads={threads}");
+    }
+}

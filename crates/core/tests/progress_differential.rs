@@ -111,3 +111,48 @@ fn progress_ticks_are_monotone_and_finish_with_done() {
         "exactly one done tick"
     );
 }
+
+#[test]
+fn progress_ticks_total_the_answered_cells_at_every_thread_count() {
+    // Every (intersection, zone) cell ticks once when its share-plan group
+    // is answered, whichever worker answered it and however many members
+    // the group has. No interval of this fixture is infeasible, so every
+    // planned cell is answered.
+    let design = Design::from_benchmark(&Benchmark::s15850(), 7);
+    for threads in [1usize, 2, 4] {
+        let last: Arc<Mutex<Option<Progress>>> = Arc::new(Mutex::new(None));
+        let sink_last = Arc::clone(&last);
+        let tracker = ProgressTracker::enabled(Duration::from_millis(5), move |p: &Progress| {
+            *sink_last.lock().expect("sink lock") = Some(p.clone());
+        });
+        let ins = Instruments {
+            progress: tracker,
+            ..Instruments::from_config(&small_config(threads))
+        };
+        let out = ClkWaveMin::new(small_config(threads))
+            .run_instrumented(&design, &ins)
+            .expect("run");
+        let counters = &out.report.as_ref().expect("report").counters;
+        let last = last
+            .lock()
+            .expect("final lock")
+            .clone()
+            .expect("a final tick");
+        assert!(
+            last.done,
+            "threads={threads}: the last tick is the done tick"
+        );
+        assert_eq!(
+            last.zones_done, counters.zone_cells,
+            "threads={threads}: ticks must total the answered cells"
+        );
+        assert_eq!(
+            last.zones_done, last.zones_total,
+            "threads={threads}: every planned cell is answered"
+        );
+        assert!(
+            counters.zones_shared > 0,
+            "threads={threads}: the fixture must share groups"
+        );
+    }
+}

@@ -104,6 +104,21 @@ impl Frontier {
         self.scaled.clear();
     }
 
+    /// Empties the frontier for the spare pool, giving back slab memory
+    /// beyond `rows` labels of `dim` components.
+    fn recycled(mut self, rows: usize, dim: usize) -> Self {
+        self.clear();
+        self.entries.shrink_to(rows);
+        self.costs.shrink_to(rows.saturating_mul(dim));
+        self.scaled.shrink_to(rows.saturating_mul(dim));
+        self
+    }
+
+    /// Whether the frontier ever held a label (a default one owns no slab).
+    fn has_slabs(&self) -> bool {
+        self.entries.capacity() > 0
+    }
+
     fn len(&self) -> usize {
         self.entries.len()
     }
@@ -280,34 +295,41 @@ fn insert_row<T: Copy + Default>(slab: &mut Vec<T>, dim: usize, row: usize, valu
 }
 
 /// Per-thread solve scratch recycled between solves: the per-vertex
-/// frontiers and predecessor stores, which the streaming zone pipeline
-/// otherwise reallocates for every zone. A solve takes the thread's pool,
-/// clears exactly the prefix it will index, and returns the pool (with
-/// its grown capacities) on completion — including early returns and
-/// panics, via [`ScratchGuard`]'s `Drop`. Recycling is bit-neutral: a
-/// cleared [`Frontier`] is logically `Frontier::default()`, and no solver
+/// predecessor stores and a pool of spare frontier slabs, which the zone
+/// pipeline would otherwise reallocate for every zone. A vertex's frontier
+/// is moved out when the vertex is expanded and goes back to the pool,
+/// shrunk to the per-vertex label cap, so the scratch never holds a whole
+/// zone's labels: only the frontiers alive at once, plus the destination's
+/// until the next solve. A solve takes the thread's scratch and returns it
+/// on completion — including early returns and panics, via
+/// [`ScratchGuard`]'s `Drop`. Recycling is bit-neutral: a cleared
+/// [`Frontier`] is logically `Frontier::default()`, and no solver
 /// operation observes capacity.
 #[derive(Default)]
 struct SolveScratch {
     fronts: Vec<Frontier>,
     preds: Vec<Vec<Option<(usize, usize)>>>,
+    spare: Vec<Frontier>,
 }
 
 impl SolveScratch {
-    /// Prepares the pool for a graph of `n` vertices: oversized pools are
-    /// truncated (a later bigger solve must never see stale rows), the
-    /// surviving prefix is cleared in place, and missing slots are
+    /// Prepares the scratch for a graph of `n` vertices whose frontiers
+    /// are capped at `rows` labels of `dim` components: every frontier
+    /// left from the last solve goes to the spare pool, the predecessor
+    /// stores are truncated (a later bigger solve must never see stale
+    /// rows) and cleared in place, and missing slots are
     /// default-constructed.
-    fn begin(&mut self, n: usize) {
-        self.fronts.truncate(n);
-        self.preds.truncate(n);
-        for f in &mut self.fronts {
-            f.clear();
+    fn begin(&mut self, n: usize, rows: usize, dim: usize) {
+        for f in self.fronts.drain(..) {
+            if f.has_slabs() {
+                self.spare.push(f.recycled(rows, dim));
+            }
         }
+        self.fronts.resize_with(n, Frontier::default);
+        self.preds.truncate(n);
         for p in &mut self.preds {
             p.clear();
         }
-        self.fronts.resize_with(n, Frontier::default);
         self.preds.resize_with(n, Vec::new);
     }
 }
@@ -319,10 +341,10 @@ thread_local! {
 
 /// Moves the thread's scratch pool out of thread-local storage (leaving a
 /// fresh empty pool behind, so a nested or racing borrow can never
-/// observe the in-use state) and prepares it for `n` vertices.
-fn acquire_scratch(n: usize) -> ScratchGuard {
+/// observe the in-use state) and prepares it (see [`SolveScratch::begin`]).
+fn acquire_scratch(n: usize, rows: usize, dim: usize) -> ScratchGuard {
     let mut scratch = SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    scratch.begin(n);
+    scratch.begin(n, rows, dim);
     ScratchGuard { scratch }
 }
 
@@ -558,11 +580,16 @@ fn run(
     // Per-vertex frontiers and the append-only predecessor store
     // (dominated or cap-evicted labels leave the frontier but keep their
     // slot here, so predecessor chains stay valid for reconstruction).
-    // Both come from the thread's recycled scratch pool: at scale the
-    // streaming pipeline runs thousands of zone solves per thread, and
-    // reusing the grown slabs removes the per-zone allocation storm.
-    let mut guard = acquire_scratch(n);
-    let SolveScratch { fronts, preds } = &mut guard.scratch;
+    // Both come from the thread's recycled scratch: at scale the pipeline
+    // runs thousands of zone solves per thread, and reusing the slabs
+    // removes the per-zone allocation storm.
+    let spare_rows = max_labels.unwrap_or(usize::MAX);
+    let mut guard = acquire_scratch(n, spare_rows, dim);
+    let SolveScratch {
+        fronts,
+        preds,
+        spare,
+    } = &mut guard.scratch;
     let mut truncated = false;
     let mut exhausted = None;
     let mut stats = SolveStats::default();
@@ -580,6 +607,7 @@ fn run(
     let zero = vec![0.0; dim];
     scale_into(&zero, &mut scaled_scratch);
     preds[source.0].push(None);
+    take_spare(&mut fronts[source.0], spare);
     fronts[source.0].commit(
         dim,
         eps_mode,
@@ -591,10 +619,7 @@ fn run(
     );
     stats.labels_created += 1;
 
-    // Scratch buffers reused across vertices: the expanding vertex's
-    // frontier snapshot (slots + flat costs) and the candidate cost.
-    let mut src_slots: Vec<usize> = Vec::new();
-    let mut src_costs: Vec<f64> = Vec::new();
+    // The candidate cost, reused across attempts.
     let mut cand = vec![0.0; dim];
 
     // The first None -> Some exhaustion transition is reported to the
@@ -631,26 +656,22 @@ fn run(
         if fronts[v.0].is_empty() {
             continue;
         }
-        // Snapshot the frontier once per vertex: targets come strictly
+        // Move the frontier out for its expansion: targets come strictly
         // later in topological order, so `v`'s frontier cannot change
-        // while its arcs are expanded, and the snapshot lets the target
-        // frontiers be borrowed mutably. The cost slab is already
-        // contiguous, so this is one memcpy.
-        src_slots.clear();
-        src_slots.extend(fronts[v.0].entries.iter().map(|e| e.slot));
-        src_costs.clear();
-        src_costs.extend_from_slice(&fronts[v.0].costs);
+        // while its arcs are expanded, and the target frontiers can be
+        // borrowed mutably.
+        let src = std::mem::take(&mut fronts[v.0]);
         let layer_start = observer.as_deref_mut().map(|o| o.now_ns());
         for (to, w) in graph.out_arcs(v) {
             let batch_start = observer.as_deref_mut().map(|o| o.now_ns());
             let pruned_before = stats.labels_pruned;
-            for (k, &slot) in src_slots.iter().enumerate() {
+            take_spare(&mut fronts[to.0], spare);
+            for (k, e) in src.entries.iter().enumerate() {
                 stats.work += 1;
                 if exhausted.is_none() {
                     exhausted = budget.charge(1);
                 }
-                let base = &src_costs[k * dim..(k + 1) * dim];
-                kernels::add_into(&mut cand, base, w);
+                kernels::add_into(&mut cand, src.cost(dim, k), w);
                 scale_into(&cand, &mut scaled_scratch);
                 push_label(
                     &mut fronts[to.0],
@@ -658,7 +679,7 @@ fn run(
                     dim,
                     &cand,
                     &scaled_scratch,
-                    (v.0, slot),
+                    (v.0, e.slot),
                     eps_mode,
                     &mut stats,
                 );
@@ -668,13 +689,19 @@ fn run(
                     batch_start.unwrap_or(0),
                     v.0,
                     to.0,
-                    src_slots.len() as u64,
+                    src.len() as u64,
                     stats.labels_pruned - pruned_before,
                 );
             }
         }
         if let Some(o) = observer.as_deref_mut() {
-            o.layer_span(layer_start.unwrap_or(0), v.0, src_slots.len());
+            o.layer_span(layer_start.unwrap_or(0), v.0, src.len());
+        }
+        // The destination keeps its frontier for the result.
+        if v == dest {
+            fronts[v.0] = src;
+        } else {
+            spare.push(src.recycled(spare_rows, dim));
         }
     }
     if let (Some(reason), false) = (exhausted, exhaustion_reported) {
@@ -753,6 +780,17 @@ fn push_label(
     preds.push(Some(pred));
     front.commit(dim, eps_mode, cost, scaled, fkey, ikey, preds.len() - 1);
     true
+}
+
+/// Gives a vertex about to get its first label a spare slab, so that every
+/// slab a solve hands out comes back to the pool: the source and each
+/// target take one, and each expanded vertex returns one.
+fn take_spare(front: &mut Frontier, spare: &mut Vec<Frontier>) {
+    if !front.has_slabs() {
+        if let Some(slab) = spare.pop() {
+            *front = slab;
+        }
+    }
 }
 
 /// Max scaled component: the ε-mode frontier sort key (0 in exact mode,
@@ -849,6 +887,35 @@ mod tests {
         assert!(set.is_truncated());
         assert!(set.stats().labels_pruned > 0, "the cap must prune");
         assert!(set.stats().work >= set.stats().labels_created - 1);
+    }
+
+    #[test]
+    fn recycled_slabs_stay_bounded_and_capped() {
+        // Every slab a solve hands out comes back, so the spare pool stops
+        // growing after the first solve; and each returned slab is shrunk
+        // to the label cap.
+        std::thread::spawn(|| {
+            let (g, src, dest) = diamond_chain(8);
+            let spare = || SCRATCH.with(|c| c.borrow().spare.len());
+            exact(&g, src, dest, Some(4)).unwrap();
+            let after_one = spare();
+            assert!(after_one > 0, "expanded vertices return their slabs");
+            for _ in 0..20 {
+                exact(&g, src, dest, Some(4)).unwrap();
+                assert_eq!(spare(), after_one, "the pool must not grow per solve");
+            }
+            SCRATCH.with(|c| {
+                for f in &c.borrow().spare {
+                    assert!(f.is_empty());
+                    assert!(
+                        f.costs.capacity() <= 4 * g.dim(),
+                        "slab not shrunk to the cap"
+                    );
+                }
+            });
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use wavemin_mosp::pareto::dominates;
-use wavemin_mosp::{solve, MospGraph, ParetoFront, VertexId};
+use wavemin_mosp::{solve, Exhaustion, MospGraph, ParetoFront, ParetoSet, SolveStats, VertexId};
 
 /// A random layered DAG shaped like a WaveMin zone instance.
 #[derive(Debug, Clone)]
@@ -65,8 +65,60 @@ fn brute_force_costs(l: &Layered) -> Vec<Vec<f64>> {
     out
 }
 
+/// A solve's answer as bits: each path's cost bits and vertices, the
+/// truncation and exhaustion marks, and the solve counters.
+type SetBits = (
+    Vec<(Vec<u64>, Vec<usize>)>,
+    bool,
+    Option<Exhaustion>,
+    SolveStats,
+);
+
+fn bits(set: &ParetoSet) -> SetBits {
+    let paths = set
+        .paths()
+        .iter()
+        .map(|p| {
+            let cost = p.cost.iter().map(|c| c.to_bits()).collect();
+            (cost, p.vertices.iter().map(|v| v.0).collect())
+        })
+        .collect();
+    (paths, set.is_truncated(), set.exhaustion(), *set.stats())
+}
+
+/// Solves `l` with one of three solver setups, picked by `mode`: exact
+/// uncapped, exact capped at two labels, or Warburton capped at three.
+fn solve_with(l: &Layered, mode: usize) -> SetBits {
+    let set = match mode {
+        0 => solve::exact(&l.graph, l.src, l.dest, None),
+        1 => solve::exact(&l.graph, l.src, l.dest, Some(2)),
+        _ => solve::warburton_capped(&l.graph, l.src, l.dest, 0.1, Some(3)),
+    };
+    bits(&set.unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn recycled_scratch_solves_bit_identically_to_a_fresh_thread(
+        graphs in proptest::collection::vec(
+            (1usize..5, 0usize..3).prop_flat_map(|(dims, mode)| {
+                (arb_layered(5, 4, dims), Just(mode))
+            }),
+            1..8,
+        ),
+    ) {
+        // One thread solves the whole sequence, so every solve after the
+        // first reuses the frontier slabs the earlier ones returned, at
+        // other dimensions and caps. Each fresh thread starts from empty
+        // scratch.
+        let recycled: Vec<SetBits> = graphs.iter().map(|(l, mode)| solve_with(l, *mode)).collect();
+        for ((l, mode), got) in graphs.iter().zip(&recycled) {
+            let fresh = std::thread::scope(|s| s.spawn(|| solve_with(l, *mode)).join().unwrap());
+            prop_assert_eq!(got, &fresh);
+        }
+    }
 
     #[test]
     fn exact_returns_exactly_the_pareto_front(l in arb_layered(4, 3, 3)) {
