@@ -684,6 +684,92 @@ mod tests {
         assert_eq!(results, vec![7, 8, 9]);
     }
 
+    /// A state that counts how often it is cloned.
+    struct Counted<'a>(&'a std::sync::atomic::AtomicUsize);
+
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Self(self.0)
+        }
+    }
+
+    /// Clones made solving `grid` on `threads` workers.
+    fn clones(grid: &[Vec<usize>], threads: usize) -> usize {
+        let count = std::sync::atomic::AtomicUsize::new(0);
+        let plan = SharePlan::build(grid.len(), grid[0].len(), |cell, rank, out| {
+            out.push(grid[cell][rank] as u64);
+        });
+        let done = plan.run(
+            threads,
+            Counted(&count),
+            |_, _, state| -> Result<Counted<'_>, ()> { Ok(state) },
+            |_, _| (),
+        );
+        assert_eq!(done.len(), grid.len());
+        count.into_inner()
+    }
+
+    #[test]
+    fn a_split_clones_the_state_once_per_child_except_the_walked_and_the_last() {
+        // Three rank-0 groups share the moved-in root: the first two clone
+        // it and the last takes it. No other rank splits.
+        assert_eq!(clones(&[vec![0, 0], vec![1, 0], vec![2, 0]], 1), 2);
+        // One rank-0 group splits in three at rank 1: the walk moves the
+        // state into the first child, the other two share one clone, and
+        // the first of them to start clones it again.
+        assert_eq!(clones(&[vec![0, 0], vec![0, 1], vec![0, 2]], 1), 2);
+        // A chain never clones.
+        assert_eq!(clones(&[vec![0, 0, 0], vec![0, 0, 0]], 1), 0);
+        // More workers may clone where two take the last siblings at once,
+        // but never more than once per group.
+        assert!(clones(&[vec![0, 0], vec![1, 0], vec![2, 1], vec![2, 2]], 4) <= 7);
+    }
+
+    #[test]
+    fn a_lone_cell_walks_every_rank_in_order_without_encoding() {
+        let plan = SharePlan::build(1, 4, |_, _, _| unreachable!("no prefix is shared"));
+        let log = Mutex::new(Vec::new());
+        let results = plan.run(
+            3,
+            0usize,
+            |rank, members: &[usize], depth| -> Result<usize, usize> {
+                log.lock().expect("log").push((rank, members.to_vec()));
+                Ok(depth + 1)
+            },
+            |_, &depth| depth,
+        );
+        assert_eq!(results, vec![4]);
+        let want: Vec<(usize, Vec<usize>)> = (0..4).map(|r| (r, vec![0])).collect();
+        assert_eq!(log.into_inner().expect("log"), want);
+    }
+
+    #[test]
+    fn restrictions_are_encoded_only_while_a_prefix_is_shared() {
+        // Cell 2 leaves the others at rank 0; cells 0 and 1 part at rank 2.
+        let grid = [vec![0, 0, 0, 0], vec![0, 0, 1, 1], vec![5, 0, 0, 0]];
+        let asked = Mutex::new(Vec::new());
+        let plan = SharePlan::build(3, 4, |cell, rank, out| {
+            asked.lock().expect("asked").push((cell, rank));
+            out.push(grid[cell][rank]);
+        });
+        let asked = asked.into_inner().expect("asked");
+        let want = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (1, 2)];
+        assert_eq!(asked, want);
+        assert_eq!(plan.groups(), 2 + 2 + 3 + 3);
+        assert_eq!(plan.group(0, 1), plan.group(1, 1));
+        assert_ne!(plan.group(0, 2), plan.group(1, 2));
+    }
+
+    #[test]
+    fn more_workers_than_cells_still_answer_every_cell() {
+        let grid: Vec<Vec<usize>> = vec![vec![0, 1], vec![0, 2]];
+        let (mut seen, results) = run_traced(&grid, 64, |_, _| false);
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(0, 0), (1, 0), (1, 1)]);
+        assert_eq!(results, vec![Ok(vec![0, 0]), Ok(vec![0, 1])]);
+    }
+
     #[test]
     #[should_panic(expected = "solve panicked")]
     fn a_panicking_solve_propagates_instead_of_stalling_the_pool() {

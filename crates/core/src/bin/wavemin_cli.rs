@@ -1128,6 +1128,159 @@ mod tests {
         list.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// A per-process scratch path for a test's files.
+    fn tmp_path(name: &str) -> String {
+        let dir = std::env::temp_dir().join("wavemin-cli-tests");
+        std::fs::create_dir_all(&dir).expect("create tmp dir");
+        let path = dir.join(format!("{}-{name}", std::process::id()));
+        path.to_string_lossy().into_owned()
+    }
+
+    fn exit_code(list: &[&str]) -> u8 {
+        run(&args(list)).map_or_else(|e| e.code, |()| 0)
+    }
+
+    #[test]
+    fn a_missing_or_unknown_command_is_a_usage_error() {
+        assert_eq!(exit_code(&[]), EXIT_USAGE);
+        let err = run(&args(&["optimise"])).expect_err("typo");
+        assert_eq!(err.code, EXIT_USAGE);
+        assert_eq!(err.message, "unknown command 'optimise'");
+        assert_eq!(exit_code(&["help"]), 0);
+    }
+
+    #[test]
+    fn flags_take_the_next_word_unless_it_is_a_flag() {
+        let flags = Flags::parse(&args(&["-i", "t.clk", "--strict", "--kappa", "7", "stray"]));
+        assert_eq!(flags.get("i"), Some("t.clk"));
+        assert!(flags.has("strict"));
+        assert_eq!(flags.get("strict"), Some(""));
+        assert_eq!(flags.numeric("kappa").ok().flatten(), Some(7.0));
+        assert!(!flags.has("stray"));
+        // A negative value reads as a flag, so the option has no value.
+        let err = build_config(&Flags::parse(&args(&["--time-budget-ms", "-5"])))
+            .expect_err("missing value");
+        assert_eq!(err.code, EXIT_USAGE);
+        assert!(err.message.contains("got ''"), "{}", err.message);
+    }
+
+    #[test]
+    fn scale_benchmark_names_take_k_and_m_suffixes() {
+        assert_eq!(parse_scale_name("scale500"), Some(500));
+        assert_eq!(parse_scale_name("scale10k"), Some(10_000));
+        assert_eq!(parse_scale_name("scale1m"), Some(1_000_000));
+        for bad in ["scale0", "scalek", "scale", "scale1g", "s15850"] {
+            assert_eq!(parse_scale_name(bad), None, "{bad}");
+        }
+        assert!(benchmark_by_name("s15850").is_ok());
+        let err = benchmark_by_name("s99999").expect_err("no such benchmark");
+        assert_eq!(err.code, EXIT_USAGE);
+    }
+
+    #[test]
+    fn run_options_are_checked_before_any_work() {
+        let usage = |list: &[&str]| {
+            build_config(&Flags::parse(&args(list)))
+                .map(drop)
+                .expect_err("rejected")
+                .code
+        };
+        assert_eq!(usage(&["--resume"]), EXIT_USAGE);
+        assert_eq!(usage(&["--checkpoint"]), EXIT_USAGE);
+        assert_eq!(usage(&["--threads", "0"]), EXIT_USAGE);
+        assert_eq!(usage(&["--threads", "1.5"]), EXIT_USAGE);
+        for plan in ["nonsense", "3:0", "3:1.5", "x:0.5"] {
+            assert_eq!(usage(&["--fault-plan", plan]), EXIT_USAGE, "{plan}");
+        }
+        let config = build_config(&Flags::parse(&args(&[
+            "--checkpoint",
+            "j.ckpt",
+            "--resume",
+            "--threads",
+            "4",
+            "--fault-plan",
+            "3:1.0",
+            "--time-budget-ms",
+            "0",
+        ])))
+        .unwrap_or_else(|e| panic!("{}", e.message));
+        assert!(config.resume);
+        assert_eq!(config.threads, Some(4));
+        assert_eq!(config.time_budget_ms, Some(0));
+        assert!(!config.collect_metrics);
+    }
+
+    #[test]
+    fn metrics_are_collected_whenever_they_have_a_sink() {
+        for sink in ["--metrics-out", "--trace", "--trace-out"] {
+            let config = build_config(&Flags::parse(&args(&[sink, "x.json"])))
+                .unwrap_or_else(|e| panic!("{}", e.message));
+            assert!(config.collect_metrics, "{sink}");
+            assert_eq!(config.trace_spans, sink == "--trace", "{sink}");
+        }
+    }
+
+    #[test]
+    fn design_sources_are_exclusive_and_required() {
+        let err = load_design(&Flags::parse(&args(&["--sdf", "a.sdf", "-i", "t.clk"])))
+            .map(drop)
+            .expect_err("two sources");
+        assert_eq!(err.code, EXIT_USAGE);
+        let err = load_design(&Flags::parse(&args(&["--sdf", "a.sdf", "--power", "p.pw"])))
+            .map(drop)
+            .expect_err("power with sdf");
+        assert_eq!(err.code, EXIT_USAGE);
+        let err = load_design(&Flags::parse(&args(&[])))
+            .map(drop)
+            .expect_err("no source");
+        assert_eq!(err.code, EXIT_USAGE);
+    }
+
+    #[test]
+    fn an_unreadable_input_is_a_runtime_error() {
+        let missing = tmp_path("does-not-exist.clk");
+        assert_eq!(exit_code(&["validate", "-i", &missing]), EXIT_RUNTIME);
+        assert_eq!(exit_code(&["check-report", "-i", &missing]), EXIT_RUNTIME);
+    }
+
+    #[test]
+    fn validate_accepts_a_synthesized_tree_and_rejects_an_unknown_cell() {
+        let tree = tmp_path("validate.clk");
+        let bad = tmp_path("validate-bad.clk");
+        assert_eq!(
+            exit_code(&["synthesize", "--benchmark", "scale200", "-o", &tree]),
+            0
+        );
+        assert_eq!(exit_code(&["validate", "-i", &tree]), 0);
+        let text = std::fs::read_to_string(&tree).expect("read tree");
+        assert!(text.contains("BUF_X"), "synthesized trees use BUF_* cells");
+        std::fs::write(&bad, text.replace("BUF_X", "NO_SUCH_CELL_X")).expect("write tree");
+        let code = exit_code(&["validate", "-i", &bad]);
+        std::fs::remove_file(&tree).ok();
+        std::fs::remove_file(&bad).ok();
+        assert_eq!(code, EXIT_INVALID_INPUT);
+    }
+
+    #[test]
+    fn a_malformed_report_is_invalid_input() {
+        let path = tmp_path("bad-report.json");
+        std::fs::write(&path, "{\"schema_version\":").expect("write report");
+        let truncated = exit_code(&["check-report", "-i", &path]);
+        std::fs::write(&path, "{\"bogus\":1}").expect("write report");
+        let unknown = exit_code(&["check-report", "-i", &path]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(truncated, EXIT_INVALID_INPUT);
+        assert_eq!(unknown, EXIT_INVALID_INPUT);
+    }
+
+    #[test]
+    fn shard_sink_counts_are_listed_for_a_few_shards_and_ranged_for_many() {
+        assert_eq!(summarize_shard_sinks(&[3, 4]), "[3, 4]");
+        assert_eq!(summarize_shard_sinks(&[]), "[]");
+        let many: Vec<usize> = (10..20).collect();
+        assert_eq!(summarize_shard_sinks(&many), "[10 shards of 10..19 sinks]");
+    }
+
     #[test]
     fn streaming_is_an_unknown_flag() {
         let err = run(&args(&["optimize", "-i", "tree.clk", "--streaming"]))

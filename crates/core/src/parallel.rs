@@ -126,6 +126,33 @@ mod tests {
     }
 
     #[test]
+    fn each_worker_maps_one_contiguous_chunk() {
+        let items: Vec<usize> = (0..10).collect();
+        for threads in [2, 3, 4, 16] {
+            let owners = map_ordered(&items, threads, |_, _| std::thread::current().id());
+            let chunks = 1 + owners.windows(2).filter(|w| w[0] != w[1]).count();
+            let mut distinct = owners.clone();
+            distinct.sort_by_key(|id| format!("{id:?}"));
+            distinct.dedup();
+            // As many runs as threads: no thread comes back after its run.
+            assert_eq!(chunks, distinct.len(), "threads = {threads}");
+            let want = items.len().div_ceil(items.len().div_ceil(threads));
+            assert_eq!(chunks, want, "threads = {threads}");
+            assert!(owners.iter().all(|o| *o != std::thread::current().id()));
+        }
+        // One thread maps inline on the caller.
+        let inline = map_ordered(&items, 1, |_, _| std::thread::current().id());
+        assert!(inline.iter().all(|o| *o == std::thread::current().id()));
+    }
+
+    #[test]
+    fn available_threads_is_positive_and_cached() {
+        let first = available_threads();
+        assert!(first >= 1);
+        assert_eq!(available_threads(), first);
+    }
+
+    #[test]
     fn panic_payload_extracts_strings() {
         let e = std::panic::catch_unwind(|| panic!("static message")).expect_err("panics");
         assert_eq!(panic_payload(e.as_ref()), "static message");

@@ -448,6 +448,63 @@ mod tests {
     }
 
     #[test]
+    fn malformed_requests_say_what_is_wrong() {
+        let err = parse_request("not json").unwrap_err();
+        assert!(err.starts_with("malformed JSON: "), "{err}");
+        assert_eq!(
+            parse_request("[1]").unwrap_err(),
+            "request must be a JSON object"
+        );
+        assert_eq!(
+            parse_request(r#"{"session":"a"}"#).unwrap_err(),
+            "missing field `cmd`"
+        );
+        assert_eq!(
+            parse_request(r#"{"cmd":3}"#).unwrap_err(),
+            "cmd must be a string"
+        );
+        assert_eq!(
+            parse_request(r#"{"cmd":"fly"}"#).unwrap_err(),
+            "unknown cmd \"fly\""
+        );
+    }
+
+    #[test]
+    fn solve_takes_negative_priorities_and_null_for_its_defaults() {
+        let solve = |line: &str| match parse_request(line) {
+            Ok(Request::Solve(s)) => Ok(s),
+            Ok(other) => panic!("wrong parse: {other:?}"),
+            Err(e) => Err(e),
+        };
+        let s = solve(r#"{"cmd":"solve","session":"a","priority":-2}"#).expect("solve");
+        assert_eq!(s.priority, -2);
+        let s = solve(
+            r#"{"cmd":"solve","session":"a","priority":null,"progress":null,"time_budget_ms":null}"#,
+        )
+        .expect("nulls");
+        assert_eq!((s.priority, s.progress, s.time_budget_ms), (0, false, None));
+        let err = solve(r#"{"cmd":"solve","session":"a","time_budget_ms":-1}"#).unwrap_err();
+        assert!(err.starts_with("time_budget_ms: "), "{err}");
+    }
+
+    #[test]
+    fn a_bad_eco_edit_is_named_by_its_index() {
+        let err = parse_request(
+            r#"{"cmd":"load","session":"a","benchmark":"b",
+                "edits":[{"node":1,"delay_trim_ps":0},{"node":"x","delay_trim_ps":0}]}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "edits[1].node: expected an unsigned integer, got a string"
+        );
+        let err =
+            parse_request(r#"{"cmd":"load","session":"a","benchmark":"b","edits":[{"node":1}]}"#)
+                .unwrap_err();
+        assert_eq!(err, "edits[0]: missing field `delay_trim_ps`");
+    }
+
+    #[test]
     fn responses_round_trip_through_the_parser_side() {
         let ok = ok_response(vec![("zones".to_string(), Value::UInt(4))]);
         assert!(ok.starts_with('{') && ok.contains("\"ok\":true") && ok.contains("\"zones\":4"));

@@ -918,6 +918,139 @@ mod tests {
         .unwrap();
     }
 
+    /// Screens and commits `cost` as the frontier's next label in exact
+    /// mode; returns whether it was admitted.
+    fn offer(front: &mut Frontier, cost: &[f64], slot: usize, stats: &mut SolveStats) -> bool {
+        let fkey = cost.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let admitted = front.admit(cost.len(), false, cost, &[], fkey, 0, stats);
+        if admitted {
+            front.commit(cost.len(), false, cost, &[], fkey, 0, slot);
+        }
+        admitted
+    }
+
+    fn rows(front: &Frontier, dim: usize) -> Vec<(usize, Vec<f64>)> {
+        (0..front.len())
+            .map(|i| (front.entries[i].slot, front.cost(dim, i).to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn insert_row_splices_at_the_front_middle_and_end() {
+        let mut slab = vec![1, 1, 3, 3];
+        insert_row(&mut slab, 2, 1, &[2, 2]);
+        insert_row(&mut slab, 2, 0, &[0, 0]);
+        insert_row(&mut slab, 2, 4, &[4, 4]);
+        assert_eq!(slab, vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+    }
+
+    #[test]
+    fn exact_admission_rejects_the_weakly_dominated_and_evicts_the_dominated() {
+        let mut front = Frontier::default();
+        let mut stats = SolveStats::default();
+        assert!(offer(&mut front, &[4.0, 1.0], 0, &mut stats));
+        assert!(offer(&mut front, &[1.0, 4.0], 1, &mut stats));
+        // Equal to an incumbent: weakly dominated, so rejected.
+        assert!(!offer(&mut front, &[4.0, 1.0], 2, &mut stats));
+        assert!(!offer(&mut front, &[5.0, 4.0], 3, &mut stats));
+        // Dominates both incumbents: they leave and it is the only row.
+        assert!(offer(&mut front, &[1.0, 1.0], 4, &mut stats));
+        assert_eq!(rows(&front, 2), vec![(4, vec![1.0, 1.0])]);
+        assert_eq!(stats.labels_pruned, 2);
+    }
+
+    #[test]
+    fn commits_keep_the_max_key_order_with_ties_in_arrival_order() {
+        let mut front = Frontier::default();
+        let mut stats = SolveStats::default();
+        // Pairwise nondominated; slots 0 and 2 tie on key 3.
+        for (slot, cost) in [[3.0, 0.0], [1.0, 1.0], [0.0, 3.0], [2.0, 0.5]]
+            .iter()
+            .enumerate()
+        {
+            assert!(offer(&mut front, cost, slot, &mut stats));
+        }
+        let slots: Vec<usize> = front.entries.iter().map(|e| e.slot).collect();
+        assert_eq!(slots, vec![1, 3, 0, 2]);
+        let keys: Vec<f64> = front.entries.iter().map(|e| e.fkey).collect();
+        assert_eq!(keys, vec![1.0, 2.0, 3.0, 3.0]);
+        assert_eq!(front.costs, vec![1.0, 1.0, 2.0, 0.5, 3.0, 0.0, 0.0, 3.0]);
+        assert_eq!(stats.labels_pruned, 0);
+    }
+
+    #[test]
+    fn epsilon_admission_compares_the_scaled_grid_only() {
+        let mut front = Frontier::default();
+        let mut stats = SolveStats::default();
+        let mut offer_eps = |front: &mut Frontier, cost: &[f64], scaled: &[i64], slot| {
+            let ikey = ikey_of(scaled);
+            let fkey = cost.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let ok = front.admit(2, true, cost, scaled, fkey, ikey, &mut stats);
+            if ok {
+                front.commit(2, true, cost, scaled, fkey, ikey, slot);
+            }
+            ok
+        };
+        assert!(offer_eps(&mut front, &[1.0, 2.0], &[1, 2], 0));
+        // Better true costs, but the same grid cell: collapsed into the
+        // incumbent.
+        assert!(!offer_eps(&mut front, &[0.9, 1.9], &[1, 2], 1));
+        assert!(offer_eps(&mut front, &[2.0, 0.5], &[2, 0], 2));
+        assert!(offer_eps(&mut front, &[0.5, 0.5], &[0, 0], 3));
+        let slots: Vec<usize> = front.entries.iter().map(|e| e.slot).collect();
+        assert_eq!(slots, vec![3]);
+        assert_eq!(front.scaled_row(2, 0), &[0, 0]);
+    }
+
+    #[test]
+    fn the_cap_keeps_the_smallest_max_keys_in_both_modes() {
+        let mut exact_front = Frontier::default();
+        let mut stats = SolveStats::default();
+        for (slot, cost) in [[1.0, 5.0], [2.0, 2.0], [5.0, 1.0], [3.0, 1.5]]
+            .iter()
+            .enumerate()
+        {
+            offer(&mut exact_front, cost, slot, &mut stats);
+        }
+        assert_eq!(exact_front.apply_cap(2, false, 2), 2);
+        let slots: Vec<usize> = exact_front.entries.iter().map(|e| e.slot).collect();
+        assert_eq!(slots, vec![1, 3]);
+        assert_eq!(exact_front.apply_cap(2, false, 5), 0);
+
+        // In ε mode the survivors are chosen by true max but keep their
+        // scaled-key order.
+        let mut eps = Frontier::default();
+        for (slot, (fkey, ikey)) in [(4.0, 1), (1.0, 2), (2.0, 3)].into_iter().enumerate() {
+            let row = [ikey, 0];
+            eps.commit(2, true, &[fkey, 0.0], &row, fkey, ikey, slot);
+        }
+        assert_eq!(eps.apply_cap(2, true, 2), 1);
+        let kept: Vec<(usize, i64)> = eps.entries.iter().map(|e| (e.slot, e.ikey)).collect();
+        assert_eq!(kept, vec![(1, 2), (2, 3)]);
+        assert_eq!(eps.scaled, vec![2, 0, 3, 0]);
+    }
+
+    #[test]
+    fn beginning_a_smaller_solve_leaves_no_stale_rows() {
+        let mut scratch = SolveScratch::default();
+        scratch.begin(5, 4, 2);
+        scratch.preds[4].push(Some((1, 0)));
+        scratch.preds[1].push(None);
+        let mut stats = SolveStats::default();
+        offer(&mut scratch.fronts[2], &[1.0, 1.0], 0, &mut stats);
+        scratch.begin(3, 4, 2);
+        assert_eq!(scratch.preds.len(), 3);
+        assert!(scratch.preds.iter().all(Vec::is_empty));
+        assert_eq!(scratch.fronts.len(), 3);
+        assert!(scratch
+            .fronts
+            .iter()
+            .all(|f| f.is_empty() && !f.has_slabs()));
+        // Only the frontier that ever held a label went to the pool.
+        assert_eq!(scratch.spare.len(), 1);
+        assert!(scratch.spare[0].is_empty() && scratch.spare[0].has_slabs());
+    }
+
     #[test]
     fn exact_drops_dominated_paths() {
         let mut g = MospGraph::new(2);

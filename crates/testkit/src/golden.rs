@@ -99,8 +99,14 @@ pub fn check_snapshot(dir: &Path, name: &str, got: &str) {
             path.display()
         )
     });
+    compare(name, got, &want);
+}
+
+/// Panics unless `got` matches the snapshot text `want`: the peak lines
+/// to 1e-9 mA and every other line exactly.
+fn compare(name: &str, got: &str, want: &str) {
     let got_peak = peak_of(name, got);
-    let want_peak = peak_of(name, &want);
+    let want_peak = peak_of(name, want);
     assert!(
         (got_peak - want_peak).abs() <= 1e-9,
         "{name}: peak {got_peak} differs from golden {want_peak}"
@@ -113,7 +119,43 @@ pub fn check_snapshot(dir: &Path, name: &str, got: &str) {
     };
     assert_eq!(
         tail(got),
-        tail(&want),
+        tail(want),
         "{name}: output diverged from the golden snapshot"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WANT: &str = "peak_after_ma = 1.00000000000000000e0\nassignment:\n3=INV_X4\n";
+
+    #[test]
+    fn a_peak_within_tolerance_and_the_same_listing_match() {
+        compare("t", WANT, WANT);
+        let reformatted = "peak_after_ma = 1.0000000000001\nassignment:\n3=INV_X4\n";
+        compare("t", reformatted, WANT);
+    }
+
+    #[test]
+    #[should_panic(expected = "t: peak 1.00001 differs from golden 1")]
+    fn a_peak_beyond_tolerance_fails() {
+        compare(
+            "t",
+            "peak_after_ma = 1.00001\nassignment:\n3=INV_X4\n",
+            WANT,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "t: output diverged from the golden snapshot")]
+    fn a_changed_listing_fails_even_with_an_equal_peak() {
+        compare("t", "peak_after_ma = 1.0\nassignment:\n3=BUF_X4\n", WANT);
+    }
+
+    #[test]
+    #[should_panic(expected = "t: snapshot has no 'peak_after_ma = ' line")]
+    fn a_snapshot_without_a_peak_line_is_rejected() {
+        compare("t", WANT, "assignment:\n3=INV_X4\n");
+    }
 }
