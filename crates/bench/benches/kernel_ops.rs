@@ -2,8 +2,8 @@
 //! shipped vectorized bodies (`vector`) vs the scalar reference, at the
 //! dimensionalities the solver actually runs (|S| = 4·k sampled waveform
 //! points; 156 matches the paper's ≈158-point waveforms, 8/32 cover small
-//! zones) — plus the slab dominance scans that `ParetoFront` and the
-//! Warburton ε-grid front batch-check candidates against. This is the
+//! zones) — plus the slab dominance scans that the solver's exact and
+//! Warburton ε-grid frontiers batch-check candidates against. This is the
 //! per-primitive measurement a kernel body is chosen from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -86,7 +86,7 @@ fn bench_dominates(c: &mut Criterion) {
 }
 
 fn bench_slab_scan(c: &mut Criterion) {
-    // The ParetoFront rejection scan: one candidate against a contiguous
+    // The exact frontier's rejection scan: one candidate against a contiguous
     // slab of incumbent cost rows (no row dominates, so the scan runs to
     // the end — the common admit case).
     let mut group = c.benchmark_group("kernel_slab_scan");

@@ -15,7 +15,9 @@ fn bench_rows(c: &mut Criterion) {
     for rows in [2usize, 4, 8] {
         let (g, s, t) = layered(rows, 4, 8, 1);
         group.bench_with_input(BenchmarkId::from_parameter(rows), &g, |b, g| {
-            b.iter(|| solve::warburton_capped(g, s, t, 0.01, Some(64)).unwrap());
+            b.iter(|| {
+                solve::warburton(g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
+            });
         });
     }
     group.finish();
@@ -26,7 +28,9 @@ fn bench_dims(c: &mut Criterion) {
     for dims in [4usize, 32, 156] {
         let (g, s, t) = layered(5, 4, dims, 2);
         group.bench_with_input(BenchmarkId::from_parameter(dims), &g, |b, g| {
-            b.iter(|| solve::warburton_capped(g, s, t, 0.01, Some(64)).unwrap());
+            b.iter(|| {
+                solve::warburton(g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
+            });
         });
     }
     group.finish();
@@ -36,13 +40,13 @@ fn bench_exact_vs_warburton(c: &mut Criterion) {
     let (g, s, t) = layered(6, 4, 8, 3);
     let mut group = c.benchmark_group("solver_kind");
     group.bench_function("exact", |b| {
-        b.iter(|| solve::exact(&g, s, t, Some(64)).unwrap());
+        b.iter(|| solve::exact(&g, s, t, Some(64), &Budget::unlimited(), None).unwrap());
     });
     group.bench_function("warburton_e01", |b| {
-        b.iter(|| solve::warburton_capped(&g, s, t, 0.01, Some(64)).unwrap());
+        b.iter(|| solve::warburton(&g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap());
     });
     group.bench_function("warburton_e50", |b| {
-        b.iter(|| solve::warburton_capped(&g, s, t, 0.5, Some(64)).unwrap());
+        b.iter(|| solve::warburton(&g, s, t, 0.5, Some(64), &Budget::unlimited(), None).unwrap());
     });
     group.finish();
 }
@@ -121,12 +125,11 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 /// instruments — the production default, one branch per hook site — and
 /// must stay within noise of the plain `run`; `enabled` attaches a journal
 /// and bounds what a full journal costs an end-to-end run. Solver-level, `enabled` drives the `warburton_rows/8`
-/// fixture through `warburton_observed` with a live handle recording every
+/// fixture through `warburton` with a live handle recording every
 /// layer and label batch — the finest-grained ceiling, budgeted at under
 /// 5 % over the unobserved baseline on this fixture.
 fn bench_trace_overhead(c: &mut Criterion) {
     use wavemin::trace::TraceJournal;
-    use wavemin_mosp::Budget;
 
     let design = Design::from_benchmark(&Benchmark::s13207(), 1);
     let mut group = c.benchmark_group("trace_overhead");
@@ -162,7 +165,9 @@ fn bench_trace_overhead(c: &mut Criterion) {
         BenchmarkId::new("warburton_rows/8", "baseline"),
         &g,
         |b, g| {
-            b.iter(|| solve::warburton_capped(g, s, t, 0.01, Some(64)).unwrap());
+            b.iter(|| {
+                solve::warburton(g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
+            });
         },
     );
     group.bench_with_input(
@@ -174,7 +179,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
                 // saturates into the (cheaper) overflow-drop path.
                 let journal = TraceJournal::enabled();
                 let mut handle = journal.handle();
-                let set = solve::warburton_observed(
+                let set = solve::warburton(
                     g,
                     s,
                     t,

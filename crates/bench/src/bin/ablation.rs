@@ -69,9 +69,8 @@ fn main() {
     run(
         "solver: exact pareto (cap 64)",
         WaveMinConfig {
-            solver: SolverKind::Exact {
-                max_labels: Some(64),
-            },
+            solver: SolverKind::Exact,
+            label_cap: 64,
             ..WaveMinConfig::default()
         },
     );

@@ -118,23 +118,23 @@ fn solver_measurements() -> Vec<Measurement> {
     for rows in [2usize, 4, 8] {
         let (g, s, t) = layered(rows, 4, 8, 1);
         out.push(measure(format!("warburton_rows/{rows}"), || {
-            solve::warburton_capped(&g, s, t, 0.01, Some(64)).unwrap()
+            solve::warburton(&g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
         }));
     }
     for dims in [4usize, 32, 156] {
         let (g, s, t) = layered(5, 4, dims, 2);
         out.push(measure(format!("warburton_dims/{dims}"), || {
-            solve::warburton_capped(&g, s, t, 0.01, Some(64)).unwrap()
+            solve::warburton(&g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
         }));
     }
     let (g, s, t) = layered(6, 4, 8, 3);
     for (name, eps) in [("warburton_e01", 0.01), ("warburton_e50", 0.5)] {
         out.push(measure(format!("solver_kind/{name}"), || {
-            solve::warburton_capped(&g, s, t, eps, Some(64)).unwrap()
+            solve::warburton(&g, s, t, eps, Some(64), &Budget::unlimited(), None).unwrap()
         }));
     }
     out.push(measure("solver_kind/exact".to_owned(), || {
-        solve::exact(&g, s, t, Some(64)).unwrap()
+        solve::exact(&g, s, t, Some(64), &Budget::unlimited(), None).unwrap()
     }));
     out
 }

@@ -4,6 +4,8 @@ use crate::kind::CellKind;
 use crate::spec::CellSpec;
 use crate::units::Picoseconds;
 use serde::Serialize;
+// Name-to-index lookups; cells are listed from the `Vec`.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 
 /// An ordered collection of [`CellSpec`]s with name lookup.
@@ -18,6 +20,8 @@ use std::collections::HashMap;
 /// assert!(lib.of_kind(CellKind::Inverter).count() >= 4);
 /// ```
 #[derive(Debug, Default, Clone, Serialize)]
+// Name-to-index lookups; cells are listed from the `Vec`.
+#[allow(clippy::disallowed_types)]
 pub struct CellLibrary {
     cells: Vec<CellSpec>,
     #[serde(skip)]

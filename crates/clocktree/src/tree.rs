@@ -400,6 +400,8 @@ impl ClockTree {
     /// # Errors
     ///
     /// Returns the first violated invariant found.
+    // Membership test only; the reported node comes from `ids()` order.
+    #[allow(clippy::disallowed_types)]
     pub fn validate(&self, library_has: impl Fn(&str) -> bool) -> Result<(), TreeError> {
         if self.nodes.is_empty() {
             return Err(TreeError::Empty);
@@ -512,6 +514,8 @@ mod tests {
     }
 
     #[test]
+    // Index lookups only; the map is never iterated.
+    #[allow(clippy::disallowed_types)]
     fn topological_order_is_parent_first() {
         let t = sample_tree();
         let order = t.topological_order();

@@ -121,6 +121,8 @@ proptest! {
     }
 
     #[test]
+    // Membership and count only; the map is never iterated.
+    #[allow(clippy::disallowed_types)]
     fn zone_partition_is_exact_and_disjoint(sinks in arb_sinks(), pitch in 20.0..120.0f64) {
         let (lib, chr) = context();
         let synth = Synthesizer::new(&lib, &chr, SynthesisOptions::default());

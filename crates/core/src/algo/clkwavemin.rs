@@ -203,13 +203,13 @@ impl MospLadder {
         let cap = config.label_cap.max(1);
         let base_eps = match config.solver {
             SolverKind::Warburton { epsilon } => epsilon,
-            SolverKind::Exact { .. } => 0.01,
+            SolverKind::Exact => 0.01,
         };
         let mut rungs = vec![Rung {
             solver: config.solver,
             label_cap: cap,
         }];
-        if matches!(config.solver, SolverKind::Exact { .. }) {
+        if matches!(config.solver, SolverKind::Exact) {
             rungs.push(Rung {
                 solver: SolverKind::Warburton { epsilon: base_eps },
                 label_cap: cap,
@@ -228,9 +228,7 @@ impl MospLadder {
             label_cap: (cap / 4).max(4).min(cap),
         });
         rungs.push(Rung {
-            solver: SolverKind::Exact {
-                max_labels: Some(1),
-            },
+            solver: SolverKind::Exact,
             label_cap: 1,
         });
         Self {
@@ -304,7 +302,7 @@ impl MospLadder {
             (self.rungs[st.rung], st.rung)
         };
         let set = match rung.solver {
-            SolverKind::Warburton { epsilon } => solve::warburton_observed(
+            SolverKind::Warburton { epsilon } => solve::warburton(
                 graph,
                 src,
                 dest,
@@ -313,10 +311,14 @@ impl MospLadder {
                 &self.budget,
                 observer,
             )?,
-            SolverKind::Exact { max_labels } => {
-                let cap = Some(max_labels.map_or(rung.label_cap, |m| m.min(rung.label_cap)));
-                solve::exact_observed(graph, src, dest, cap, &self.budget, observer)?
-            }
+            SolverKind::Exact => solve::exact(
+                graph,
+                src,
+                dest,
+                Some(rung.label_cap),
+                &self.budget,
+                observer,
+            )?,
         };
         let mut st = self.state();
         st.total_solves += 1;
@@ -340,10 +342,10 @@ impl MospLadder {
         self.last_rung.store(st.rung, Ordering::Relaxed);
         self.record_transition(st.rung);
         match (from.solver, to.solver) {
-            (_, SolverKind::Exact { .. }) => {
+            (_, SolverKind::Exact) => {
                 st.steps.push(DegradationStep::GreedyFallback { reason });
             }
-            (SolverKind::Exact { .. }, SolverKind::Warburton { epsilon }) => {
+            (SolverKind::Exact, SolverKind::Warburton { epsilon }) => {
                 st.steps
                     .push(DegradationStep::ExactToApproximate { epsilon, reason });
             }
@@ -423,14 +425,7 @@ impl MospLadder {
         src: VertexId,
         dest: VertexId,
     ) -> Result<ParetoSet, WaveMinError> {
-        Ok(solve::exact_observed(
-            graph,
-            src,
-            dest,
-            Some(1),
-            &self.budget,
-            None,
-        )?)
+        Ok(solve::exact(graph, src, dest, Some(1), &self.budget, None)?)
     }
 }
 
@@ -715,7 +710,7 @@ mod tests {
         let mut cfg_w = WaveMinConfig::default().with_sample_count(8);
         cfg_w.solver = SolverKind::Warburton { epsilon: 0.01 };
         let mut cfg_e = cfg_w.clone();
-        cfg_e.solver = SolverKind::Exact { max_labels: None };
+        cfg_e.solver = SolverKind::Exact;
         let out_w = ClkWaveMin::new(cfg_w).run(&d).unwrap();
         let out_e = ClkWaveMin::new(cfg_e).run(&d).unwrap();
         // ε = 0.01: the approximation must be within ~1 % of exact.
@@ -725,6 +720,34 @@ mod tests {
             "warburton {} vs exact {}",
             out_w.estimated_cost,
             out_e.estimated_cost
+        );
+    }
+
+    #[test]
+    fn the_greedy_rung_is_exact_at_a_one_label_cap() {
+        for solver in [SolverKind::default(), SolverKind::Exact] {
+            let ladder = MospLadder::unbudgeted(&WaveMinConfig::default().with_solver(solver));
+            assert_eq!(ladder.rungs[0].solver, solver);
+            assert_eq!(ladder.rungs[0].label_cap, 64);
+            let greedy = ladder.rungs[ladder.greedy_rung()];
+            assert_eq!(greedy.solver, SolverKind::Exact);
+            assert_eq!(greedy.label_cap, 1);
+        }
+    }
+
+    #[test]
+    fn label_cap_bounds_the_exact_solver_front() {
+        let mut cfg = WaveMinConfig::default()
+            .with_solver(SolverKind::Exact)
+            .with_metrics(true);
+        cfg.label_cap = 2;
+        let out = ClkWaveMin::new(cfg).run(&small_design()).unwrap();
+        let front = out.report.expect("metrics collected").histograms.front_size;
+        assert!(front.count > 0);
+        assert!(
+            front.max <= 2,
+            "front of {} paths exceeds the cap",
+            front.max
         );
     }
 

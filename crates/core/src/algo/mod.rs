@@ -273,6 +273,8 @@ pub(crate) struct ZoneSpec {
 
 impl ZoneSpec {
     /// Partitions a design into zone specs (no vectors sampled yet).
+    // Keyed lookups only; zones and bucket members are read in their own order.
+    #[allow(clippy::disallowed_types)]
     pub(crate) fn build_specs(
         design: &Design,
         config: &WaveMinConfig,

@@ -41,6 +41,8 @@
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
+// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -234,6 +236,8 @@ impl JournalFile {
 /// *trailing* line — the signature of a process killed mid-append — is
 /// skipped; a malformed line anywhere earlier is corruption and fails
 /// the resume rather than silently dropping vouched zones.
+// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
+#[allow(clippy::disallowed_types)]
 fn load_entries(
     path: &str,
     fingerprint: u64,
@@ -316,6 +320,8 @@ enum Slot {
     InFlight,
 }
 
+// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
+#[allow(clippy::disallowed_types)]
 struct CacheInner {
     map: HashMap<u64, (Slot, u64)>,
     bytes: usize,
@@ -338,6 +344,8 @@ pub struct ZoneCache {
     ready: Condvar,
 }
 
+// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
+#[allow(clippy::disallowed_types)]
 impl ZoneCache {
     /// Creates a cache bounded to roughly `max_bytes` of entry payload.
     /// A budget of zero disables retention (every lookup misses, every
@@ -583,6 +591,17 @@ mod tests {
             StoreAcquire::Hit(zone) => Some(zone),
             StoreAcquire::Solve(_) => None,
         }
+    }
+
+    #[test]
+    fn the_default_config_fingerprint_is_stable() {
+        // Journals written by earlier builds stay valid only while the
+        // default config hashes the same.
+        let cfg = WaveMinConfig::default().with_fault_plan(None);
+        assert_eq!(
+            config_fingerprint(&cfg).expect("config fingerprint"),
+            0xc2b5_c512_437d_2809
+        );
     }
 
     #[test]

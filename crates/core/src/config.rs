@@ -27,11 +27,9 @@ pub enum SolverKind {
         /// Approximation parameter (the paper uses 0.01).
         epsilon: f64,
     },
-    /// Exact Pareto enumeration with an optional per-vertex label cap.
-    Exact {
-        /// Per-vertex frontier cap (`None` = unbounded).
-        max_labels: Option<usize>,
-    },
+    /// Exact Pareto enumeration, capped per vertex at
+    /// [`WaveMinConfig::label_cap`] labels like the Warburton solve.
+    Exact,
 }
 
 impl Default for SolverKind {
@@ -57,8 +55,9 @@ pub struct WaveMinConfig {
     pub profiling_slew: Picoseconds,
     /// The per-subproblem solver.
     pub solver: SolverKind,
-    /// Safety cap on Pareto labels per vertex inside the Warburton solve
-    /// (the scaled grid usually collapses labels long before this).
+    /// Safety cap on Pareto labels per vertex inside every zone solve,
+    /// exact or Warburton (the ε-grid usually collapses labels long
+    /// before this).
     pub label_cap: usize,
     /// Keep at most this many feasible intervals (best degree-of-freedom
     /// first); `None` = all.

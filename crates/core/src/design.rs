@@ -204,6 +204,8 @@ impl Design {
     ///
     /// The first violation found, as a [`WaveMinError`] naming the
     /// offending node/cell/field.
+    // Membership test only; the set is never iterated.
+    #[allow(clippy::disallowed_types)]
     pub fn validate(&self) -> Result<(), WaveMinError> {
         self.tree.validate(|c| self.lib.get(c).is_some())?;
         if self.tree.leaves().is_empty() {

@@ -28,6 +28,8 @@ pub mod sdf;
 use crate::design::Design;
 use crate::error::WaveMinError;
 use sdf::{SdfCell, SdfError, SdfFile, SdfInterconnect, SdfIoPath};
+// Values read out are sorted, or min'd, by unique instance name.
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, VecDeque};
 use wavemin_cells::characterize::ClockEdge;
 use wavemin_cells::units::{Femtofarads, Microns, Picoseconds, Volts};
@@ -128,6 +130,8 @@ fn flip(edge: ClockEdge) -> ClockEdge {
 /// [`WaveMinError::MissingCell`] for unknown `CELLTYPE`s, and any
 /// [`Design::validate`] error for lowered designs that are structurally
 /// valid SDF but unusable inputs.
+// Values read out are sorted, or min'd, by unique instance name.
+#[allow(clippy::disallowed_types)]
 pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMinError> {
     let file = sdf::parse(text).map_err(WaveMinError::Sdf)?;
     let cells = &file.cells;

@@ -13,6 +13,8 @@ use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
 use serde::Serialize;
+// LUT cache keyed by (cell, supply); lookups only.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use wavemin_cells::characterize::{ClockEdge, Rail};
 use wavemin_cells::lut::NoiseLut;
@@ -315,6 +317,8 @@ impl NoiseTable {
     ///
     /// Fails if timing analysis fails or a candidate cell is missing from
     /// the library.
+    // LUT cache keyed by (cell, supply); lookups only.
+    #[allow(clippy::disallowed_types)]
     pub fn build(
         design: &Design,
         config: &WaveMinConfig,

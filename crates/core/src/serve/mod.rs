@@ -31,6 +31,8 @@
 
 pub mod protocol;
 
+// Sessions are looked up by name; the metrics listing sorts them.
+#[allow(clippy::disallowed_types)]
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -154,6 +156,8 @@ struct JobQueue {
     closed: bool,
 }
 
+// Sessions are looked up by name; the metrics listing sorts them.
+#[allow(clippy::disallowed_types)]
 struct ServerState {
     opts: ServeOptions,
     sessions: Mutex<HashMap<String, Arc<SessionEntry>>>,
@@ -175,6 +179,8 @@ struct ServerState {
 }
 
 impl ServerState {
+    // Sessions are looked up by name; the metrics listing sorts them.
+    #[allow(clippy::disallowed_types)]
     fn sessions(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<SessionEntry>>> {
         self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -241,6 +247,8 @@ impl ServerState {
 ///
 /// Socket bind/configuration failures. Per-connection and per-job
 /// failures are reported to the client, never escalated here.
+// Sessions are looked up by name; the metrics listing sorts them.
+#[allow(clippy::disallowed_types)]
 pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
     let socket_path = opts.socket_path.clone();
     // A stale socket file from an unclean previous exit blocks bind.

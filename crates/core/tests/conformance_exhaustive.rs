@@ -69,7 +69,7 @@ fn hard_design(seed: u64) -> Design {
 #[test]
 fn exact_solver_matches_exhaustive_optimum() {
     let worst = worst_ratio("exact/strict", strict_design, strict_config, |d, cfg| {
-        ClkWaveMin::new(cfg.with_solver(SolverKind::Exact { max_labels: None })).run(d)
+        ClkWaveMin::new(cfg.with_solver(SolverKind::Exact)).run(d)
     });
     assert!(
         worst <= 1.0 + 1e-9,
@@ -100,7 +100,7 @@ fn exact_solver_stays_within_model_gap_on_hard_family() {
     // On the hard family the residual is the sampled-model gap, not the
     // solver: calibrated worst case 1.033, documented bound 10 %.
     let worst = worst_ratio("exact/hard", hard_design, hard_config, |d, cfg| {
-        ClkWaveMin::new(cfg.with_solver(SolverKind::Exact { max_labels: None })).run(d)
+        ClkWaveMin::new(cfg.with_solver(SolverKind::Exact)).run(d)
     });
     assert!(
         worst <= 1.10,
@@ -129,10 +129,11 @@ fn greedy_ladder_rung_stays_within_documented_ratio() {
     // quality floor budget exhaustion can reach: calibrated worst case
     // 1.069, documented bound 25 %.
     let worst = worst_ratio("greedy-rung/hard", hard_design, hard_config, |d, cfg| {
-        ClkWaveMin::new(cfg.with_solver(SolverKind::Exact {
-            max_labels: Some(1),
-        }))
-        .run(d)
+        let greedy = WaveMinConfig {
+            label_cap: 1,
+            ..cfg.with_solver(SolverKind::Exact)
+        };
+        ClkWaveMin::new(greedy).run(d)
     });
     assert!(
         worst <= 1.25,

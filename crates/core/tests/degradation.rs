@@ -13,14 +13,14 @@ fn design() -> Design {
 #[test]
 fn tight_budget_degrades_but_stays_valid() {
     let d = design();
-    // Unbounded exact Pareto enumeration is worst-case exponential in the
-    // zone size: one zone spanning the whole die (huge pitch) makes every
-    // sink a DAG layer, and with high-dimensional sample vectors almost no
-    // label dominates another, so the frontier explodes. A ~100 ms
-    // wall-clock budget must force the ladder down instead of letting the
-    // solve run unbounded.
+    // Exact Pareto enumeration is worst-case exponential in the zone size.
+    // One zone spanning the whole die (huge pitch) makes every sink a DAG
+    // layer, and with high-dimensional sample vectors almost no label
+    // dominates another, so every frontier fills to the 64-label cap. A
+    // ~100 ms wall-clock budget must force the ladder down instead of
+    // letting the solve run to completion.
     let mut cfg = WaveMinConfig::default()
-        .with_solver(SolverKind::Exact { max_labels: None })
+        .with_solver(SolverKind::Exact)
         .with_time_budget_ms(100);
     cfg.zone_pitch = wavemin_cells::units::Microns::new(1.0e9);
     let started = Instant::now();
@@ -80,7 +80,7 @@ fn multimode_budget_degrades_but_stays_valid() {
     // simply finishes inside it (the vectorized-kernel frontier brought
     // this fixture down to ~15 ms, which is why 2 ms and not 50 ms).
     let cfg = WaveMinConfig::default()
-        .with_solver(SolverKind::Exact { max_labels: None })
+        .with_solver(SolverKind::Exact)
         .with_time_budget_ms(2);
     let out = ClkWaveMinM::new(cfg)
         .run(&d)

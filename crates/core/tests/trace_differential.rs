@@ -6,6 +6,8 @@
 //! attribution that sums to the reported peak within 1e-9).
 
 use serde::Value;
+// Per-track lookups and name membership only; never iterated.
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use wavemin::prelude::*;
 use wavemin::trace::{TraceEventKind, TraceJournal};
@@ -76,6 +78,8 @@ fn traced_runs_are_identical_to_untraced_runs() {
 }
 
 #[test]
+// Per-track lookups and name membership only; never iterated.
+#[allow(clippy::disallowed_types)]
 fn s15850_trace_export_and_attribution_meet_acceptance() {
     let d = Design::from_benchmark(&Benchmark::s15850(), 7);
     let mut cfg = WaveMinConfig::default()

@@ -2,9 +2,9 @@
 //!
 //! The exact Pareto enumeration is worst-case exponential, and even
 //! Warburton's ε-approximation can blow up for high weight dimensions. A
-//! [`Budget`] bounds a solve three ways — wall-clock deadline, total label
-//! work, and per-vertex label cap — so a pathological instance degrades
-//! into a fast greedy completion instead of hanging the pipeline. When a
+//! [`Budget`] bounds a solve two ways — wall-clock deadline and total
+//! label work — so a pathological instance degrades into a fast greedy
+//! completion instead of hanging the pipeline. When a
 //! budget trips, the solver keeps going in single-label (greedy min–max)
 //! mode so the result is still a valid source→destination path set, and
 //! the returned [`crate::ParetoSet`] carries a structured
@@ -37,8 +37,9 @@ impl std::fmt::Display for Exhaustion {
     }
 }
 
-/// Resource limits for one solve: a wall-clock deadline, a total work cap
-/// (label insertion attempts), and a per-vertex label cap.
+/// Resource limits for one solve: a wall-clock deadline and a total work
+/// cap (label insertion attempts). The per-vertex label cap is a solver
+/// argument, not a resource limit.
 ///
 /// All limits are optional; [`Budget::unlimited`] (also the `Default`)
 /// disables them. The deadline is an absolute [`Instant`], so one `Budget`
@@ -52,7 +53,6 @@ impl std::fmt::Display for Exhaustion {
 pub struct Budget {
     deadline: Option<Instant>,
     work_cap: Option<u64>,
-    label_cap: Option<usize>,
     work_done: Arc<AtomicU64>,
     /// One-shot fault-injection latch ([`Budget::inject_exhaustion`]).
     injected: Arc<AtomicBool>,
@@ -64,7 +64,6 @@ impl Clone for Budget {
         Self {
             deadline: self.deadline,
             work_cap: self.work_cap,
-            label_cap: self.label_cap,
             work_done: Arc::clone(&self.work_done),
             injected: Arc::clone(&self.injected),
         }
@@ -75,9 +74,7 @@ impl Clone for Budget {
 /// state and deliberately excluded.
 impl PartialEq for Budget {
     fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline
-            && self.work_cap == other.work_cap
-            && self.label_cap == other.label_cap
+        self.deadline == other.deadline && self.work_cap == other.work_cap
     }
 }
 
@@ -111,24 +108,10 @@ impl Budget {
         self
     }
 
-    /// Caps the per-vertex label frontier (keeps other limits); merged
-    /// with a solver's own `max_labels` by taking the smaller.
-    #[must_use]
-    pub fn and_label_cap(mut self, cap: usize) -> Self {
-        self.label_cap = Some(cap);
-        self
-    }
-
     /// The absolute deadline, if any.
     #[must_use]
     pub const fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// The per-vertex label cap, if any.
-    #[must_use]
-    pub const fn label_cap(&self) -> Option<usize> {
-        self.label_cap
     }
 
     /// Total work charged so far across every solve (and thread) sharing
@@ -274,10 +257,7 @@ mod tests {
 
     #[test]
     fn limits_compose() {
-        let b = Budget::with_time_limit(Duration::from_secs(3600))
-            .and_work_cap(5)
-            .and_label_cap(2);
-        assert_eq!(b.label_cap(), Some(2));
+        let b = Budget::with_time_limit(Duration::from_secs(3600)).and_work_cap(5);
         // Work cap trips first; the far-future deadline does not.
         assert_eq!(b.charge(4), None);
         assert_eq!(b.charge(1), Some(Exhaustion::WorkCapReached));

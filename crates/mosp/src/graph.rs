@@ -8,6 +8,8 @@
 //! solvers propagate labels over contiguous arena slices.
 
 use serde::Serialize;
+// Intern lookups by weight hash; the table is never iterated.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -68,6 +70,8 @@ impl std::error::Error for MospError {}
 /// A directed graph with `r`-dimensional non-negative arc weights backed
 /// by a flat interned weight arena.
 #[derive(Debug, Clone, Serialize)]
+// Intern lookups by weight hash; the table is never iterated.
+#[allow(clippy::disallowed_types)]
 pub struct MospGraph {
     dim: usize,
     /// Flat weight storage; slot `i` occupies `weights[i*dim .. (i+1)*dim]`.
@@ -105,6 +109,8 @@ impl MospGraph {
     ///
     /// Panics if `dim` is zero.
     #[must_use]
+    // Intern lookups by weight hash; the table is never iterated.
+    #[allow(clippy::disallowed_types)]
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "weight dimension must be positive");
         Self {

@@ -97,8 +97,18 @@ pub mod scalar {
     }
 
     /// `true` when `a` Pareto-dominates `b`: componentwise `a <= b` with
-    /// at least one strict `<`. See [`crate::pareto::dominates`] for the
-    /// edge-case contract (equal vectors, empty vectors, NaN components).
+    /// at least one strict `<`.
+    ///
+    /// Edge cases, pinned by unit tests so kernel rewrites cannot drift:
+    ///
+    /// * **Equal vectors never dominate** — in particular `dominates(a, a)`
+    ///   is `false` for every `a`: there is no strict component.
+    /// * **Empty vectors never dominate**: with zero components there is
+    ///   no strict inequality, so `dominates(&[], &[])` is `false`.
+    /// * **NaN components are incomparable**: a NaN is neither `>` nor `<`
+    ///   anything, so a NaN pair neither disqualifies dominance nor counts
+    ///   as the required strict inequality. `[NaN]` vs `[1.0]` is `false`
+    ///   both ways, while `[NaN, 1.0]` still dominates `[NaN, 2.0]`.
     ///
     /// # Panics
     ///

@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use wavemin_mosp::{MospGraph, solve};
+//! use wavemin_mosp::{Budget, MospGraph, solve};
 //!
 //! // Two parallel arcs: (10, 1) and (1, 10) — both Pareto-optimal.
 //! let mut g = MospGraph::new(2);
@@ -27,7 +27,7 @@
 //! let t = g.add_vertex();
 //! g.add_arc(s, t, vec![10.0, 1.0]).unwrap();
 //! g.add_arc(s, t, vec![1.0, 10.0]).unwrap();
-//! let set = solve::exact(&g, s, t, None).unwrap();
+//! let set = solve::exact(&g, s, t, None, &Budget::unlimited(), None).unwrap();
 //! assert_eq!(set.paths().len(), 2);
 //! // Min–max picks either (max component 10 both ways).
 //! assert_eq!(set.min_max().unwrap().max_component(), 10.0);
@@ -43,5 +43,5 @@ pub mod solve;
 
 pub use budget::{Budget, Exhaustion};
 pub use graph::{MospError, MospGraph, VertexId};
-pub use pareto::{ParetoFront, ParetoPath, ParetoSet, SolveStats};
+pub use pareto::{ParetoPath, ParetoSet, SolveStats};
 pub use solve::SolveObserver;

@@ -4,7 +4,7 @@
 use crate::budget::{Budget, Exhaustion};
 use crate::graph::{MospError, MospGraph, VertexId};
 use crate::kernels;
-use crate::pareto::{ParetoFront, ParetoPath, ParetoSet, SolveStats};
+use crate::pareto::{ParetoPath, ParetoSet, SolveStats};
 
 /// Observer hooks for solver-internal trace events, implemented by the
 /// event journal in the `wavemin` core crate (which owns the clock and the
@@ -68,8 +68,7 @@ pub trait SolveObserver {
 /// The implications require NaN-free costs, which the solver guarantees:
 /// [`MospGraph`] validates arc weights finite and non-negative, and sums
 /// of non-negative finite values never produce NaN (at worst `+inf`,
-/// which orders fine). [`crate::pareto::ParetoFront`] is the public
-/// variant that stays sound for arbitrary inputs.
+/// which orders fine).
 ///
 /// Dominated or cap-evicted labels leave the frontier (their slab rows
 /// are compacted away) but keep their slot in the vertex's append-only
@@ -375,56 +374,18 @@ impl Drop for ScratchGuard {
 /// kept (biased toward the min–max selection) and the result is marked
 /// [`ParetoSet::is_truncated`].
 ///
+/// When `budget` trips mid-solve the DP does not abort: it finishes
+/// propagating in single-label greedy mode (keeping only the best min–max
+/// label per vertex), so a valid path set still comes back — marked
+/// truncated, with [`ParetoSet::exhaustion`] naming the resource that ran
+/// out. An attached `observer` receives layer and label-batch spans plus
+/// eviction/exhaustion instants; `None` costs one branch per hook site.
+///
 /// # Errors
 ///
 /// Returns [`MospError::Cyclic`] for non-DAG inputs and
 /// [`MospError::NoPath`] when `dest` is unreachable from `source`.
 pub fn exact(
-    graph: &MospGraph,
-    source: VertexId,
-    dest: VertexId,
-    max_labels: Option<usize>,
-) -> Result<ParetoSet, MospError> {
-    run(
-        graph,
-        source,
-        dest,
-        max_labels,
-        None,
-        &Budget::unlimited(),
-        None,
-    )
-}
-
-/// [`exact`] under a resource [`Budget`].
-///
-/// When the budget trips mid-solve the DP does not abort: it finishes
-/// propagating in single-label greedy mode (keeping only the best min–max
-/// label per vertex), so a valid path set still comes back — marked
-/// truncated, with [`ParetoSet::exhaustion`] naming the resource that ran
-/// out.
-///
-/// # Errors
-///
-/// Same as [`exact`].
-pub fn exact_budgeted(
-    graph: &MospGraph,
-    source: VertexId,
-    dest: VertexId,
-    max_labels: Option<usize>,
-    budget: &Budget,
-) -> Result<ParetoSet, MospError> {
-    run(graph, source, dest, max_labels, None, budget, None)
-}
-
-/// [`exact_budgeted`] with an attached [`SolveObserver`] receiving layer
-/// and label-batch spans plus eviction/exhaustion instants. Passing `None`
-/// is exactly [`exact_budgeted`].
-///
-/// # Errors
-///
-/// Same as [`exact`].
-pub fn exact_observed(
     graph: &MospGraph,
     source: VertexId,
     dest: VertexId,
@@ -441,70 +402,15 @@ pub fn exact_observed(
 /// (with `UB_k` the longest-path bound and `n` the vertex count), which
 /// bounds the per-vertex label count by `∏_k (n/ε)` and guarantees every
 /// Pareto point is matched within a `(1+ε)` factor per dimension.
+/// `max_labels` is a safety net for very high weight dimensions (where
+/// even the scaled label space can be large); the cap, `budget` and
+/// `observer` behave as in [`exact`].
 ///
 /// # Errors
 ///
 /// Returns [`MospError::InvalidParameter`] for `ε <= 0`, plus the same
 /// errors as [`exact`].
 pub fn warburton(
-    graph: &MospGraph,
-    source: VertexId,
-    dest: VertexId,
-    epsilon: f64,
-) -> Result<ParetoSet, MospError> {
-    warburton_capped(graph, source, dest, epsilon, None)
-}
-
-/// [`warburton`] with an additional per-vertex label cap as a safety net
-/// for very high weight dimensions (where even the scaled label space can
-/// be large). When the cap triggers, labels with the smallest maximum
-/// component survive and the result is marked truncated.
-///
-/// # Errors
-///
-/// Same as [`warburton`].
-pub fn warburton_capped(
-    graph: &MospGraph,
-    source: VertexId,
-    dest: VertexId,
-    epsilon: f64,
-    max_labels: Option<usize>,
-) -> Result<ParetoSet, MospError> {
-    warburton_budgeted(
-        graph,
-        source,
-        dest,
-        epsilon,
-        max_labels,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`warburton_capped`] under a resource [`Budget`]; see
-/// [`exact_budgeted`] for the degradation semantics.
-///
-/// # Errors
-///
-/// Same as [`warburton`].
-pub fn warburton_budgeted(
-    graph: &MospGraph,
-    source: VertexId,
-    dest: VertexId,
-    epsilon: f64,
-    max_labels: Option<usize>,
-    budget: &Budget,
-) -> Result<ParetoSet, MospError> {
-    warburton_observed(graph, source, dest, epsilon, max_labels, budget, None)
-}
-
-/// [`warburton_budgeted`] with an attached [`SolveObserver`] receiving
-/// layer and label-batch spans plus eviction/exhaustion instants. Passing
-/// `None` is exactly [`warburton_budgeted`].
-///
-/// # Errors
-///
-/// Same as [`warburton`].
-pub fn warburton_observed(
     graph: &MospGraph,
     source: VertexId,
     dest: VertexId,
@@ -570,12 +476,6 @@ fn run(
     }
     let dim = graph.dim();
     let eps_mode = deltas.is_some();
-
-    // Merge the per-vertex cap from the call site with the budget's.
-    let max_labels = match (max_labels, budget.label_cap()) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
 
     // Per-vertex frontiers and the append-only predecessor store
     // (dominated or cap-evicted labels leave the frontier but keep their
@@ -727,26 +627,33 @@ fn run(
         return Err(MospError::NoPath);
     }
 
-    // Final exact-dominance sweep through a maintained [`ParetoFront`]
-    // (the ε-solver's scaled dominance can let exactly-dominated paths
-    // coexist); its key index replaces the old all-pairs O(k²) pass and
-    // its pruning counters fold into the solve stats.
-    let mut dest_front: ParetoFront<usize> = ParetoFront::new(dim);
-    for i in 0..fronts[dest.0].len() {
-        let slot = fronts[dest.0].entries[i].slot;
-        dest_front.insert(fronts[dest.0].cost(dim, i), slot);
+    // Final exact-dominance sweep through an exact-mode frontier from the
+    // spare pool. It puts ε-mode paths in true max-key order. It drops no
+    // row for NaN-free costs (exact dominance implies ε-grid dominance, so
+    // neither mode leaves a dominated pair), and it adds only its
+    // comparison counters to the solve stats, never `labels_pruned`.
+    let mut sweep = Frontier::default();
+    take_spare(&mut sweep, spare);
+    let mut sweep_stats = SolveStats::default();
+    let found = &fronts[dest.0];
+    for (i, e) in found.entries.iter().enumerate() {
+        let cost = found.cost(dim, i);
+        if sweep.admit(dim, false, cost, &[], e.fkey, 0, &mut sweep_stats) {
+            sweep.commit(dim, false, cost, &[], e.fkey, 0, e.slot);
+        }
     }
-    let (checks, skipped) = dest_front.counters();
-    stats.dominance_checks += checks;
-    stats.dominance_skipped += skipped;
-    let paths: Vec<ParetoPath> = dest_front
-        .into_pairs()
-        .into_iter()
-        .map(|(cost, slot)| ParetoPath {
-            cost,
-            vertices: reconstruct(preds, dest.0, slot),
+    stats.dominance_checks += sweep_stats.dominance_checks;
+    stats.dominance_skipped += sweep_stats.dominance_skipped;
+    let paths: Vec<ParetoPath> = sweep
+        .entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| ParetoPath {
+            cost: sweep.cost(dim, i).to_vec(),
+            vertices: reconstruct(preds, dest.0, e.slot),
         })
         .collect();
+    spare.push(sweep.recycled(spare_rows, dim));
     let mut set = ParetoSet::new(paths, truncated);
     if let Some(reason) = exhausted {
         set.mark_exhausted(reason);
@@ -813,7 +720,10 @@ fn reconstruct(preds: &[Vec<Option<(usize, usize)>>], vertex: usize, slot: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::dominates;
+    use crate::budget::Exhaustion;
+    use crate::kernels::dominates;
+    use crate::pareto::tests::insert_nondominated;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     /// Brute-force path enumeration for validation.
@@ -854,7 +764,7 @@ mod tests {
     #[test]
     fn exact_finds_both_pareto_paths() {
         let (g, s, t) = diamond();
-        let set = exact(&g, s, t, None).unwrap();
+        let set = exact(&g, s, t, None, &Budget::unlimited(), None).unwrap();
         assert_eq!(set.paths().len(), 2);
         assert!(!set.is_truncated());
         let mm = set.min_max().unwrap();
@@ -865,7 +775,7 @@ mod tests {
     #[test]
     fn solve_stats_count_labels_and_work() {
         let (g, s, t) = diamond();
-        let set = exact(&g, s, t, None).unwrap();
+        let set = exact(&g, s, t, None, &Budget::unlimited(), None).unwrap();
         let stats = set.stats();
         // src label + one label per vertex reached (a, b, and two at dest).
         assert_eq!(stats.labels_created, 5);
@@ -883,7 +793,7 @@ mod tests {
     #[test]
     fn solve_stats_record_pruning_under_cap() {
         let (g, src, dest) = diamond_chain(6);
-        let set = exact(&g, src, dest, Some(2)).unwrap();
+        let set = exact(&g, src, dest, Some(2), &Budget::unlimited(), None).unwrap();
         assert!(set.is_truncated());
         assert!(set.stats().labels_pruned > 0, "the cap must prune");
         assert!(set.stats().work >= set.stats().labels_created - 1);
@@ -897,11 +807,11 @@ mod tests {
         std::thread::spawn(|| {
             let (g, src, dest) = diamond_chain(8);
             let spare = || SCRATCH.with(|c| c.borrow().spare.len());
-            exact(&g, src, dest, Some(4)).unwrap();
+            exact(&g, src, dest, Some(4), &Budget::unlimited(), None).unwrap();
             let after_one = spare();
             assert!(after_one > 0, "expanded vertices return their slabs");
             for _ in 0..20 {
-                exact(&g, src, dest, Some(4)).unwrap();
+                exact(&g, src, dest, Some(4), &Budget::unlimited(), None).unwrap();
                 assert_eq!(spare(), after_one, "the pool must not grow per solve");
             }
             SCRATCH.with(|c| {
@@ -921,7 +831,7 @@ mod tests {
     /// Screens and commits `cost` as the frontier's next label in exact
     /// mode; returns whether it was admitted.
     fn offer(front: &mut Frontier, cost: &[f64], slot: usize, stats: &mut SolveStats) -> bool {
-        let fkey = cost.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let fkey = kernels::max_component(cost);
         let admitted = front.admit(cost.len(), false, cost, &[], fkey, 0, stats);
         if admitted {
             front.commit(cost.len(), false, cost, &[], fkey, 0, slot);
@@ -933,6 +843,84 @@ mod tests {
         (0..front.len())
             .map(|i| (front.entries[i].slot, front.cost(dim, i).to_vec()))
             .collect()
+    }
+
+    #[test]
+    fn exact_frontier_matches_simple_insertion() {
+        let mut simple: Vec<(Vec<f64>, usize)> = Vec::new();
+        let mut front = Frontier::default();
+        let mut stats = SolveStats::default();
+        let candidates = [
+            vec![2.0, 2.0],
+            vec![3.0, 3.0],
+            vec![2.0, 2.0],
+            vec![1.0, 3.0],
+            vec![3.0, 1.0],
+            vec![1.0, 1.0],
+            vec![0.5, 4.0],
+        ];
+        for (i, c) in candidates.iter().enumerate() {
+            let a = insert_nondominated(&mut simple, c.clone(), i);
+            let b = offer(&mut front, c, i, &mut stats);
+            assert_eq!(a, b, "candidate {i} admission");
+        }
+        // Same surviving set (the frontier is key-sorted).
+        let mut simple_rows: Vec<(usize, Vec<f64>)> =
+            simple.into_iter().map(|(c, i)| (i, c)).collect();
+        simple_rows.sort_by_key(|r| r.0);
+        let mut front_rows = rows(&front, 2);
+        front_rows.sort_by_key(|r| r.0);
+        assert_eq!(simple_rows, front_rows);
+        assert!(stats.dominance_checks > 0);
+        assert!(
+            stats.dominance_skipped > 0,
+            "the key index must skip some comparisons"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn exact_frontier_invariants_hold_for_raw_rows(
+            raw in proptest::collection::vec(
+                proptest::collection::vec(-1e30f64..1e30, 4), 1..40),
+        ) {
+            let mut front = Frontier::default();
+            let mut simple: Vec<(Vec<f64>, usize)> = Vec::new();
+            let mut stats = SolveStats::default();
+            for (i, r) in raw.iter().enumerate() {
+                let admitted = offer(&mut front, r, i, &mut stats);
+                prop_assert_eq!(admitted, insert_nondominated(&mut simple, r.clone(), i));
+            }
+            prop_assert!(!front.is_empty(), "a nonempty insert stream keeps >= 1");
+            let members = rows(&front, 4);
+            // Mutual nondominance: no member strictly dominates another.
+            for (_, x) in &members {
+                for (_, y) in &members {
+                    prop_assert!(
+                        x == y || !dominates(x, y),
+                        "front members {:?} and {:?} are not mutually nondominated",
+                        x, y
+                    );
+                }
+            }
+            // No lost candidates: every inserted row is weakly dominated
+            // by some front member.
+            for r in &raw {
+                let covered = members
+                    .iter()
+                    .any(|(_, m)| m.iter().zip(r).all(|(mc, rc)| mc <= rc));
+                prop_assert!(covered, "row {:?} escaped the front", r);
+            }
+            // The same rows as the linear-scan oracle.
+            let mut sorted = members.clone();
+            sorted.sort_by_key(|r| r.0);
+            let mut oracle: Vec<(usize, Vec<f64>)> =
+                simple.into_iter().map(|(c, i)| (i, c)).collect();
+            oracle.sort_by_key(|r| r.0);
+            prop_assert_eq!(sorted, oracle);
+        }
     }
 
     #[test]
@@ -1058,7 +1046,7 @@ mod tests {
         g.add_arc(vs[0], vs[1], vec![1.0, 1.0]).unwrap();
         g.add_arc(vs[0], vs[1], vec![2.0, 2.0]).unwrap();
         g.add_arc(vs[0], vs[1], vec![0.5, 3.0]).unwrap();
-        let set = exact(&g, vs[0], vs[1], None).unwrap();
+        let set = exact(&g, vs[0], vs[1], None, &Budget::unlimited(), None).unwrap();
         assert_eq!(set.paths().len(), 2, "the (2,2) arc is dominated");
     }
 
@@ -1083,7 +1071,7 @@ mod tests {
         for &u in &l2 {
             g.add_arc(u, dest, w(0.5, 0.5, 0.5)).unwrap();
         }
-        let set = exact(&g, src, dest, None).unwrap();
+        let set = exact(&g, src, dest, None, &Budget::unlimited(), None).unwrap();
         // Every returned path must be nondominated against brute force,
         // and every brute-force nondominated cost must appear.
         let brute = all_paths(&g, src, dest);
@@ -1107,7 +1095,7 @@ mod tests {
     #[test]
     fn path_reconstruction_is_consistent() {
         let (g, s, t) = diamond();
-        let set = exact(&g, s, t, None).unwrap();
+        let set = exact(&g, s, t, None, &Budget::unlimited(), None).unwrap();
         for p in set.paths() {
             assert_eq!(p.vertices.first(), Some(&s));
             assert_eq!(p.vertices.last(), Some(&t));
@@ -1140,12 +1128,12 @@ mod tests {
             g.add_arc(b, join, vec![0.0, 0.0]).unwrap();
             prev = join;
         }
-        let capped = exact(&g, src, prev, Some(4)).unwrap();
+        let capped = exact(&g, src, prev, Some(4), &Budget::unlimited(), None).unwrap();
         assert!(capped.is_truncated());
         // The min-max optimum splits 4/4.
         let mm = capped.min_max().unwrap().max_component();
         assert!(mm <= 6.0, "cap kept a good min-max path, got {mm}");
-        let full = exact(&g, src, prev, None).unwrap();
+        let full = exact(&g, src, prev, None, &Budget::unlimited(), None).unwrap();
         assert_eq!(full.min_max().unwrap().max_component(), 4.0);
     }
 
@@ -1175,7 +1163,7 @@ mod tests {
     fn work_cap_degrades_to_valid_paths() {
         let (g, src, dest) = diamond_chain(14);
         let budget = Budget::unlimited().and_work_cap(2_000);
-        let set = exact_budgeted(&g, src, dest, None, &budget).unwrap();
+        let set = exact(&g, src, dest, None, &budget, None).unwrap();
         assert_eq!(
             set.exhaustion(),
             Some(crate::budget::Exhaustion::WorkCapReached)
@@ -1197,7 +1185,7 @@ mod tests {
         let (g, src, dest) = diamond_chain(12);
         let budget =
             Budget::unlimited().and_deadline(std::time::Instant::now() - Duration::from_secs(1));
-        let set = exact_budgeted(&g, src, dest, None, &budget).unwrap();
+        let set = exact(&g, src, dest, None, &budget, None).unwrap();
         assert_eq!(
             set.exhaustion(),
             Some(crate::budget::Exhaustion::DeadlineExpired)
@@ -1215,7 +1203,7 @@ mod tests {
         let (g, src, dest) = diamond_chain(22);
         let budget = Budget::with_time_limit(Duration::from_millis(100));
         let started = std::time::Instant::now();
-        let set = exact_budgeted(&g, src, dest, None, &budget).unwrap();
+        let set = exact(&g, src, dest, None, &budget, None).unwrap();
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(5),
@@ -1230,20 +1218,10 @@ mod tests {
     fn generous_budget_reports_no_exhaustion() {
         let (g, s, t) = diamond();
         let budget = Budget::with_time_limit(Duration::from_secs(60)).and_work_cap(1 << 30);
-        let set = exact_budgeted(&g, s, t, None, &budget).unwrap();
+        let set = exact(&g, s, t, None, &budget, None).unwrap();
         assert_eq!(set.exhaustion(), None);
         assert!(!set.is_truncated());
         assert_eq!(set.paths().len(), 2);
-    }
-
-    #[test]
-    fn budget_label_cap_merges_with_solver_cap() {
-        let (g, src, dest) = diamond_chain(8);
-        let budget = Budget::unlimited().and_label_cap(2);
-        let set = exact_budgeted(&g, src, dest, Some(64), &budget).unwrap();
-        assert!(set.is_truncated(), "tighter budget cap applies");
-        assert!(set.paths().len() <= 2);
-        assert_eq!(set.exhaustion(), None, "caps are not exhaustion");
     }
 
     #[test]
@@ -1253,13 +1231,13 @@ mod tests {
         // exactly the semantics concurrent zone solves rely on.
         let (g, src, dest) = diamond_chain(10);
         let lone = Budget::unlimited().and_work_cap(5_000);
-        let lone_set = exact_budgeted(&g, src, dest, None, &lone).unwrap();
+        let lone_set = exact(&g, src, dest, None, &lone, None).unwrap();
         assert_eq!(lone_set.exhaustion(), None, "5k units suffice alone");
 
         let shared = Budget::unlimited().and_work_cap(5_000);
-        let first = exact_budgeted(&g, src, dest, None, &shared.clone()).unwrap();
+        let first = exact(&g, src, dest, None, &shared.clone(), None).unwrap();
         assert_eq!(first.exhaustion(), None);
-        let second = exact_budgeted(&g, src, dest, None, &shared.clone()).unwrap();
+        let second = exact(&g, src, dest, None, &shared.clone(), None).unwrap();
         assert_eq!(
             second.exhaustion(),
             Some(crate::budget::Exhaustion::WorkCapReached),
@@ -1269,20 +1247,88 @@ mod tests {
     }
 
     #[test]
-    fn warburton_budgeted_degrades_too() {
+    fn warburton_degrades_under_a_work_cap_too() {
         let (g, src, dest) = diamond_chain(14);
         let budget = Budget::unlimited().and_work_cap(500);
-        let set = warburton_budgeted(&g, src, dest, 0.01, None, &budget).unwrap();
+        let set = warburton(&g, src, dest, 0.01, None, &budget, None).unwrap();
         assert!(set.exhaustion().is_some());
         assert!(!set.paths().is_empty());
+    }
+
+    #[test]
+    fn warburton_label_cap_truncates_but_still_answers() {
+        let (g, src, dest) = diamond_chain(8);
+        let free = Budget::unlimited();
+        let capped = warburton(&g, src, dest, 0.01, Some(3), &free, None).unwrap();
+        assert!(capped.is_truncated());
+        assert!(!capped.paths().is_empty() && capped.paths().len() <= 3);
+        let full = warburton(&g, src, dest, 0.01, None, &free, None).unwrap();
+        assert!(!full.is_truncated());
+        assert!(full.paths().len() > 3);
+    }
+
+    /// Sums what a solve reports to its observer.
+    #[derive(Default)]
+    struct Tally {
+        layers: u64,
+        attempts: u64,
+        pruned: u64,
+        evicted: u64,
+        exhausted: Vec<Exhaustion>,
+    }
+
+    impl SolveObserver for Tally {
+        fn now_ns(&mut self) -> u64 {
+            0
+        }
+        fn layer_span(&mut self, _: u64, _: usize, _: usize) {
+            self.layers += 1;
+        }
+        fn batch_span(&mut self, _: u64, _: usize, _: usize, attempts: u64, pruned: u64) {
+            self.attempts += attempts;
+            self.pruned += pruned;
+        }
+        fn cap_evictions(&mut self, _: usize, count: u64) {
+            self.evicted += count;
+        }
+        fn budget_exhausted(&mut self, reason: Exhaustion) {
+            self.exhausted.push(reason);
+        }
+    }
+
+    #[test]
+    fn the_observer_sees_every_attempt_and_eviction() {
+        // Batches account for every attempt, and batch prunes plus cap
+        // evictions for every pruned label: the destination sweep adds
+        // none. Exhaustion is reported once.
+        let (g, src, dest) = diamond_chain(10);
+        for eps in [None, Some(0.01)] {
+            for budget in [Budget::unlimited(), Budget::unlimited().and_work_cap(50)] {
+                let mut tally = Tally::default();
+                let obs: Option<&mut dyn SolveObserver> = Some(&mut tally);
+                let set = match eps {
+                    None => exact(&g, src, dest, Some(4), &budget, obs),
+                    Some(e) => warburton(&g, src, dest, e, Some(4), &budget, obs),
+                }
+                .unwrap();
+                let stats = set.stats();
+                assert_eq!(tally.layers, g.vertex_count() as u64);
+                assert_eq!(tally.attempts, stats.work);
+                assert!(tally.evicted > 0, "the cap must evict");
+                assert_eq!(tally.pruned + tally.evicted, stats.labels_pruned);
+                assert_eq!(set.exhaustion().is_some(), budget != Budget::unlimited());
+                let want: Vec<Exhaustion> = set.exhaustion().into_iter().collect();
+                assert_eq!(tally.exhausted, want);
+            }
+        }
     }
 
     #[test]
     fn warburton_approximates_within_bound() {
         let (g, s, t) = diamond();
         for eps in [0.01, 0.1, 0.5] {
-            let approx = warburton(&g, s, t, eps).unwrap();
-            let exact_set = exact(&g, s, t, None).unwrap();
+            let approx = warburton(&g, s, t, eps, None, &Budget::unlimited(), None).unwrap();
+            let exact_set = exact(&g, s, t, None, &Budget::unlimited(), None).unwrap();
             let opt = exact_set.min_max().unwrap().max_component();
             let got = approx.min_max().unwrap().max_component();
             assert!(
@@ -1309,7 +1355,7 @@ mod tests {
             g.add_arc(b, join, vec![0.0, 0.0]).unwrap();
             prev = join;
         }
-        let approx = warburton(&g, src, prev, 0.2).unwrap();
+        let approx = warburton(&g, src, prev, 0.2, None, &Budget::unlimited(), None).unwrap();
         assert!(
             approx.paths().len() <= 8,
             "grid should collapse near-ties, got {}",
@@ -1321,15 +1367,15 @@ mod tests {
     fn warburton_rejects_bad_epsilon() {
         let (g, s, t) = diamond();
         assert!(matches!(
-            warburton(&g, s, t, 0.0),
+            warburton(&g, s, t, 0.0, None, &Budget::unlimited(), None),
             Err(MospError::InvalidParameter(_))
         ));
         assert!(matches!(
-            warburton(&g, s, t, -1.0),
+            warburton(&g, s, t, -1.0, None, &Budget::unlimited(), None),
             Err(MospError::InvalidParameter(_))
         ));
         assert!(matches!(
-            warburton(&g, s, t, f64::NAN),
+            warburton(&g, s, t, f64::NAN, None, &Budget::unlimited(), None),
             Err(MospError::InvalidParameter(_))
         ));
     }
@@ -1339,14 +1385,17 @@ mod tests {
         let mut g = MospGraph::new(1);
         let a = g.add_vertex();
         let b = g.add_vertex();
-        assert_eq!(exact(&g, a, b, None), Err(MospError::NoPath));
+        assert_eq!(
+            exact(&g, a, b, None, &Budget::unlimited(), None),
+            Err(MospError::NoPath)
+        );
     }
 
     #[test]
     fn source_equals_dest() {
         let mut g = MospGraph::new(2);
         let a = g.add_vertex();
-        let set = exact(&g, a, a, None).unwrap();
+        let set = exact(&g, a, a, None, &Budget::unlimited(), None).unwrap();
         assert_eq!(set.paths().len(), 1);
         assert_eq!(set.paths()[0].cost, vec![0.0, 0.0]);
         assert_eq!(set.paths()[0].vertices, vec![a]);
@@ -1358,7 +1407,7 @@ mod tests {
         let vs = g.add_vertices(3);
         g.add_arc(vs[0], vs[1], vec![0.0, 0.0]).unwrap();
         g.add_arc(vs[1], vs[2], vec![0.0, 0.0]).unwrap();
-        let set = warburton(&g, vs[0], vs[2], 0.1).unwrap();
+        let set = warburton(&g, vs[0], vs[2], 0.1, None, &Budget::unlimited(), None).unwrap();
         assert_eq!(set.paths().len(), 1);
         assert_eq!(set.paths()[0].cost, vec![0.0, 0.0]);
     }
@@ -1370,7 +1419,7 @@ mod tests {
         let vs = g.add_vertices(3);
         g.add_arc(vs[0], vs[1], vec![1.0; 8]).unwrap();
         g.add_arc(vs[1], vs[2], vec![2.0; 8]).unwrap();
-        let set = exact(&g, vs[0], vs[2], None).unwrap();
+        let set = exact(&g, vs[0], vs[2], None, &Budget::unlimited(), None).unwrap();
         assert_eq!(set.paths()[0].cost, vec![3.0; 8]);
     }
 }

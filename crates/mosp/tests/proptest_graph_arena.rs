@@ -6,8 +6,8 @@
 //! must return the reference model's brute-force Pareto front.
 
 use proptest::prelude::*;
-use wavemin_mosp::pareto::dominates;
-use wavemin_mosp::{solve, MospGraph, VertexId};
+use wavemin_mosp::kernels::dominates;
+use wavemin_mosp::{solve, Budget, MospGraph, VertexId};
 
 /// The old storage layout: every arc owns its weight vector.
 #[derive(Debug, Clone, Default)]
@@ -170,7 +170,14 @@ proptest! {
 
     #[test]
     fn pareto_front_matches_reference_brute_force(p in arb_paired(4, 3, 3)) {
-        let set = solve::exact(&p.arena, VertexId(p.src), VertexId(p.dest), None).unwrap();
+        let set = solve::exact(
+            &p.arena,
+            VertexId(p.src),
+            VertexId(p.dest),
+            None,
+            &Budget::unlimited(),
+            None,
+        ).unwrap();
         let brute = p.reference.all_costs(p.src, p.dest);
         for path in set.paths() {
             prop_assert!(

@@ -1,11 +1,10 @@
 //! Property-based tests for the MOSP solvers: the exact solver must
-//! return exactly the nondominated path set, Warburton must stay
-//! within its (1+ε) guarantee, and [`ParetoFront`] must keep its core
-//! invariants (mutual nondominance, no lost candidates).
+//! return exactly the nondominated path set, and Warburton must stay
+//! within its (1+ε) guarantee.
 
 use proptest::prelude::*;
-use wavemin_mosp::pareto::dominates;
-use wavemin_mosp::{solve, Exhaustion, MospGraph, ParetoFront, ParetoSet, SolveStats, VertexId};
+use wavemin_mosp::kernels::dominates;
+use wavemin_mosp::{solve, Budget, Exhaustion, MospGraph, ParetoSet, SolveStats, VertexId};
 
 /// A random layered DAG shaped like a WaveMin zone instance.
 #[derive(Debug, Clone)]
@@ -89,10 +88,11 @@ fn bits(set: &ParetoSet) -> SetBits {
 /// Solves `l` with one of three solver setups, picked by `mode`: exact
 /// uncapped, exact capped at two labels, or Warburton capped at three.
 fn solve_with(l: &Layered, mode: usize) -> SetBits {
+    let free = Budget::unlimited();
     let set = match mode {
-        0 => solve::exact(&l.graph, l.src, l.dest, None),
-        1 => solve::exact(&l.graph, l.src, l.dest, Some(2)),
-        _ => solve::warburton_capped(&l.graph, l.src, l.dest, 0.1, Some(3)),
+        0 => solve::exact(&l.graph, l.src, l.dest, None, &free, None),
+        1 => solve::exact(&l.graph, l.src, l.dest, Some(2), &free, None),
+        _ => solve::warburton(&l.graph, l.src, l.dest, 0.1, Some(3), &free, None),
     };
     bits(&set.unwrap())
 }
@@ -122,7 +122,7 @@ proptest! {
 
     #[test]
     fn exact_returns_exactly_the_pareto_front(l in arb_layered(4, 3, 3)) {
-        let set = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
+        let set = solve::exact(&l.graph, l.src, l.dest, None, &Budget::unlimited(), None).unwrap();
         let brute = brute_force_costs(&l);
         // Soundness: no returned path is dominated by any path.
         for p in set.paths() {
@@ -145,8 +145,8 @@ proptest! {
 
     #[test]
     fn warburton_respects_epsilon_guarantee(l in arb_layered(4, 3, 3), eps in 0.01..0.6f64) {
-        let exact = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
-        let approx = solve::warburton(&l.graph, l.src, l.dest, eps).unwrap();
+        let exact = solve::exact(&l.graph, l.src, l.dest, None, &Budget::unlimited(), None).unwrap();
+        let approx = solve::warburton(&l.graph, l.src, l.dest, eps, None, &Budget::unlimited(), None).unwrap();
         let opt = exact.min_max().unwrap().max_component();
         let got = approx.min_max().unwrap().max_component();
         prop_assert!(
@@ -159,7 +159,7 @@ proptest! {
 
     #[test]
     fn returned_paths_are_mutually_nondominated(l in arb_layered(5, 4, 2)) {
-        let set = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
+        let set = solve::exact(&l.graph, l.src, l.dest, None, &Budget::unlimited(), None).unwrap();
         for (i, a) in set.paths().iter().enumerate() {
             for (j, b) in set.paths().iter().enumerate() {
                 if i != j {
@@ -171,7 +171,7 @@ proptest! {
 
     #[test]
     fn path_costs_re_add_along_vertices(l in arb_layered(4, 3, 2)) {
-        let set = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
+        let set = solve::exact(&l.graph, l.src, l.dest, None, &Budget::unlimited(), None).unwrap();
         for p in set.paths() {
             let mut cost = vec![0.0; l.graph.dim()];
             for w in p.vertices.windows(2) {
@@ -194,7 +194,7 @@ proptest! {
     fn label_cap_never_loses_feasibility(l in arb_layered(5, 3, 3), cap in 1usize..8) {
         // Capped solves may be suboptimal but must still return a path
         // whose cost is a genuine path cost.
-        let set = solve::exact(&l.graph, l.src, l.dest, Some(cap)).unwrap();
+        let set = solve::exact(&l.graph, l.src, l.dest, Some(cap), &Budget::unlimited(), None).unwrap();
         prop_assert!(!set.paths().is_empty());
         let brute = brute_force_costs(&l);
         for p in set.paths() {
@@ -220,39 +220,6 @@ proptest! {
         // Transitive.
         if dominates(&a, &b) && dominates(&b, &c) {
             prop_assert!(dominates(&a, &c));
-        }
-    }
-
-    #[test]
-    fn pareto_front_invariants_hold_for_raw_rows(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-1e30f64..1e30, 4), 1..40),
-    ) {
-        let mut front = ParetoFront::new(4);
-        for (i, r) in rows.iter().enumerate() {
-            front.insert(r, i);
-        }
-        prop_assert!(front.len() <= rows.len());
-        prop_assert!(!front.is_empty(), "a nonempty insert stream keeps >= 1");
-        // Mutual nondominance: no member strictly dominates another.
-        let members: Vec<Vec<f64>> =
-            front.iter().map(|(c, _)| c.to_vec()).collect();
-        for x in &members {
-            for y in &members {
-                prop_assert!(
-                    x == y || !dominates(x, y),
-                    "front members {:?} and {:?} are not mutually nondominated",
-                    x, y
-                );
-            }
-        }
-        // No lost candidates: every inserted row is weakly dominated by
-        // some front member.
-        for r in &rows {
-            let covered = members.iter().any(|m| {
-                m.iter().zip(r).all(|(mc, rc)| mc <= rc)
-            });
-            prop_assert!(covered, "row {:?} escaped the front", r);
         }
     }
 }

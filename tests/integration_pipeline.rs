@@ -140,7 +140,7 @@ fn mosp_solution_is_reproducible_from_pieces() {
     for u in [b_buf, b_inv] {
         g.add_arc(u, dest, vec![0.0; 4]).unwrap();
     }
-    let set = solve::warburton(&g, src, dest, 0.01).unwrap();
+    let set = solve::warburton(&g, src, dest, 0.01, None, &Budget::unlimited(), None).unwrap();
     let best = set.min_max().unwrap();
     // Min-max splits one buffer + one inverter: worst slot 110.
     assert!((best.max_component() - 110.0).abs() < 2.0);
