@@ -82,11 +82,12 @@ fn bench_multi_zone(c: &mut Criterion) {
 /// A/B overhead of the observability layer on the same end-to-end run.
 ///
 /// `disabled` exercises the instrumented call sites with a `None`
-/// registry (a branch per site, no atomics) — this is the default path
+/// registry (a branch per site, no lock) — this is the default path
 /// every production run takes and it must stay within noise (≤ 2 %) of
-/// pre-instrumentation cost. `enabled` adds the relaxed-atomic counter
-/// updates, histograms, and per-zone table, bounding what turning
-/// metrics on costs. `enabled+progress` layers a live progress tracker
+/// pre-instrumentation cost. `enabled` adds the registry's ledger: one
+/// short mutex hold per recorded event (zone solve, answered cell, rung
+/// move, RSS sample) updating the counters, histograms and per-zone
+/// rows, bounding what turning metrics on costs. `enabled+progress` layers a live progress tracker
 /// with a no-op sink on top, bounding the full telemetry stack —
 /// counters, histograms, and the ticker thread — at the same ≤ 2 %.
 fn bench_metrics_overhead(c: &mut Criterion) {

@@ -1,5 +1,5 @@
-//! Observability: pipeline stage spans, a lock-free solver metrics
-//! registry, and the machine-readable [`RunReport`].
+//! Observability: pipeline stage spans, the solver metrics registry,
+//! and the machine-readable [`RunReport`].
 //!
 //! [`Instruments`] carries the registry, the event journal and the
 //! progress tracker through the pipeline as one value; its stage guard
@@ -9,10 +9,10 @@
 //! allocation and every recording call is a single branch on `None`, so
 //! the instrumented hot paths cost nothing when metrics are off (the
 //! `metrics_overhead` criterion group in `wavemin-bench` keeps that
-//! honest). When enabled, all counters are relaxed [`AtomicU64`]s —
-//! recording from the zone-solve workers never locks, and
-//! because every counter is a commutative sum, the aggregates are
-//! identical for any worker count on an unbudgeted run.
+//! honest). An enabled registry records straight into the report's own
+//! structs behind one mutex, so a report is a clone of them. Every
+//! recorded value is a commutative sum or a maximum, so the aggregates
+//! are identical for any worker count on an unbudgeted run.
 //!
 //! Span hierarchy (one [`Stage`] per pipeline phase):
 //!
@@ -28,14 +28,14 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use wavemin_mosp::SolveStats;
 
 use crate::trace::{TraceEventKind, TraceHandle, TraceJournal};
 
 /// The instrumented pipeline stages, in report order (a stage's
-/// discriminant indexes the registry's stage cells).
+/// discriminant indexes the registry's per-stage span totals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Per-mode candidate characterization ([`crate::NoiseTable`] build).
@@ -80,60 +80,6 @@ impl Stage {
     }
 }
 
-/// Per-stage span accumulator: entry count and total wall time.
-#[derive(Default)]
-struct StageCell {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-/// Global run counters (relaxed atomics; every one is a commutative sum).
-#[derive(Default)]
-struct Counters {
-    labels_created: AtomicU64,
-    labels_pruned: AtomicU64,
-    solver_work: AtomicU64,
-    pareto_paths: AtomicU64,
-    zone_solves: AtomicU64,
-    exhausted_solves: AtomicU64,
-    arena_arcs: AtomicU64,
-    arena_unique_weights: AtomicU64,
-    rung_transitions: AtomicU64,
-    dominance_checks: AtomicU64,
-    dominance_skipped: AtomicU64,
-    zone_faults: AtomicU64,
-    zone_salvages: AtomicU64,
-    zones_reused: AtomicU64,
-    zones_shared: AtomicU64,
-    zone_cells: AtomicU64,
-    zones_spilled: AtomicU64,
-    zone_recomputes: AtomicU64,
-    /// Gauge, not a sum: the largest VmRSS sampled at a pipeline
-    /// checkpoint (`fetch_max`).
-    peak_rss_bytes: AtomicU64,
-    /// Gauge: the RSS sampled when the interval solves finished, before
-    /// final validation (the phase the memory budget governs).
-    solve_rss_bytes: AtomicU64,
-}
-
-/// Per-zone counters, same units as the matching [`Counters`] fields.
-#[derive(Default)]
-struct ZoneCell {
-    solves: AtomicU64,
-    labels_created: AtomicU64,
-    labels_pruned: AtomicU64,
-    solver_work: AtomicU64,
-    pareto_paths: AtomicU64,
-    exhausted_solves: AtomicU64,
-    dominance_checks: AtomicU64,
-    dominance_skipped: AtomicU64,
-    wall_ns: AtomicU64,
-    /// Worst (highest-index) degradation-ladder rung any solve of this
-    /// zone actually ran on, via `fetch_max`. Distinguishes a salvaged
-    /// zone's forced greedy rung from the global ladder position.
-    worst_rung: AtomicU64,
-}
-
 /// Number of histogram buckets in the fixed log2 layout: bucket 0 holds
 /// exact zeros, bucket `i` (1..=63) holds values of bit length `i`
 /// (the range `[2^(i-1), 2^i - 1]`), bucket 64 holds `2^63` and above.
@@ -158,114 +104,43 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// One live log2-bucket histogram (relaxed atomics, like [`Counters`]).
-/// Bucket increments and the count/sum/min/max are each commutative, so
-/// the aggregate is worker-count independent like every other counter.
-struct HistCell {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    /// `u64::MAX` until the first observation (`fetch_min`).
-    min: AtomicU64,
-    max: AtomicU64,
+/// What an enabled registry records into: the report's own structs.
+/// The eight per-zone sums of [`RunCounters`] stay 0 here;
+/// [`MetricsRegistry::report`] adds them up from the zone rows, so
+/// `global == Σ zones` holds by construction.
+#[derive(Clone, Default)]
+struct Ledger {
+    counters: RunCounters,
+    /// `(count, total_ns)` per [`Stage`], indexed by discriminant.
+    stages: [(u64, u64); Stage::COUNT],
+    /// Indexed by [`crate::algo::ZoneProblem`] id, grown on demand.
+    zones: Vec<ZoneMetrics>,
+    /// Quantiles are stale until [`RunHistograms::refresh_quantiles`].
+    hists: RunHistograms,
 }
 
-impl Default for HistCell {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl HistCell {
-    fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+impl Ledger {
+    /// Grows the zone table to at least `zones` rows. Growth is
+    /// monotonic — multi-mode margin retries re-use the ids of earlier
+    /// builds and keep accumulating into them.
+    fn grow(&mut self, zones: usize) {
+        let len = self.zones.len();
+        self.zones.extend((len..zones).map(|zone| ZoneMetrics {
+            zone,
+            ..ZoneMetrics::default()
+        }));
     }
 
-    /// Folds an already-snapshotted histogram in (daemon-level
-    /// aggregation across jobs).
-    fn absorb(&self, h: &RunHistogram) {
-        if h.count == 0 {
-            return;
-        }
-        for b in &h.buckets {
-            let i = (b.index as usize).min(HISTOGRAM_BUCKETS - 1);
-            self.buckets[i].fetch_add(b.count, Ordering::Relaxed);
-        }
-        self.count.fetch_add(h.count, Ordering::Relaxed);
-        self.sum.fetch_add(h.sum, Ordering::Relaxed);
-        self.min.fetch_min(h.min, Ordering::Relaxed);
-        self.max.fetch_max(h.max, Ordering::Relaxed);
+    fn zone(&mut self, zone: usize) -> &mut ZoneMetrics {
+        self.grow(zone + 1);
+        &mut self.zones[zone]
     }
 
-    fn snapshot(&self) -> RunHistogram {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let count = load(&self.count);
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = load(b);
-                (c > 0).then_some(HistogramBucket {
-                    index: i as u32,
-                    count: c,
-                })
-            })
-            .collect();
-        let mut h = RunHistogram {
-            count,
-            sum: load(&self.sum),
-            min: if count == 0 { 0 } else { load(&self.min) },
-            max: load(&self.max),
-            buckets,
-            p50: 0,
-            p90: 0,
-            p99: 0,
-        };
-        h.refresh_quantiles();
-        h
+    fn add_span(&mut self, stage: Stage, elapsed_ns: u64) {
+        let (count, total_ns) = &mut self.stages[stage as usize];
+        *count += 1;
+        *total_ns += elapsed_ns;
     }
-}
-
-/// The registry's live histograms (one [`HistCell`] per distribution).
-#[derive(Default)]
-struct Hists {
-    zone_solve_ns: HistCell,
-    labels_per_zone: HistCell,
-    front_size: HistCell,
-    job_wall_ns: HistCell,
-}
-
-impl Hists {
-    fn snapshot(&self) -> RunHistograms {
-        RunHistograms {
-            zone_solve_ns: self.zone_solve_ns.snapshot(),
-            labels_per_zone: self.labels_per_zone.snapshot(),
-            front_size: self.front_size.snapshot(),
-            job_wall_ns: self.job_wall_ns.snapshot(),
-        }
-    }
-}
-
-struct Inner {
-    counters: Counters,
-    stages: [StageCell; Stage::COUNT],
-    hists: Hists,
-    /// Indexed by [`crate::algo::ZoneProblem`] id. Behind an `RwLock` only
-    /// for growth ([`MetricsRegistry::ensure_zones`]); recording takes the
-    /// read lock and bumps atomics, so concurrent workers never contend on
-    /// anything but the cells themselves.
-    zones: RwLock<Vec<ZoneCell>>,
 }
 
 /// The run-wide metrics sink threaded through the optimization pipeline
@@ -275,7 +150,7 @@ struct Inner {
 /// `None` and every method short-circuits on the first branch.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Arc<Mutex<Ledger>>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -297,12 +172,7 @@ impl MetricsRegistry {
     #[must_use]
     pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::new(Inner {
-                counters: Counters::default(),
-                stages: Default::default(),
-                hists: Hists::default(),
-                zones: RwLock::new(Vec::new()),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -312,101 +182,58 @@ impl MetricsRegistry {
         self.inner.is_some()
     }
 
+    /// The ledger, locked; `None` when the registry is disabled. A
+    /// poisoned lock is taken over: every update leaves the ledger whole.
+    /// Callers only update plain fields while holding it, so the lock
+    /// order stays caller → registry.
+    fn ledger(&self) -> Option<MutexGuard<'_, Ledger>> {
+        self.inner
+            .as_ref()
+            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// Adds one finished span of `stage` lasting `elapsed_ns` (see
     /// [`Instruments::stage`], the only caller outside tests).
     fn record_stage(&self, stage: Stage, elapsed_ns: u64) {
-        if let Some(inner) = self.inner.as_ref() {
-            let cell = &inner.stages[stage as usize];
-            cell.count.fetch_add(1, Ordering::Relaxed);
-            cell.total_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.add_span(stage, elapsed_ns);
         }
     }
 
-    /// Pre-sizes the per-zone table so worker threads only ever take the
-    /// read lock. Growth is monotonic — multi-mode margin retries re-use
-    /// the ids of earlier builds and keep accumulating into them.
+    /// Pre-sizes the per-zone table, so the report lists every zone of
+    /// the partition even when some never solve.
     pub fn ensure_zones(&self, zones: usize) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        let mut table = inner.zones.write().unwrap_or_else(PoisonError::into_inner);
-        if table.len() < zones {
-            table.resize_with(zones, ZoneCell::default);
-        }
-    }
-
-    /// Applies `update` to `zone`'s row under the read lock. A zone id
-    /// past the table means [`Self::ensure_zones`] was not called first:
-    /// the table grows rather than silently dropping the row.
-    fn with_zone_cell(&self, zone: usize, update: impl FnOnce(&ZoneCell)) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        let table = inner.zones.read().unwrap_or_else(PoisonError::into_inner);
-        match table.get(zone) {
-            Some(cell) => update(cell),
-            None => {
-                drop(table);
-                self.ensure_zones(zone + 1);
-                self.with_zone_cell(zone, update);
-            }
+        if let Some(mut l) = self.ledger() {
+            l.grow(zones);
         }
     }
 
     /// Records one finished zone subproblem solve: the DP's label/work
     /// counters, the graph's arena interning footprint, whether the solve
-    /// exhausted its budget, and its wall time. Updates the global and the
-    /// per-zone counters from the same numbers, so `global == Σ zones`
-    /// holds by construction.
+    /// exhausted its budget, and its wall time. The solver counters go
+    /// into the zone's row only; the report's global counters are their
+    /// sums.
     pub fn record_zone_solve(&self, zone: usize, solve: &ZoneSolveRecord) {
-        let Some(inner) = self.inner.as_ref() else {
+        let Some(mut l) = self.ledger() else {
             return;
         };
-        let c = &inner.counters;
-        c.labels_created
-            .fetch_add(solve.stats.labels_created, Ordering::Relaxed);
-        c.labels_pruned
-            .fetch_add(solve.stats.labels_pruned, Ordering::Relaxed);
-        c.solver_work.fetch_add(solve.stats.work, Ordering::Relaxed);
-        c.pareto_paths
-            .fetch_add(solve.stats.front_size, Ordering::Relaxed);
-        c.zone_solves.fetch_add(1, Ordering::Relaxed);
-        c.exhausted_solves
-            .fetch_add(u64::from(solve.exhausted), Ordering::Relaxed);
-        c.arena_arcs.fetch_add(solve.arena_arcs, Ordering::Relaxed);
-        c.arena_unique_weights
-            .fetch_add(solve.arena_unique_weights, Ordering::Relaxed);
-        c.dominance_checks
-            .fetch_add(solve.stats.dominance_checks, Ordering::Relaxed);
-        c.dominance_skipped
-            .fetch_add(solve.stats.dominance_skipped, Ordering::Relaxed);
-        self.record_stage(Stage::ZoneSolve, solve.wall_ns);
-
-        inner.hists.zone_solve_ns.record(solve.wall_ns);
-        inner
-            .hists
-            .labels_per_zone
-            .record(solve.stats.labels_created);
-        inner.hists.front_size.record(solve.stats.front_size);
-
-        self.with_zone_cell(zone, |cell| {
-            cell.solves.fetch_add(1, Ordering::Relaxed);
-            cell.labels_created
-                .fetch_add(solve.stats.labels_created, Ordering::Relaxed);
-            cell.labels_pruned
-                .fetch_add(solve.stats.labels_pruned, Ordering::Relaxed);
-            cell.solver_work
-                .fetch_add(solve.stats.work, Ordering::Relaxed);
-            cell.pareto_paths
-                .fetch_add(solve.stats.front_size, Ordering::Relaxed);
-            cell.exhausted_solves
-                .fetch_add(u64::from(solve.exhausted), Ordering::Relaxed);
-            cell.dominance_checks
-                .fetch_add(solve.stats.dominance_checks, Ordering::Relaxed);
-            cell.dominance_skipped
-                .fetch_add(solve.stats.dominance_skipped, Ordering::Relaxed);
-            cell.wall_ns.fetch_add(solve.wall_ns, Ordering::Relaxed);
-        });
+        let s = &solve.stats;
+        let row = l.zone(zone);
+        row.solves += 1;
+        row.labels_created += s.labels_created;
+        row.labels_pruned += s.labels_pruned;
+        row.solver_work += s.work;
+        row.pareto_paths += s.front_size;
+        row.exhausted_solves += u64::from(solve.exhausted);
+        row.dominance_checks += s.dominance_checks;
+        row.dominance_skipped += s.dominance_skipped;
+        row.wall_ns += solve.wall_ns;
+        l.counters.arena_arcs += solve.arena_arcs;
+        l.counters.arena_unique_weights += solve.arena_unique_weights;
+        l.add_span(Stage::ZoneSolve, solve.wall_ns);
+        l.hists.zone_solve_ns.record(solve.wall_ns);
+        l.hists.labels_per_zone.record(s.labels_created);
+        l.hists.front_size.record(s.front_size);
     }
 
     /// Records the ladder rung one solve of `zone` actually used; the
@@ -414,40 +241,38 @@ impl MetricsRegistry {
     /// recorded on the greedy rung even while the global ladder sits on a
     /// better one — the per-zone row is where that asymmetry is visible.
     pub fn record_zone_rung(&self, zone: usize, rung: usize) {
-        self.with_zone_cell(zone, |cell| {
-            cell.worst_rung.fetch_max(rung as u64, Ordering::Relaxed);
-        });
+        if let Some(mut l) = self.ledger() {
+            let row = l.zone(zone);
+            row.worst_rung = row.worst_rung.max(rung as u64);
+        }
     }
 
     /// Counts one degradation-ladder rung transition.
     pub fn record_rung_transition(&self) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner
-                .counters
-                .rung_transitions
-                .fetch_add(1, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.counters.rung_transitions += 1;
         }
     }
 
     /// Counts one contained zone-worker fault (panic or poisoned input).
     pub fn record_zone_fault(&self) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.counters.zone_faults.fetch_add(1, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.counters.zone_faults += 1;
         }
     }
 
     /// Counts one successful salvage retry of a faulted zone.
     pub fn record_zone_salvage(&self) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.counters.zone_salvages.fetch_add(1, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.counters.zone_salvages += 1;
         }
     }
 
     /// Counts one zone result served from the checkpoint journal instead
     /// of being re-solved.
     pub fn record_zone_reused(&self) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.counters.zones_reused.fetch_add(1, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.counters.zones_reused += 1;
         }
     }
 
@@ -455,46 +280,33 @@ impl MetricsRegistry {
     /// answer came from an identical subproblem another cell of the run
     /// solved or spliced.
     pub fn record_zone_cell(&self, shared: bool) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.counters.zone_cells.fetch_add(1, Ordering::Relaxed);
-            if shared {
-                inner.counters.zones_shared.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(mut l) = self.ledger() {
+            l.counters.zone_cells += 1;
+            l.counters.zones_shared += u64::from(shared);
         }
     }
 
     /// Counts one resident zone evicted from the zone store to stay
     /// under the memory budget.
     pub fn record_zone_spill(&self) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.counters.zones_spilled.fetch_add(1, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.counters.zones_spilled += 1;
         }
     }
 
     /// Counts one zone rebuilt after it was spilled.
     pub fn record_zone_recompute(&self) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner
-                .counters
-                .zone_recomputes
-                .fetch_add(1, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            l.counters.zone_recomputes += 1;
         }
     }
 
-    /// Samples the process RSS and folds it into the peak-RSS gauge
-    /// (`fetch_max`). Called at pipeline checkpoints — characterization,
-    /// each interval's completion, validation. No-op when the registry
-    /// is disabled or `/proc/self/status` is unavailable.
+    /// Samples the process RSS and folds it into the peak-RSS gauge.
+    /// Called at pipeline checkpoints — characterization, each
+    /// interval's completion, validation. No-op when the registry is
+    /// disabled or `/proc/self/status` is unavailable.
     pub fn sample_rss(&self) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        if let Some(rss) = current_rss_bytes() {
-            inner
-                .counters
-                .peak_rss_bytes
-                .fetch_max(rss, Ordering::Relaxed);
-        }
+        self.sample(false);
     }
 
     /// Samples the RSS into the end-of-solve gauge (and the peak). The
@@ -502,18 +314,24 @@ impl MetricsRegistry {
     /// residency, interval accumulation; final validation re-evaluates
     /// the whole design and is measured but not budgeted.
     pub fn sample_solve_rss(&self) {
-        let Some(inner) = self.inner.as_ref() else {
+        self.sample(true);
+    }
+
+    /// Reads the RSS before taking the lock, then folds it into the
+    /// gauges (both keep their maximum).
+    fn sample(&self, solve: bool) {
+        if !self.is_enabled() {
+            return;
+        }
+        let Some(rss) = current_rss_bytes() else {
             return;
         };
-        if let Some(rss) = current_rss_bytes() {
-            inner
-                .counters
-                .peak_rss_bytes
-                .fetch_max(rss, Ordering::Relaxed);
-            inner
-                .counters
-                .solve_rss_bytes
-                .fetch_max(rss, Ordering::Relaxed);
+        if let Some(mut l) = self.ledger() {
+            let c = &mut l.counters;
+            c.peak_rss_bytes = c.peak_rss_bytes.max(rss);
+            if solve {
+                c.solve_rss_bytes = c.solve_rss_bytes.max(rss);
+            }
         }
     }
 
@@ -521,8 +339,8 @@ impl MetricsRegistry {
     /// job-wall-clock histogram (the serve daemon calls this once per
     /// completed solve job).
     pub fn record_job_wall_ns(&self, wall_ns: u64) {
-        if let Some(inner) = self.inner.as_ref() {
-            inner.hists.job_wall_ns.record(wall_ns);
+        if let Some(mut l) = self.ledger() {
+            l.hists.job_wall_ns.record(wall_ns);
         }
     }
 
@@ -530,20 +348,18 @@ impl MetricsRegistry {
     /// how the serve daemon aggregates per-job distributions into one
     /// scrapeable process-lifetime view.
     pub fn absorb_histograms(&self, hists: &RunHistograms) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        inner.hists.zone_solve_ns.absorb(&hists.zone_solve_ns);
-        inner.hists.labels_per_zone.absorb(&hists.labels_per_zone);
-        inner.hists.front_size.absorb(&hists.front_size);
-        inner.hists.job_wall_ns.absorb(&hists.job_wall_ns);
+        if let Some(mut l) = self.ledger() {
+            l.hists.merge(hists);
+        }
     }
 
     /// Snapshots the current histograms without assembling a full report
     /// (the Prometheus exposition path).
     #[must_use]
     pub fn histograms(&self) -> Option<RunHistograms> {
-        self.inner.as_ref().map(|inner| inner.hists.snapshot())
+        let mut hists = self.ledger()?.hists.clone();
+        hists.refresh_quantiles();
+        Some(hists)
     }
 
     /// Assembles the [`RunReport`], or `None` when the registry is
@@ -551,73 +367,43 @@ impl MetricsRegistry {
     /// cannot observe itself.
     #[must_use]
     pub fn report(&self, ctx: &ReportContext) -> Option<RunReport> {
-        let inner = self.inner.as_ref()?;
-        let c = &inner.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let stages = Stage::ALL
-            .iter()
-            .map(|&s| {
-                let cell = &inner.stages[s as usize];
-                StageTiming {
-                    stage: s.name().to_owned(),
-                    count: load(&cell.count),
-                    total_ns: load(&cell.total_ns),
-                }
-            })
-            .filter(|t| t.count > 0)
-            .collect();
-        let zones = {
-            let table = inner.zones.read().unwrap_or_else(PoisonError::into_inner);
-            table
-                .iter()
-                .enumerate()
-                .map(|(id, cell)| ZoneMetrics {
-                    zone: id,
-                    solves: load(&cell.solves),
-                    labels_created: load(&cell.labels_created),
-                    labels_pruned: load(&cell.labels_pruned),
-                    solver_work: load(&cell.solver_work),
-                    pareto_paths: load(&cell.pareto_paths),
-                    exhausted_solves: load(&cell.exhausted_solves),
-                    dominance_checks: load(&cell.dominance_checks),
-                    dominance_skipped: load(&cell.dominance_skipped),
-                    wall_ns: load(&cell.wall_ns),
-                    worst_rung: load(&cell.worst_rung),
-                })
-                .collect()
-        };
+        let Ledger {
+            mut counters,
+            stages,
+            zones,
+            mut hists,
+        } = self.ledger()?.clone();
+        counters.budget_units = ctx.budget_units;
+        for z in &zones {
+            counters.zone_solves += z.solves;
+            counters.labels_created += z.labels_created;
+            counters.labels_pruned += z.labels_pruned;
+            counters.solver_work += z.solver_work;
+            counters.pareto_paths += z.pareto_paths;
+            counters.exhausted_solves += z.exhausted_solves;
+            counters.dominance_checks += z.dominance_checks;
+            counters.dominance_skipped += z.dominance_skipped;
+        }
+        hists.refresh_quantiles();
         Some(RunReport {
             schema_version: RunReport::SCHEMA_VERSION,
             threads: ctx.threads,
-            counters: RunCounters {
-                labels_created: load(&c.labels_created),
-                labels_pruned: load(&c.labels_pruned),
-                solver_work: load(&c.solver_work),
-                pareto_paths: load(&c.pareto_paths),
-                zone_solves: load(&c.zone_solves),
-                exhausted_solves: load(&c.exhausted_solves),
-                arena_arcs: load(&c.arena_arcs),
-                arena_unique_weights: load(&c.arena_unique_weights),
-                rung_transitions: load(&c.rung_transitions),
-                budget_units: ctx.budget_units,
-                dominance_checks: load(&c.dominance_checks),
-                dominance_skipped: load(&c.dominance_skipped),
-                zone_faults: load(&c.zone_faults),
-                zone_salvages: load(&c.zone_salvages),
-                zones_reused: load(&c.zones_reused),
-                zones_shared: load(&c.zones_shared),
-                zone_cells: load(&c.zone_cells),
-                zones_spilled: load(&c.zones_spilled),
-                zone_recomputes: load(&c.zone_recomputes),
-                peak_rss_bytes: load(&c.peak_rss_bytes),
-                solve_rss_bytes: load(&c.solve_rss_bytes),
-            },
-            stages,
+            counters,
+            stages: Stage::ALL
+                .iter()
+                .zip(stages)
+                .filter(|(_, (count, _))| *count > 0)
+                .map(|(s, (count, total_ns))| StageTiming {
+                    stage: s.name().to_owned(),
+                    count,
+                    total_ns,
+                })
+                .collect(),
             zones,
             degenerate_zones: ctx.degenerate_zones,
             ladder_rung: ctx.ladder_rung,
             attribution: None,
-            histograms: inner.hists.snapshot(),
+            histograms: hists,
         })
     }
 }
@@ -1003,7 +789,7 @@ pub struct StageTiming {
 }
 
 /// The run-wide counter aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct RunCounters {
     /// MOSP labels that survived insertion, across all zone solves.
@@ -1107,7 +893,7 @@ impl RunCounters {
 }
 
 /// One zone's aggregated solver metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct ZoneMetrics {
     /// Zone id (index into the run's zone partition).
@@ -1181,9 +967,15 @@ pub struct RunHistogram {
 }
 
 impl RunHistogram {
-    /// Records one value (the non-atomic mirror of the registry's live
-    /// cell, for merging and tests).
+    /// Records one value.
     pub fn observe(&mut self, value: u64) {
+        self.record(value);
+        self.refresh_quantiles();
+    }
+
+    /// Records one value, leaving the stored quantiles stale (the
+    /// registry refreshes them once per snapshot).
+    fn record(&mut self, value: u64) {
         let index = bucket_index(value) as u32;
         match self.buckets.binary_search_by_key(&index, |b| b.index) {
             Ok(i) => self.buckets[i].count += 1,
@@ -1197,7 +989,6 @@ impl RunHistogram {
         self.max = self.max.max(value);
         self.count += 1;
         self.sum += value;
-        self.refresh_quantiles();
     }
 
     /// Merges another histogram in. Associative and commutative up to
@@ -1345,6 +1136,13 @@ impl RunHistograms {
         self.labels_per_zone.merge(&other.labels_per_zone);
         self.front_size.merge(&other.front_size);
         self.job_wall_ns.merge(&other.job_wall_ns);
+    }
+
+    fn refresh_quantiles(&mut self) {
+        self.zone_solve_ns.refresh_quantiles();
+        self.labels_per_zone.refresh_quantiles();
+        self.front_size.refresh_quantiles();
+        self.job_wall_ns.refresh_quantiles();
     }
 
     /// `true` when no distribution holds any observation.
@@ -1743,17 +1541,37 @@ mod tests {
 
     #[test]
     fn aggregation_is_worker_count_independent() {
-        // The same 64 records, pushed from 1 thread and from 8, must
-        // produce identical normalized reports.
+        // The same 64 distinct records, pushed from 1, 2 and 8 threads,
+        // must produce identical reports: counters, zone rows, stage
+        // totals and every histogram, the deterministic `labels_per_zone`
+        // and `front_size` included.
+        let record = |k: u64| ZoneSolveRecord {
+            stats: SolveStats {
+                labels_created: k * 7 + 1,
+                labels_pruned: k % 5,
+                work: k * 9 + 2,
+                front_size: k % 6 + 1,
+                dominance_checks: k * k,
+                dominance_skipped: k,
+            },
+            exhausted: k.is_multiple_of(7),
+            arena_arcs: 10 + k,
+            arena_unique_weights: 4 + k % 3,
+            wall_ns: 1_000 + k * 37,
+        };
         let run = |threads: usize| {
             let r = MetricsRegistry::enabled();
-            r.ensure_zones(4);
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let r = r.clone();
                     scope.spawn(move || {
-                        for i in 0..(64 / threads) {
-                            r.record_zone_solve((t + i) % 4, &sample_record(3));
+                        let per = 64 / threads;
+                        for i in 0..per {
+                            let k = (t * per + i) as u64;
+                            let zone = (k % 5) as usize;
+                            r.record_zone_solve(zone, &record(k));
+                            r.record_zone_rung(zone, (k % 3) as usize);
+                            r.record_zone_cell(k.is_multiple_of(4));
                         }
                     });
                 }
@@ -1761,11 +1579,18 @@ mod tests {
             r.report(&ReportContext::default()).expect("enabled")
         };
         let seq = run(1);
-        let par = run(8);
         seq.validate().expect("seq self-consistent");
-        par.validate().expect("par self-consistent");
-        assert_eq!(seq.counters, par.counters);
-        assert_eq!(seq.normalized().zones, par.normalized().zones);
+        assert_eq!(seq.counters.zone_solves, 64);
+        assert_eq!(seq.histograms.labels_per_zone.count, 64);
+        assert!(seq.histograms.front_size.buckets.len() > 1);
+        for threads in [2, 8] {
+            let par = run(threads);
+            par.validate().expect("par self-consistent");
+            assert_eq!(seq.normalized(), par.normalized(), "threads={threads}");
+            // The wall times come from the records, not a clock, so even
+            // the fields `normalized` strips agree.
+            assert_eq!(seq, par, "threads={threads}");
+        }
     }
 
     #[test]
