@@ -22,10 +22,10 @@ pub struct SolveStats {
     /// work counter charges, but counted unconditionally (the budget's
     /// fast path skips its atomic when no cap is set).
     pub work: u64,
-    /// Pareto paths at the destination after the final dominance sweep.
+    /// Pareto paths returned at the destination.
     pub front_size: u64,
     /// Full componentwise dominance comparisons the frontiers performed
-    /// (both rejection and eviction directions, plus the final sweep).
+    /// (both rejection and eviction directions).
     #[serde(default)]
     pub dominance_checks: u64,
     /// Dominance comparisons the sorted min–max key index short-circuited

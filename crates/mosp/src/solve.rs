@@ -627,33 +627,21 @@ fn run(
         return Err(MospError::NoPath);
     }
 
-    // Final exact-dominance sweep through an exact-mode frontier from the
-    // spare pool. It puts ε-mode paths in true max-key order. It drops no
-    // row for NaN-free costs (exact dominance implies ε-grid dominance, so
-    // neither mode leaves a dominated pair), and it adds only its
-    // comparison counters to the solve stats, never `labels_pruned`.
-    let mut sweep = Frontier::default();
-    take_spare(&mut sweep, spare);
-    let mut sweep_stats = SolveStats::default();
+    // The destination frontier is already mutually nondominated in both
+    // modes for NaN-free costs: exact dominance implies ε-grid weak
+    // dominance. Its rows are returned in true max-key order, ties in
+    // frontier order. Exact mode already keeps that order; ε mode keeps
+    // the scaled-key order, so a stable sort by `fkey` reorders it.
     let found = &fronts[dest.0];
-    for (i, e) in found.entries.iter().enumerate() {
-        let cost = found.cost(dim, i);
-        if sweep.admit(dim, false, cost, &[], e.fkey, 0, &mut sweep_stats) {
-            sweep.commit(dim, false, cost, &[], e.fkey, 0, e.slot);
-        }
-    }
-    stats.dominance_checks += sweep_stats.dominance_checks;
-    stats.dominance_skipped += sweep_stats.dominance_skipped;
-    let paths: Vec<ParetoPath> = sweep
-        .entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| ParetoPath {
-            cost: sweep.cost(dim, i).to_vec(),
-            vertices: reconstruct(preds, dest.0, e.slot),
+    let mut order: Vec<usize> = (0..found.len()).collect();
+    order.sort_by(|&a, &b| found.entries[a].fkey.total_cmp(&found.entries[b].fkey));
+    let paths: Vec<ParetoPath> = order
+        .into_iter()
+        .map(|i| ParetoPath {
+            cost: found.cost(dim, i).to_vec(),
+            vertices: reconstruct(preds, dest.0, found.entries[i].slot),
         })
         .collect();
-    spare.push(sweep.recycled(spare_rows, dim));
     let mut set = ParetoSet::new(paths, truncated);
     if let Some(reason) = exhausted {
         set.mark_exhausted(reason);
@@ -1299,8 +1287,7 @@ mod tests {
     #[test]
     fn the_observer_sees_every_attempt_and_eviction() {
         // Batches account for every attempt, and batch prunes plus cap
-        // evictions for every pruned label: the destination sweep adds
-        // none. Exhaustion is reported once.
+        // evictions for every pruned label. Exhaustion is reported once.
         let (g, src, dest) = diamond_chain(10);
         for eps in [None, Some(0.01)] {
             for budget in [Budget::unlimited(), Budget::unlimited().and_work_cap(50)] {

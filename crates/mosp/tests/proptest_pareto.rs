@@ -170,6 +170,31 @@ proptest! {
     }
 
     #[test]
+    fn warburton_paths_come_in_max_key_order_and_are_nondominated(
+        l in arb_layered(5, 4, 3),
+        eps in 0.01..0.6f64,
+        cap in 0usize..6,
+    ) {
+        let cap = (cap > 0).then_some(cap);
+        let set = solve::warburton(&l.graph, l.src, l.dest, eps, cap, &Budget::unlimited(), None)
+            .unwrap();
+        let paths = set.paths();
+        for w in paths.windows(2) {
+            prop_assert!(
+                w[0].max_component() <= w[1].max_component(),
+                "max keys {} then {}", w[0].max_component(), w[1].max_component()
+            );
+        }
+        for (i, a) in paths.iter().enumerate() {
+            for (j, b) in paths.iter().enumerate() {
+                if i != j {
+                    prop_assert!(!dominates(&a.cost, &b.cost), "{:?} dominates {:?}", a.cost, b.cost);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn path_costs_re_add_along_vertices(l in arb_layered(4, 3, 2)) {
         let set = solve::exact(&l.graph, l.src, l.dest, None, &Budget::unlimited(), None).unwrap();
         for p in set.paths() {
