@@ -297,8 +297,9 @@ FLAGS:
   --shard-sinks N     wavemin only: split the tree into subtree shards of
                       at most N sinks, solve each independently, merge at
                       the root and re-validate the exact global skew
-  --progress          optimize (wavemin only): print a live stderr ticker
-                      (zones done/total, ladder rung, RSS) while solving;
+  --progress          optimize (wavemin, fast, peakmin, multimode;
+                      unsharded): print a live stderr ticker (zones
+                      done/total, ladder rung, RSS) while solving;
                       observation only — results are bit-identical
   --html PATH         report: write a self-contained interactive HTML run
                       report (summary, histograms, attribution table,
@@ -649,8 +650,10 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
         ));
     }
     if flags.has("progress") {
-        if algorithm != "wavemin" || shard_sinks.is_some() {
-            eprintln!("note: --progress only ticks for the unsharded 'wavemin' algorithm");
+        if matches!(algorithm, "nieh" | "samanta") || shard_sinks.is_some() {
+            eprintln!(
+                "note: --progress only ticks for unsharded wavemin, fast, peakmin and multimode runs"
+            );
         } else {
             ins.progress = stderr_progress_ticker();
         }

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wavemin::prelude::*;
+use wavemin_cells::units::{Picoseconds, Volts};
 
 fn assert_outcomes_identical(a: &Outcome, b: &Outcome, label: &str) {
     assert_eq!(a.assignment, b.assignment, "{label}: assignment");
@@ -155,4 +156,59 @@ fn progress_ticks_total_the_answered_cells_at_every_thread_count() {
             "threads={threads}: the fixture must share groups"
         );
     }
+}
+
+#[test]
+fn multimode_progress_ticks_alike_at_every_thread_count() {
+    // ClkWaveMin-M solves through the same interval framework, once per
+    // window-margin pass, so each pass ends with its own done tick. The
+    // done ticks' counts are deterministic: equal at 1, 2 and 4 threads.
+    let design = Design::from_benchmark_multimode_levels(
+        &Benchmark::s15850(),
+        3,
+        4,
+        4,
+        Volts::new(0.9),
+        Volts::new(1.1),
+    );
+    let mut done_ticks = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let seen: Arc<Mutex<Vec<Progress>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink_seen = Arc::clone(&seen);
+        let tracker = ProgressTracker::enabled(Duration::from_millis(1), move |p: &Progress| {
+            sink_seen.lock().expect("sink lock").push(p.clone());
+        });
+        let cfg = small_config(threads).with_skew_bound(Picoseconds::new(20.0));
+        let ins = Instruments {
+            progress: tracker,
+            ..Instruments::from_config(&cfg)
+        };
+        ClkWaveMinM::new(cfg)
+            .run_instrumented(&design, &ins)
+            .expect("multimode run");
+        let ticks = seen.lock().expect("final lock");
+        let done: Vec<(u64, u64, u64)> = ticks
+            .iter()
+            .filter(|p| p.done)
+            .map(|p| (p.zones_done, p.zones_total, p.rung))
+            .collect();
+        assert!(!done.is_empty(), "threads={threads}: no done tick");
+        assert!(
+            ticks.last().is_some_and(|p| p.done),
+            "threads={threads}: the last tick is a done tick"
+        );
+        for &(zones_done, zones_total, _) in &done {
+            assert!(
+                zones_done <= zones_total,
+                "threads={threads}: {zones_done} of {zones_total} zones done"
+            );
+        }
+        assert!(
+            done.iter().any(|&(zones_done, _, _)| zones_done > 0),
+            "threads={threads}: some zone solves must have ticked"
+        );
+        done_ticks.push(done);
+    }
+    assert_eq!(done_ticks[0], done_ticks[1], "1 vs 2 threads");
+    assert_eq!(done_ticks[0], done_ticks[2], "1 vs 4 threads");
 }
