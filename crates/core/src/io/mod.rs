@@ -6,7 +6,7 @@
 //! lowers it into the workspace's native [`Design`]: zero-length wires, a
 //! default sink load, and a per-node `delay_trim` that makes the analytic
 //! timing model reproduce the SDF arrival at each sink bit-for-bit.
-//! The trim solve uses [`exact_addend`]-style ulp nudging so the imported
+//! The trim solve uses `exact_addend`-style ulp nudging so the imported
 //! design's `Timing::analyze` output equals the SDF-declared arrivals
 //! exactly, not just to a tolerance — which is what makes the
 //! export → import round-trip a usable oracle. A sink the floating-point
@@ -394,7 +394,7 @@ pub fn import_sdf(text: &str, lib: CellLibrary) -> Result<ImportedDesign, WaveMi
 /// [`import_sdf`] reads back.
 ///
 /// Instances are named `n{arena_id}`. The `IOPATH` and `INTERCONNECT`
-/// values are chosen with [`exact_addend`]-style nudging so the
+/// values are chosen with `exact_addend`-style nudging so the
 /// importer's additive delay chain reproduces this design's arrival
 /// times **bit-for-bit** — wire delays and trims are folded into the
 /// emitted values rather than listed separately.

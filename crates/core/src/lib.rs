@@ -20,9 +20,9 @@
 //! |---|---|---|
 //! | ClkWaveMin | [`algo::ClkWaveMin`] | MOSP formulation per zone/interval, Warburton ε-approximation |
 //! | ClkWaveMin-f | [`algo::ClkWaveMinFast`] | greedy least-noise-worsening-first |
-//! | ClkPeakMin [27] | [`algo::ClkPeakMin`] | baseline: balance the two rails' summed peaks |
-//! | Nieh et al. [22] | [`algo::NiehOppositePhase`] | baseline: invert half the tree |
-//! | Samanta et al. [23] | [`algo::SamantaBalanced`] | baseline: spatially balanced halves, delay-unaware |
+//! | ClkPeakMin \[27\] | [`algo::ClkPeakMin`] | baseline: balance the two rails' summed peaks |
+//! | Nieh et al. \[22\] | [`algo::NiehOppositePhase`] | baseline: invert half the tree |
+//! | Samanta et al. \[23\] | [`algo::SamantaBalanced`] | baseline: spatially balanced halves, delay-unaware |
 //! | ClkWaveMin-M | [`multimode::ClkWaveMinM`] | interval intersection + ADB/ADI flow for multiple power modes |
 //!
 //! ## Quickstart

@@ -1,5 +1,5 @@
 //! Adjustable delay buffer insertion: the stand-in for the optimal
-//! embedder of Kim et al. [17].
+//! embedder of Kim et al. \[17\].
 //!
 //! When sizing alone cannot satisfy the skew bound in every power mode,
 //! some buffers must become ADBs whose delay is retuned per mode. The

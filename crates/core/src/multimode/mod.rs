@@ -8,7 +8,7 @@
 //!    ([`intersect`]); if a feasible intersection exists, solve the MOSP
 //!    problem with per-mode noise vectors concatenated into one weight;
 //! 2. otherwise insert adjustable delay buffers to restore feasibility
-//!    ([`adb`] — the stand-in for the embedder of Kim et al. [17]), then
+//!    ([`adb`] — the stand-in for the embedder of Kim et al. \[17\]), then
 //!    re-run with leaf ADBs allowed to become the proposed adjustable
 //!    delay inverters (ADIs).
 

@@ -2,7 +2,7 @@
 //!
 //! The paper measures VDD/Gnd noise by simulating the clock tree against
 //! the power-grid model of Zhu, *Power Distribution Network Design for
-//! VLSI* (the reference [36] grid). This crate provides the equivalent
+//! VLSI* (the reference \[36\] grid). This crate provides the equivalent
 //! computation: a resistive mesh with supply pads on the die border, the
 //! clock buffers' instantaneous currents injected at their placements, and
 //! the nodal IR-drop solved by Gauss–Seidel relaxation. The reported noise
