@@ -2,9 +2,8 @@
 //! shipped vectorized bodies (`vector`) vs the scalar reference, at the
 //! dimensionalities the solver actually runs (|S| = 4·k sampled waveform
 //! points; 156 matches the paper's ≈158-point waveforms, 8/32 cover small
-//! zones) — plus the slab dominance scans that the solver's exact and
-//! Warburton ε-grid frontiers batch-check candidates against. This is the
-//! per-primitive measurement a kernel body is chosen from.
+//! zones). This is the per-primitive measurement a kernel body is chosen
+//! from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wavemin_mosp::kernels::{self, scalar};
@@ -85,31 +84,6 @@ fn bench_dominates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_slab_scan(c: &mut Criterion) {
-    // The exact frontier's rejection scan: one candidate against a contiguous
-    // slab of incumbent cost rows (no row dominates, so the scan runs to
-    // the end — the common admit case).
-    let mut group = c.benchmark_group("kernel_slab_scan");
-    let dims = 156;
-    for rows in [4usize, 16, 64] {
-        let slab: Vec<f64> = (0..rows)
-            .flat_map(|r| operand(dims, 7 + r as u64))
-            .collect();
-        let cand: Vec<f64> = operand(dims, 99).iter().map(|x| x - 200.0).collect();
-        group.bench_with_input(BenchmarkId::new("vector", rows), &rows, |bch, _| {
-            bch.iter(|| {
-                kernels::dominated_weakly_by_any(std::hint::black_box(&slab), dims, rows, &cand)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", rows), &rows, |bch, _| {
-            bch.iter(|| {
-                scalar::dominated_weakly_by_any(std::hint::black_box(&slab), dims, rows, &cand)
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Operands on the Warburton ε-grid: the f64 operand scaled to integers.
 fn grid_operand(len: usize, salt: u64) -> Vec<i64> {
     operand(len, salt)
@@ -134,37 +108,12 @@ fn bench_scaled_leq(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scaled_leq_any(c: &mut Criterion) {
-    // The ε-grid rejection scan: one candidate against 16 incumbent rows.
-    // The candidate is above every row except in its last component, so
-    // each row is compared in full and fails there (the admit case, worst
-    // for the scan).
-    let mut group = c.benchmark_group("kernel_scaled_leq_any");
-    let rows = 16;
-    for dims in [8usize, 32, 156] {
-        let slab: Vec<i64> = (0..rows)
-            .flat_map(|r| grid_operand(dims, 20 + r as u64))
-            .collect();
-        let mut cand = vec![i64::MAX; dims];
-        cand[dims - 1] = -1;
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| kernels::scaled_leq_any(std::hint::black_box(&slab), dims, rows, &cand));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
-            bch.iter(|| scalar::scaled_leq_any(std::hint::black_box(&slab), dims, rows, &cand));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_add,
     bench_add_max,
     bench_max_component,
     bench_dominates,
-    bench_slab_scan,
-    bench_scaled_leq,
-    bench_scaled_leq_any
+    bench_scaled_leq
 );
 criterion_main!(benches);

@@ -568,21 +568,17 @@ fn solve_zone_mosp(
             return Err(WaveMinError::NoFeasibleInterval);
         }
         for &(v, ref vector) in &row_vectors {
-            for &u in &prev_row {
-                // Interning means the fan-in arcs all share one arena slot.
-                graph
-                    .add_arc_slice(u, v, vector)
-                    .map_err(|e| poison_ingest_error(e, zone_id, poisoned))?;
-            }
+            // The whole fan-in shares one validated, interned arena slot.
+            graph
+                .add_fan_in(&prev_row, v, vector)
+                .map_err(|e| poison_ingest_error(e, zone_id, poisoned))?;
         }
         prev_row = this_row;
     }
 
     let dest = graph.add_vertex();
     registry.push((usize::MAX, usize::MAX, Picoseconds::ZERO));
-    for &u in &prev_row {
-        graph.add_arc_slice(u, dest, background)?;
-    }
+    graph.add_fan_in(&prev_row, dest, background)?;
 
     let ins = &ladder.ins;
     let mut handle = ins.journal.handle();

@@ -188,23 +188,47 @@ impl MospGraph {
         to: VertexId,
         weight: &[f64],
     ) -> Result<(), MospError> {
+        self.add_fan_in(&[from], to, weight)
+    }
+
+    /// Adds the arc `u → to` for every `u` in `from`, in order, all
+    /// sharing `weight`: one candidate's fan-in in the layered WaveMin
+    /// graph. The weight is validated and interned once for the whole
+    /// fan-in; an empty `from` adds nothing, and a rejected call leaves no
+    /// trace.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::add_arc`].
+    pub fn add_fan_in(
+        &mut self,
+        from: &[VertexId],
+        to: VertexId,
+        weight: &[f64],
+    ) -> Result<(), MospError> {
         if weight.len() != self.dim {
             return Err(MospError::DimensionMismatch {
                 expected: self.dim,
                 got: weight.len(),
             });
         }
-        if from.0 >= self.adjacency.len() {
-            return Err(MospError::InvalidVertex(from));
+        let n = self.adjacency.len();
+        if let Some(&u) = from.iter().find(|u| u.0 >= n) {
+            return Err(MospError::InvalidVertex(u));
         }
-        if to.0 >= self.adjacency.len() {
+        if to.0 >= n {
             return Err(MospError::InvalidVertex(to));
         }
         if let Some(w) = crate::kernels::invalid_weight(weight) {
             return Err(MospError::InvalidWeight(w));
         }
+        if from.is_empty() {
+            return Ok(());
+        }
         let slot = self.intern_weight(weight);
-        self.adjacency[from.0].push((to, slot));
+        for u in from {
+            self.adjacency[u.0].push((to, slot));
+        }
         Ok(())
     }
 
@@ -369,6 +393,41 @@ mod tests {
         for (_, got) in g.out_arcs(vs[1]) {
             assert_eq!(got, w.as_slice());
         }
+    }
+
+    #[test]
+    fn a_fan_in_equals_one_arc_per_predecessor() {
+        let mut per_arc = MospGraph::new(2);
+        let mut fan_in = MospGraph::new(2);
+        let vs = per_arc.add_vertices(5);
+        fan_in.add_vertices(5);
+        let w = [0.5, 1.5];
+        for &u in &vs[..3] {
+            per_arc.add_arc_slice(u, vs[3], &w).unwrap();
+        }
+        per_arc.add_arc_slice(vs[3], vs[4], &w).unwrap();
+        fan_in.add_fan_in(&vs[..3], vs[3], &w).unwrap();
+        fan_in.add_fan_in(&vs[3..4], vs[4], &w).unwrap();
+        fan_in.add_fan_in(&[], vs[4], &[7.0, 7.0]).unwrap();
+        assert_eq!(per_arc, fan_in);
+        assert_eq!(fan_in.arc_count(), 4);
+        assert_eq!(
+            fan_in.unique_weight_count(),
+            1,
+            "an empty fan-in stores nothing"
+        );
+        // A bad predecessor anywhere in the fan-in rejects all of it.
+        assert_eq!(
+            fan_in.add_fan_in(&[vs[0], VertexId(9)], vs[4], &w),
+            Err(MospError::InvalidVertex(VertexId(9)))
+        );
+        assert_eq!(
+            fan_in
+                .add_fan_in(&vs[..2], vs[4], &[1.0, f64::NAN])
+                .map_err(|e| e.to_string()),
+            Err(MospError::InvalidWeight(f64::NAN).to_string())
+        );
+        assert_eq!(fan_in.arc_count(), 4, "rejected fan-ins leave no trace");
     }
 
     #[test]

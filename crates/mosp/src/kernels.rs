@@ -163,27 +163,6 @@ pub mod scalar {
         a.iter().zip(b).all(|(x, y)| x <= y)
     }
 
-    /// Scans `rows` rows of a flat cost slab (stride `dim`) for the first
-    /// one that weakly dominates `cand` ([`dominates_or_eq`]); one
-    /// contiguous forward pass.
-    #[inline]
-    #[must_use]
-    pub fn dominated_weakly_by_any(
-        slab: &[f64],
-        dim: usize,
-        rows: usize,
-        cand: &[f64],
-    ) -> Option<usize> {
-        (0..rows).find(|&r| dominates_or_eq(&slab[r * dim..r * dim + dim], cand))
-    }
-
-    /// [`dominated_weakly_by_any`] on the ε-grid ([`scaled_leq`]).
-    #[inline]
-    #[must_use]
-    pub fn scaled_leq_any(slab: &[i64], dim: usize, rows: usize, cand: &[i64]) -> Option<usize> {
-        (0..rows).find(|&r| scaled_leq(&slab[r * dim..r * dim + dim], cand))
-    }
-
     /// The ingest guard: the first component of `v` that is not a valid
     /// arc weight (NaN, ±inf, or negative), or `None` when every
     /// component is finite and non-negative. `-0.0` passes (it compares
@@ -427,26 +406,6 @@ pub fn scaled_leq(a: &[i64], b: &[i64]) -> bool {
     ra.iter().zip(rb).all(|(x, y)| x <= y)
 }
 
-/// Contiguous slab scan; see
-/// [`scalar::dominated_weakly_by_any`].
-#[inline]
-#[must_use]
-pub fn dominated_weakly_by_any(
-    slab: &[f64],
-    dim: usize,
-    rows: usize,
-    cand: &[f64],
-) -> Option<usize> {
-    (0..rows).find(|&r| dominates_or_eq(&slab[r * dim..r * dim + dim], cand))
-}
-
-/// Contiguous ε-grid slab scan; see [`scalar::scaled_leq_any`].
-#[inline]
-#[must_use]
-pub fn scaled_leq_any(slab: &[i64], dim: usize, rows: usize, cand: &[i64]) -> Option<usize> {
-    (0..rows).find(|&r| scaled_leq(&slab[r * dim..r * dim + dim], cand))
-}
-
 /// Ingest guard; see [`scalar::invalid_weight`]. Chunks fold a
 /// branchless validity mask (`is_finite & >= 0`, order-independent
 /// booleans); only a failing chunk pays a sequential re-scan to
@@ -548,27 +507,6 @@ mod tests {
         b[11] -= 1;
         assert!(!scalar::scaled_leq(&a, &b));
         assert!(!super::scaled_leq(&a, &b));
-    }
-
-    #[test]
-    fn slab_scans_report_first_hit() {
-        // Rows: (5,5), (1,4), (2,2) against candidate (2,4).
-        let slab = [5.0, 5.0, 1.0, 4.0, 2.0, 2.0];
-        assert_eq!(
-            scalar::dominated_weakly_by_any(&slab, 2, 3, &[2.0, 4.0]),
-            Some(1)
-        );
-        assert_eq!(
-            super::dominated_weakly_by_any(&slab, 2, 3, &[2.0, 4.0]),
-            Some(1)
-        );
-        assert_eq!(
-            scalar::dominated_weakly_by_any(&slab, 2, 1, &[2.0, 4.0]),
-            None
-        );
-        let islab = [3i64, 3, 0, 1];
-        assert_eq!(scalar::scaled_leq_any(&islab, 2, 2, &[1, 1]), Some(1));
-        assert_eq!(super::scaled_leq_any(&islab, 2, 2, &[1, 1]), Some(1));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::budget::{Budget, Exhaustion};
 use crate::graph::{MospError, MospGraph, VertexId};
 use crate::kernels;
 use crate::pareto::{ParetoPath, ParetoSet, SolveStats};
+use std::cmp::Ordering;
 
 /// Observer hooks for solver-internal trace events, implemented by the
 /// event journal in the `wavemin` core crate (which owns the clock and the
@@ -49,15 +50,18 @@ pub trait SolveObserver {
     fn budget_exhausted(&mut self, reason: Exhaustion);
 }
 
-/// One vertex's active label frontier, kept sorted by cached min–max key
-/// with the label data in contiguous slabs.
+/// One vertex's active label frontier: entries sorted by cached min–max
+/// key, each naming the slab row that holds its label data.
 ///
 /// The costs of the *active* labels live in one flat `f64` slab (stride =
-/// the graph's weight dimension) whose row order matches `entries`; the
-/// ε-solver's scaled grid lives in a parallel `i64` slab that stays
-/// **empty** in exact mode. Keeping the slab in ascending key order makes
-/// the two dominance scans of a candidate insertion contiguous slab
-/// passes, each restricted by the key partition:
+/// the graph's weight dimension); the ε-solver's scaled grid lives in a
+/// parallel `i64` slab with the same row numbering, which stays **empty**
+/// in exact mode. Only `entries` is kept in ascending key order: a label's
+/// slab rows never move once written, and an evicted label's row goes on
+/// a free list that the next admitted label reuses, so the slabs never
+/// hold more rows than the frontier's peak label count. Keeping the
+/// entries in key order restricts the two dominance scans of a candidate
+/// insertion by the key partition:
 ///
 /// * rejection: an incumbent dominating (weakly) the candidate satisfies
 ///   componentwise `inc <= cand`, hence `max(inc) <= max(cand)` — only
@@ -70,14 +74,16 @@ pub trait SolveObserver {
 /// of non-negative finite values never produce NaN (at worst `+inf`,
 /// which orders fine).
 ///
-/// Dominated or cap-evicted labels leave the frontier (their slab rows
-/// are compacted away) but keep their slot in the vertex's append-only
-/// predecessor store, so reconstruction chains stay valid.
+/// Dominated or cap-evicted labels leave the frontier but keep their slot
+/// in the vertex's append-only predecessor store, so reconstruction
+/// chains stay valid.
 #[derive(Debug, Default, Clone)]
 struct Frontier {
     entries: Vec<FrontierEntry>,
     costs: Vec<f64>,
     scaled: Vec<i64>,
+    /// Slab rows of evicted labels, reused by later commits.
+    free: Vec<usize>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -91,25 +97,24 @@ struct FrontierEntry {
     ikey: i64,
     /// The label's slot in its vertex's predecessor store.
     slot: usize,
+    /// The label's row in the cost (and scaled) slab.
+    row: usize,
 }
 
 impl Frontier {
-    /// Empties the frontier while keeping its slab allocations — the
-    /// recycled state is logically identical to `Frontier::default()`
-    /// (every operation depends only on content, never capacity).
-    fn clear(&mut self) {
+    /// Empties the frontier for the spare pool, giving back slab memory
+    /// beyond `rows` labels of `dim` components. The recycled state is
+    /// logically identical to `Frontier::default()` (every operation
+    /// depends only on content, never capacity).
+    fn recycled(mut self, rows: usize, dim: usize) -> Self {
         self.entries.clear();
         self.costs.clear();
         self.scaled.clear();
-    }
-
-    /// Empties the frontier for the spare pool, giving back slab memory
-    /// beyond `rows` labels of `dim` components.
-    fn recycled(mut self, rows: usize, dim: usize) -> Self {
-        self.clear();
+        self.free.clear();
         self.entries.shrink_to(rows);
         self.costs.shrink_to(rows.saturating_mul(dim));
         self.scaled.shrink_to(rows.saturating_mul(dim));
+        self.free.shrink_to(rows);
         self
     }
 
@@ -126,39 +131,18 @@ impl Frontier {
         self.entries.is_empty()
     }
 
+    /// The costs of the `i`-th label in key order.
     #[inline]
     fn cost(&self, dim: usize, i: usize) -> &[f64] {
-        &self.costs[i * dim..(i + 1) * dim]
-    }
-
-    #[inline]
-    fn scaled_row(&self, dim: usize, i: usize) -> &[i64] {
-        &self.scaled[i * dim..(i + 1) * dim]
-    }
-
-    fn move_row(&mut self, dim: usize, from: usize, to: usize) {
-        self.entries[to] = self.entries[from];
-        self.costs
-            .copy_within(from * dim..(from + 1) * dim, to * dim);
-        if !self.scaled.is_empty() {
-            self.scaled
-                .copy_within(from * dim..(from + 1) * dim, to * dim);
-        }
-    }
-
-    fn truncate_rows(&mut self, dim: usize, len: usize) {
-        self.entries.truncate(len);
-        self.costs.truncate(len * dim);
-        if !self.scaled.is_empty() {
-            self.scaled.truncate(len * dim);
-        }
+        slab_row(&self.costs, dim, self.entries[i].row)
     }
 
     /// Dominance screening of a candidate: the rejection test against the
     /// admissible sorted prefix, then eviction of every incumbent the
-    /// candidate dominates. Returns whether the candidate belongs in the
-    /// frontier. Comparison runs on the scaled grid in ε mode (weak
-    /// dominance) and on true costs otherwise.
+    /// candidate dominates (its row goes to the free list). Returns
+    /// whether the candidate belongs in the frontier. Comparison runs on
+    /// the scaled grid in ε mode (weak dominance) and on true costs
+    /// otherwise.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &mut self,
@@ -170,63 +154,61 @@ impl Frontier {
         ikey: i64,
         stats: &mut SolveStats,
     ) -> bool {
-        let n = self.entries.len();
-        if eps_mode {
-            let hi = self.entries.partition_point(|e| e.ikey <= ikey);
-            stats.dominance_skipped += (n - hi) as u64;
-            if let Some(r) = kernels::scaled_leq_any(&self.scaled, dim, hi, scaled) {
-                stats.dominance_checks += (r + 1) as u64;
-                return false;
-            }
-            stats.dominance_checks += hi as u64;
-            let lo = self.entries.partition_point(|e| e.ikey < ikey);
-            stats.dominance_skipped += lo as u64;
-            let mut w = lo;
-            for r in lo..n {
-                stats.dominance_checks += 1;
-                let doomed = kernels::scaled_leq(scaled, self.scaled_row(dim, r));
-                if !doomed {
-                    if w != r {
-                        self.move_row(dim, r, w);
-                    }
-                    w += 1;
-                }
-            }
-            stats.labels_pruned += (n - w) as u64;
-            self.truncate_rows(dim, w);
+        let Self {
+            entries,
+            costs,
+            scaled: grid,
+            free,
+        } = self;
+        let n = entries.len();
+        let hi = if eps_mode {
+            entries.partition_point(|e| e.ikey <= ikey)
         } else {
-            let hi = self
-                .entries
-                .partition_point(|e| e.fkey.total_cmp(&fkey) != std::cmp::Ordering::Greater);
-            stats.dominance_skipped += (n - hi) as u64;
-            if let Some(r) = kernels::dominated_weakly_by_any(&self.costs, dim, hi, cost) {
-                stats.dominance_checks += (r + 1) as u64;
-                return false;
+            entries.partition_point(|e| e.fkey.total_cmp(&fkey) != Ordering::Greater)
+        };
+        stats.dominance_skipped += (n - hi) as u64;
+        let rejected_by = entries[..hi].iter().position(|e| {
+            if eps_mode {
+                kernels::scaled_leq(slab_row(grid, dim, e.row), scaled)
+            } else {
+                kernels::dominates_or_eq(slab_row(costs, dim, e.row), cost)
             }
-            stats.dominance_checks += hi as u64;
-            let lo = self
-                .entries
-                .partition_point(|e| e.fkey.total_cmp(&fkey) == std::cmp::Ordering::Less);
-            stats.dominance_skipped += lo as u64;
-            let mut w = lo;
-            for r in lo..n {
-                stats.dominance_checks += 1;
-                let doomed = kernels::dominates(cost, self.cost(dim, r));
-                if !doomed {
-                    if w != r {
-                        self.move_row(dim, r, w);
-                    }
-                    w += 1;
-                }
-            }
-            stats.labels_pruned += (n - w) as u64;
-            self.truncate_rows(dim, w);
+        });
+        if let Some(r) = rejected_by {
+            stats.dominance_checks += (r + 1) as u64;
+            return false;
         }
+        stats.dominance_checks += hi as u64;
+        let lo = if eps_mode {
+            entries.partition_point(|e| e.ikey < ikey)
+        } else {
+            entries.partition_point(|e| e.fkey.total_cmp(&fkey) == Ordering::Less)
+        };
+        stats.dominance_skipped += lo as u64;
+        stats.dominance_checks += (n - lo) as u64;
+        let mut w = lo;
+        for r in lo..n {
+            let e = entries[r];
+            let doomed = if eps_mode {
+                kernels::scaled_leq(scaled, slab_row(grid, dim, e.row))
+            } else {
+                kernels::dominates(cost, slab_row(costs, dim, e.row))
+            };
+            if doomed {
+                free.push(e.row);
+            } else {
+                entries[w] = e;
+                w += 1;
+            }
+        }
+        stats.labels_pruned += (n - w) as u64;
+        entries.truncate(w);
         true
     }
 
-    /// Inserts an admitted label at its sorted position (after equal
-    /// keys, so ties keep insertion order).
+    /// Inserts an admitted label's entry at its sorted position (after
+    /// equal keys, so ties keep insertion order) and writes its data into
+    /// a free slab row, or a new one when none is free.
     #[allow(clippy::too_many_arguments)]
     fn commit(
         &mut self,
@@ -242,55 +224,69 @@ impl Frontier {
             self.entries.partition_point(|e| e.ikey <= ikey)
         } else {
             self.entries
-                .partition_point(|e| e.fkey.total_cmp(&fkey) != std::cmp::Ordering::Greater)
+                .partition_point(|e| e.fkey.total_cmp(&fkey) != Ordering::Greater)
         };
-        self.entries.insert(p, FrontierEntry { fkey, ikey, slot });
-        insert_row(&mut self.costs, dim, p, cost);
+        let row = self.free.pop().unwrap_or(self.costs.len() / dim);
+        write_row(&mut self.costs, row, cost);
         if eps_mode {
-            insert_row(&mut self.scaled, dim, p, scaled);
+            write_row(&mut self.scaled, row, scaled);
         }
+        self.entries.insert(
+            p,
+            FrontierEntry {
+                fkey,
+                ikey,
+                slot,
+                row,
+            },
+        );
     }
 
     /// Truncates to the `cap` labels with the smallest max true-cost
-    /// component (ties keep earlier-inserted labels, as before the slab
-    /// rewrite). Exact mode is already in that order; ε mode selects by
-    /// `fkey` but preserves the scaled-key order of the survivors.
-    /// Returns the number of evicted labels.
-    fn apply_cap(&mut self, dim: usize, eps_mode: bool, cap: usize) -> usize {
+    /// component (ties keep earlier-inserted labels) and keeps the
+    /// survivors in their entry order. Exact-mode entries are already in
+    /// `fkey` order, so there the cap keeps the first `cap` entries; ε
+    /// mode keeps its scaled-key order. Returns the number of evicted
+    /// labels.
+    fn apply_cap(&mut self, cap: usize) -> usize {
         let n = self.entries.len();
         if n <= cap {
             return 0;
         }
-        if eps_mode {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| self.entries[a].fkey.total_cmp(&self.entries[b].fkey));
-            let mut keep = vec![false; n];
-            for &i in order.iter().take(cap) {
-                keep[i] = true;
-            }
-            let mut w = 0;
-            for (r, &kept) in keep.iter().enumerate() {
-                if kept {
-                    if w != r {
-                        self.move_row(dim, r, w);
-                    }
-                    w += 1;
-                }
-            }
-            self.truncate_rows(dim, w);
-        } else {
-            self.truncate_rows(dim, cap);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| self.entries[a].fkey.total_cmp(&self.entries[b].fkey));
+        let mut keep = vec![false; n];
+        for &i in order.iter().take(cap) {
+            keep[i] = true;
         }
+        let mut keep = keep.into_iter();
+        let free = &mut self.free;
+        self.entries.retain(|e| {
+            let kept = keep.next() == Some(true);
+            if !kept {
+                free.push(e.row);
+            }
+            kept
+        });
         n - cap
     }
 }
 
-/// Splices `values` in as row `row` of a flat slab of stride `dim`.
-fn insert_row<T: Copy + Default>(slab: &mut Vec<T>, dim: usize, row: usize, values: &[T]) {
-    let old = slab.len();
-    slab.resize(old + dim, T::default());
-    slab.copy_within(row * dim..old, (row + 1) * dim);
-    slab[row * dim..(row + 1) * dim].copy_from_slice(values);
+/// Row `row` of a flat slab of stride `dim`.
+#[inline]
+fn slab_row<T>(slab: &[T], dim: usize, row: usize) -> &[T] {
+    &slab[row * dim..(row + 1) * dim]
+}
+
+/// Writes `values` as row `row` of a flat slab of stride `values.len()`,
+/// growing the slab by one row when `row` is the next one.
+fn write_row<T: Copy>(slab: &mut Vec<T>, row: usize, values: &[T]) {
+    let at = row * values.len();
+    if at == slab.len() {
+        slab.extend_from_slice(values);
+    } else {
+        slab[at..at + values.len()].copy_from_slice(values);
+    }
 }
 
 /// Per-thread solve scratch recycled between solves: the per-vertex
@@ -499,7 +495,7 @@ fn run(
     let scale_into = |cost: &[f64], out: &mut Vec<i64>| {
         out.clear();
         if let Some(ds) = deltas {
-            out.extend(cost.iter().zip(ds).map(|(c, d)| (c / d).floor() as i64));
+            out.extend(cost.iter().zip(ds).map(|(c, d)| grid_cell(c / d)));
         }
     };
 
@@ -544,7 +540,7 @@ fn run(
             max_labels
         };
         if let Some(cap) = cap {
-            let evicted = fronts[v.0].apply_cap(dim, eps_mode, cap);
+            let evicted = fronts[v.0].apply_cap(cap);
             if evicted > 0 {
                 stats.labels_pruned += evicted as u64;
                 truncated = true;
@@ -566,12 +562,12 @@ fn run(
             let batch_start = observer.as_deref_mut().map(|o| o.now_ns());
             let pruned_before = stats.labels_pruned;
             take_spare(&mut fronts[to.0], spare);
-            for (k, e) in src.entries.iter().enumerate() {
+            for e in &src.entries {
                 stats.work += 1;
                 if exhausted.is_none() {
                     exhausted = budget.charge(1);
                 }
-                kernels::add_into(&mut cand, src.cost(dim, k), w);
+                kernels::add_into(&mut cand, slab_row(&src.costs, dim, e.row), w);
                 scale_into(&cand, &mut scaled_scratch);
                 push_label(
                     &mut fronts[to.0],
@@ -688,6 +684,19 @@ fn take_spare(front: &mut Frontier, spare: &mut Vec<Frontier>) {
     }
 }
 
+/// The ε-grid cell of a scaled cost `q = c / δ`. Costs and grid steps
+/// are non-negative ([`MospGraph`] validates the weights), and there the
+/// truncating cast is `floor`, saturation at `+inf` included, without
+/// `f64::floor`'s libm call.
+#[inline]
+fn grid_cell(q: f64) -> i64 {
+    debug_assert!(
+        q >= 0.0 || q.is_nan(),
+        "ε-grid costs are non-negative, got {q}"
+    );
+    q as i64
+}
+
 /// Max scaled component: the ε-mode frontier sort key (0 in exact mode,
 /// where the scaled slice is empty).
 fn ikey_of(scaled: &[i64]) -> i64 {
@@ -713,6 +722,13 @@ mod tests {
     use crate::pareto::tests::insert_nondominated;
     use proptest::prelude::*;
     use std::time::Duration;
+
+    impl Frontier {
+        /// The ε-grid image of the `i`-th label in key order.
+        fn scaled_row(&self, dim: usize, i: usize) -> &[i64] {
+            slab_row(&self.scaled, dim, self.entries[i].row)
+        }
+    }
 
     /// Brute-force path enumeration for validation.
     fn all_paths(g: &MospGraph, from: VertexId, to: VertexId) -> Vec<(Vec<f64>, Vec<VertexId>)> {
@@ -911,13 +927,115 @@ mod tests {
         }
     }
 
+    /// One ε-mode label of the oracle: slot, true costs, grid image.
+    type OracleLabel = (usize, Vec<f64>, Vec<i64>);
+
+    /// The ε-mode frontier spelled out on a plain `Vec` in logical order:
+    /// reject a candidate some incumbent weakly dominates on the grid,
+    /// evict the incumbents it weakly dominates, and insert it after
+    /// every incumbent whose max grid component is not larger.
+    fn oracle_offer(oracle: &mut Vec<OracleLabel>, label: OracleLabel) -> bool {
+        let leq = |a: &[i64], b: &[i64]| a.iter().zip(b).all(|(x, y)| x <= y);
+        if oracle.iter().any(|(_, _, g)| leq(g, &label.2)) {
+            return false;
+        }
+        oracle.retain(|(_, _, g)| !leq(&label.2, g));
+        let key = ikey_of(&label.2);
+        let at = oracle.iter().filter(|(_, _, g)| ikey_of(g) <= key).count();
+        oracle.insert(at, label);
+        true
+    }
+
+    /// The oracle's cap: keep the `cap` smallest true max keys (ties to
+    /// the earlier entry) in their logical order.
+    fn oracle_cap(oracle: &mut Vec<OracleLabel>, cap: usize) {
+        let fkey = |c: &[f64]| c.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut order: Vec<usize> = (0..oracle.len()).collect();
+        order.sort_by(|&a, &b| fkey(&oracle[a].1).total_cmp(&fkey(&oracle[b].1)));
+        let keep: Vec<bool> = (0..oracle.len())
+            .map(|i| order.iter().take(cap).any(|&k| k == i))
+            .collect();
+        let mut keep = keep.into_iter();
+        oracle.retain(|_| keep.next() == Some(true));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn epsilon_frontier_matches_a_vec_oracle_and_reuses_freed_rows(
+            ops in proptest::collection::vec(
+                (proptest::collection::vec(0.0f64..10.0, 3), 0usize..10), 1..80),
+        ) {
+            let dim = 3;
+            let mut front = Frontier::default();
+            let mut oracle: Vec<OracleLabel> = Vec::new();
+            let mut stats = SolveStats::default();
+            let mut peak = 0;
+            for (slot, (cost, op)) in ops.into_iter().enumerate() {
+                if op == 0 {
+                    let cap = 1 + slot % 4;
+                    front.apply_cap(cap);
+                    oracle_cap(&mut oracle, cap);
+                } else {
+                    let grid: Vec<i64> = cost.iter().map(|c| grid_cell(c / 2.5)).collect();
+                    let fkey = kernels::max_component(&cost);
+                    let ikey = ikey_of(&grid);
+                    let admitted = front.admit(dim, true, &cost, &grid, fkey, ikey, &mut stats);
+                    if admitted {
+                        front.commit(dim, true, &cost, &grid, fkey, ikey, slot);
+                    }
+                    prop_assert_eq!(admitted, oracle_offer(&mut oracle, (slot, cost, grid)));
+                }
+                peak = peak.max(front.len());
+                let logical: Vec<OracleLabel> = (0..front.len())
+                    .map(|i| {
+                        let e = front.entries[i];
+                        (e.slot, front.cost(dim, i).to_vec(), front.scaled_row(dim, i).to_vec())
+                    })
+                    .collect();
+                prop_assert_eq!(&logical, &oracle);
+                // Freed rows are reused before the slabs grow, so they
+                // hold exactly the peak live label count.
+                prop_assert_eq!(front.costs.len(), peak * dim);
+                prop_assert_eq!(front.scaled.len(), peak * dim);
+                prop_assert_eq!(front.free.len() + front.len(), peak);
+            }
+        }
+    }
+
     #[test]
-    fn insert_row_splices_at_the_front_middle_and_end() {
+    fn write_row_overwrites_a_row_or_appends_the_next() {
         let mut slab = vec![1, 1, 3, 3];
-        insert_row(&mut slab, 2, 1, &[2, 2]);
-        insert_row(&mut slab, 2, 0, &[0, 0]);
-        insert_row(&mut slab, 2, 4, &[4, 4]);
-        assert_eq!(slab, vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+        write_row(&mut slab, 2, &[4, 4]);
+        write_row(&mut slab, 0, &[0, 0]);
+        write_row(&mut slab, 1, &[2, 2]);
+        assert_eq!(slab, vec![0, 0, 2, 2, 4, 4]);
+    }
+
+    #[test]
+    fn the_truncating_grid_cast_is_floor_on_non_negative_costs() {
+        let near_2_63 = 9_223_372_036_854_775_808.0_f64; // 2^63
+        for q in [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE * 0.5,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0, // the largest double below 1
+            1.0,
+            2.5,
+            1e18,
+            near_2_63 - 1024.0, // the largest double below 2^63
+            near_2_63,
+            near_2_63 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_eq!(grid_cell(q), q.floor() as i64, "q = {q:e}");
+        }
+        assert_eq!(grid_cell(f64::INFINITY), i64::MAX);
+        assert_eq!(grid_cell(near_2_63 - 1024.0), i64::MAX - 1023);
     }
 
     #[test]
@@ -950,7 +1068,10 @@ mod tests {
         assert_eq!(slots, vec![1, 3, 0, 2]);
         let keys: Vec<f64> = front.entries.iter().map(|e| e.fkey).collect();
         assert_eq!(keys, vec![1.0, 2.0, 3.0, 3.0]);
-        assert_eq!(front.costs, vec![1.0, 1.0, 2.0, 0.5, 3.0, 0.0, 0.0, 3.0]);
+        let costs: Vec<f64> = (0..front.len())
+            .flat_map(|i| front.cost(2, i).to_vec())
+            .collect();
+        assert_eq!(costs, vec![1.0, 1.0, 2.0, 0.5, 3.0, 0.0, 0.0, 3.0]);
         assert_eq!(stats.labels_pruned, 0);
     }
 
@@ -988,10 +1109,12 @@ mod tests {
         {
             offer(&mut exact_front, cost, slot, &mut stats);
         }
-        assert_eq!(exact_front.apply_cap(2, false, 2), 2);
+        assert_eq!(exact_front.apply_cap(2), 2);
         let slots: Vec<usize> = exact_front.entries.iter().map(|e| e.slot).collect();
         assert_eq!(slots, vec![1, 3]);
-        assert_eq!(exact_front.apply_cap(2, false, 5), 0);
+        assert_eq!(exact_front.cost(2, 0), &[2.0, 2.0]);
+        assert_eq!(exact_front.cost(2, 1), &[3.0, 1.5]);
+        assert_eq!(exact_front.apply_cap(5), 0);
 
         // In ε mode the survivors are chosen by true max but keep their
         // scaled-key order.
@@ -1000,10 +1123,13 @@ mod tests {
             let row = [ikey, 0];
             eps.commit(2, true, &[fkey, 0.0], &row, fkey, ikey, slot);
         }
-        assert_eq!(eps.apply_cap(2, true, 2), 1);
+        assert_eq!(eps.apply_cap(2), 1);
         let kept: Vec<(usize, i64)> = eps.entries.iter().map(|e| (e.slot, e.ikey)).collect();
         assert_eq!(kept, vec![(1, 2), (2, 3)]);
-        assert_eq!(eps.scaled, vec![2, 0, 3, 0]);
+        let grid: Vec<i64> = (0..eps.len())
+            .flat_map(|i| eps.scaled_row(2, i).to_vec())
+            .collect();
+        assert_eq!(grid, vec![2, 0, 3, 0]);
     }
 
     #[test]

@@ -183,25 +183,4 @@ proptest! {
         prop_assert_eq!(scalar::invalid_weight(&v).map(f64::to_bits), expect);
         prop_assert_eq!(kernels::invalid_weight(&v).map(f64::to_bits), expect);
     }
-
-    #[test]
-    fn slab_scans_agree(
-        dim in 1usize..24,
-        rows in 0usize..12,
-        seed in proptest::collection::vec(arb_f64(), 24 * 12),
-        cand_seed in proptest::collection::vec(arb_f64(), 24),
-    ) {
-        let slab = &seed[..dim * rows];
-        let cand = &cand_seed[..dim];
-        prop_assert_eq!(
-            scalar::dominated_weakly_by_any(slab, dim, rows, cand),
-            kernels::dominated_weakly_by_any(slab, dim, rows, cand)
-        );
-        let islab: Vec<i64> = slab.iter().map(|x| if x.is_finite() { *x as i64 } else { 0 }).collect();
-        let icand: Vec<i64> = cand.iter().map(|x| if x.is_finite() { *x as i64 } else { 0 }).collect();
-        prop_assert_eq!(
-            scalar::scaled_leq_any(&islab, dim, rows, &icand),
-            kernels::scaled_leq_any(&islab, dim, rows, &icand)
-        );
-    }
 }

@@ -33,20 +33,16 @@ pub fn layered(
         for _ in 0..cols {
             let v = g.add_vertex();
             let w: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.0..100.0)).collect();
-            for &u in &prev {
-                g.add_arc_slice(u, v, &w)
-                    .expect("generated weights are valid");
-            }
+            g.add_fan_in(&prev, v, &w)
+                .expect("generated weights are valid");
             row.push(v);
         }
         prev = row;
     }
     let dest = g.add_vertex();
     let zero = vec![0.0; dims];
-    for &u in &prev {
-        g.add_arc_slice(u, dest, &zero)
-            .expect("zero weights are valid");
-    }
+    g.add_fan_in(&prev, dest, &zero)
+        .expect("zero weights are valid");
     (g, src, dest)
 }
 
