@@ -1,6 +1,6 @@
 //! Criterion bench: MOSP solver scaling with zone size and weight
 //! dimension — the complexity knobs of Warburton's ε-approximation — plus
-//! the multi-zone worker-pool speedup of the parallel interval fan-out.
+//! the end-to-end cost of the metrics and trace layers.
 //!
 //! The `bench_mosp` binary re-runs the same measurements and persists them
 //! as `BENCH_mosp.json`.
@@ -48,34 +48,6 @@ fn bench_exact_vs_warburton(c: &mut Criterion) {
     group.bench_function("warburton_e50", |b| {
         b.iter(|| solve::warburton(&g, s, t, 0.5, Some(64), &Budget::unlimited(), None).unwrap());
     });
-    group.finish();
-}
-
-/// End-to-end ClkWaveMin on a multi-zone benchmark, sweeping the worker
-/// count: the parallel interval fan-out should scale until workers exceed
-/// either the core count or the interval count.
-fn bench_multi_zone(c: &mut Criterion) {
-    let design = Design::from_benchmark(&Benchmark::s13207(), 1);
-    let mut group = c.benchmark_group("multi_zone");
-    group.sample_size(10);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    for threads in [1usize, 2, 4, 8] {
-        if threads > cores.max(8) {
-            break;
-        }
-        let mut cfg = WaveMinConfig::default()
-            .with_sample_count(32)
-            .with_threads(threads);
-        cfg.max_intervals = Some(8);
-        let algo = ClkWaveMin::new(cfg);
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &design,
-            |b, design| {
-                b.iter(|| algo.run(std::hint::black_box(design)).unwrap());
-            },
-        );
-    }
     group.finish();
 }
 
@@ -203,7 +175,6 @@ criterion_group!(
     bench_rows,
     bench_dims,
     bench_exact_vs_warburton,
-    bench_multi_zone,
     bench_metrics_overhead,
     bench_trace_overhead
 );

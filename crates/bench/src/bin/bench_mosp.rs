@@ -3,8 +3,9 @@
 //!
 //! Usage: `bench_mosp [seed] [--json path]` (default path
 //! `BENCH_mosp.json` in the current directory). The record carries the
-//! host's core count: absolute numbers and the multi-zone speedups are
-//! only comparable across equal machines.
+//! host's core count: absolute numbers are only comparable across equal
+//! machines. Each solver row carries its batches' quartiles beside the
+//! median, so a difference inside them is noise.
 
 use serde::Serialize;
 use std::time::Duration;
@@ -19,6 +20,9 @@ use wavemin_mosp::solve;
 struct Measurement {
     name: String,
     median_us: f64,
+    /// Lower and upper quartiles of the timed batches.
+    q1_us: f64,
+    q3_us: f64,
     labels_created: u64,
     labels_pruned: u64,
     front_size: u64,
@@ -26,15 +30,6 @@ struct Measurement {
     /// sorted max-component index.
     dominance_checks: u64,
     dominance_skipped: u64,
-}
-
-/// One multi-zone worker-count sample.
-#[derive(Serialize)]
-struct ThreadSample {
-    threads: usize,
-    median_ms: f64,
-    /// Wall-clock speedup relative to the single-thread run.
-    speedup: f64,
 }
 
 /// Arena interning effectiveness on the largest layered fixture.
@@ -81,10 +76,9 @@ struct ScaleSample {
 #[derive(Serialize)]
 struct Record {
     seed: u64,
-    /// Cores visible to the process; multi-zone speedups saturate here.
+    /// Cores visible to the process.
     available_cores: usize,
     solver: Vec<Measurement>,
-    multi_zone: Vec<ThreadSample>,
     arena: ArenaStats,
     metrics: MetricsSummary,
     /// Streaming scale sweep (10k/100k always; 1M with `--scale-full`).
@@ -93,17 +87,18 @@ struct Record {
 
 const BATCHES: usize = 5;
 const SOLVER_BUDGET: Duration = Duration::from_millis(300);
-const E2E_BUDGET: Duration = Duration::from_millis(1500);
 
 #[allow(clippy::unwrap_used)]
 fn measure(name: String, run: impl Fn() -> wavemin_mosp::ParetoSet) -> Measurement {
-    let secs = median_secs(&run, BATCHES, SOLVER_BUDGET);
+    let times = median_secs(&run, BATCHES, SOLVER_BUDGET);
     // One reference solve for the label counters (deterministic, so any
     // repetition reports the same numbers as the timed ones).
     let stats = *run().stats();
     Measurement {
         name,
-        median_us: secs * 1e6,
+        median_us: times.median * 1e6,
+        q1_us: times.q1 * 1e6,
+        q3_us: times.q3 * 1e6,
         labels_created: stats.labels_created,
         labels_pruned: stats.labels_pruned,
         front_size: stats.front_size,
@@ -162,30 +157,6 @@ fn metrics_summary(seed: u64) -> MetricsSummary {
         dominance_checks: report.counters.dominance_checks,
         dominance_skipped: report.counters.dominance_skipped,
     }
-}
-
-#[allow(clippy::unwrap_used)]
-fn multi_zone_measurements(seed: u64) -> Vec<ThreadSample> {
-    let design = Design::from_benchmark(&Benchmark::s13207(), seed);
-    let mut out: Vec<ThreadSample> = Vec::new();
-    let mut base = f64::NAN;
-    for threads in [1usize, 2, 4, 8] {
-        let mut cfg = WaveMinConfig::default()
-            .with_sample_count(32)
-            .with_threads(threads);
-        cfg.max_intervals = Some(8);
-        let algo = ClkWaveMin::new(cfg);
-        let secs = median_secs(|| algo.run(&design).unwrap(), 3, E2E_BUDGET);
-        if threads == 1 {
-            base = secs;
-        }
-        out.push(ThreadSample {
-            threads,
-            median_ms: secs * 1e3,
-            speedup: base / secs,
-        });
-    }
-    out
 }
 
 /// One budgeted run per scale tree. The budgets are sized for this
@@ -253,27 +224,22 @@ fn main() {
         available_cores: std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get),
         solver: solver_measurements(),
-        multi_zone: multi_zone_measurements(args.seed),
         arena: arena_stats(),
         metrics: metrics_summary(args.seed),
         scale: scale_measurements(args.seed, full),
     };
     for m in &record.solver {
         println!(
-            "{:<28} {:>10.1} us   {:>7} labels ({} pruned, front {}, dom {}/{} skipped)",
+            "{:<28} {:>10.1} us [{:.1}–{:.1}]   {:>7} labels ({} pruned, front {}, dom {}/{} skipped)",
             m.name,
             m.median_us,
+            m.q1_us,
+            m.q3_us,
             m.labels_created,
             m.labels_pruned,
             m.front_size,
             m.dominance_checks,
             m.dominance_skipped
-        );
-    }
-    for s in &record.multi_zone {
-        println!(
-            "multi_zone/threads={:<2}        {:>12.1} ms   speedup {:.2}x",
-            s.threads, s.median_ms, s.speedup
         );
     }
     println!(

@@ -706,7 +706,7 @@ pub(crate) fn prepare_run(
         .map(|zi| zones.hot_bytes(zi, &tables))
         .max()
         .unwrap_or(0);
-    zones.limit_bytes = streaming_limit_bytes(config, max_hot)?;
+    zones.reset(streaming_limit_bytes(config, max_hot)?);
     drop(zoning);
     ins.registry.sample_rss();
     Ok(PreparedRun {

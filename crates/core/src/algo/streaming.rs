@@ -12,18 +12,31 @@
 //! changes results, only time. Without a memory budget the limit is
 //! `usize::MAX` and every zone stays resident after its first use.
 //!
-//! The specs stay resident in one shared, mode-major slice and each slot
-//! holds only its vectors: at about one sink per zone (100k-sink trees),
+//! The specs stay resident in one shared, mode-major slice and the store
+//! holds only the vectors: at about one sink per zone (100k-sink trees),
 //! a per-zone copy of the spec or a per-zone `Arc` header shows in the
 //! process's peak RSS.
 //!
-//! Workers that miss on the same zone at once build it once: the first
-//! claims the slot, the others wait for the install and share its `Arc`.
+//! Claiming, waiting and eviction are the [`SingleFlightLru`]'s: workers
+//! that miss on the same zone at once build it once.
 
 use super::{ZoneProblem, ZoneSpec};
 use crate::noise_table::NoiseTable;
-use crate::observe::{Instruments, MetricsRegistry};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use crate::observe::Instruments;
+use crate::store::{Lookup, SingleFlightLru};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// One zone's sampled rows, one per (mode, local sink), mode-major.
+type Vectors = Arc<[Vec<f64>]>;
+
+/// The bytes a zone's vectors occupy: its hot bytes.
+fn payload(vectors: &Vectors) -> usize {
+    vectors
+        .iter()
+        .map(|row| std::mem::size_of_val(&row[..]))
+        .sum()
+}
 
 /// The interval framework's zone store.
 pub(crate) struct ZoneStorage {
@@ -33,55 +46,10 @@ pub(crate) struct ZoneStorage {
     specs: Arc<[ZoneSpec]>,
     /// Number of zones (`specs.len() / modes`).
     zones: usize,
-    /// Byte budget for the resident zones' vectors.
-    pub(super) limit_bytes: usize,
-    state: Mutex<State>,
-    /// Signalled when a slot's build finishes (installed or abandoned).
-    built: Condvar,
-}
-
-struct State {
-    slots: Vec<Slot>,
-    /// Logical LRU clock: bumped per acquire, copied into the touched
-    /// slot.
-    clock: u64,
-    /// Total hot bytes across all resident slots.
-    bytes: usize,
-}
-
-impl State {
-    fn empty(zones: usize) -> Self {
-        Self {
-            slots: (0..zones).map(|_| Slot::default()).collect(),
-            clock: 0,
-            bytes: 0,
-        }
-    }
-}
-
-#[derive(Default)]
-struct Slot {
-    vectors: Option<Arc<[Vec<f64>]>>,
-    /// A worker is building this zone; others wait on `built`.
-    building: bool,
-    last_used: u64,
-    /// Whether this zone was ever installed — a later build is a
-    /// recompute, not a first build.
-    ever_built: bool,
-}
-
-/// A worker's claim on one slot's build. Dropping it clears the slot's
-/// `building` flag and wakes the waiters, on success and on unwind.
-struct BuildClaim<'a> {
-    store: &'a ZoneStorage,
-    zi: usize,
-}
-
-impl Drop for BuildClaim<'_> {
-    fn drop(&mut self) {
-        self.store.lock().slots[self.zi].building = false;
-        self.store.built.notify_all();
-    }
+    /// The resident zones' vectors, keyed by zone index.
+    store: SingleFlightLru<Vectors>,
+    /// Whether each zone was ever built: a later build is a recompute.
+    built: Box<[AtomicBool]>,
 }
 
 impl ZoneStorage {
@@ -93,9 +61,8 @@ impl ZoneStorage {
         Self {
             specs: specs.into(),
             zones,
-            limit_bytes,
-            state: Mutex::new(State::empty(zones)),
-            built: Condvar::new(),
+            store: SingleFlightLru::new(limit_bytes, payload),
+            built: (0..zones).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -125,14 +92,11 @@ impl ZoneStorage {
     }
 
     /// Empties the store and sets a new byte limit.
-    #[cfg(test)]
     pub(crate) fn reset(&mut self, limit_bytes: usize) {
-        self.state = Mutex::new(State::empty(self.zones));
-        self.limit_bytes = limit_bytes;
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        self.store = SingleFlightLru::new(limit_bytes, payload);
+        for built in self.built.iter_mut() {
+            *built.get_mut() = false;
+        }
     }
 
     /// Produces zone `zi` ready to solve: its resident vectors, or a
@@ -143,87 +107,33 @@ impl ZoneStorage {
         tables: &[NoiseTable],
         ins: &Instruments,
     ) -> ZoneProblem {
-        let vectors = self.vectors(zi, tables, &ins.registry);
+        let vectors = match self.store.acquire(zi as u64) {
+            Lookup::Hit(vectors) => vectors,
+            Lookup::Miss(claim) => {
+                // Built outside the store's lock, so other workers keep
+                // hitting it. A worker still solving an evicted zone keeps
+                // its `Arc` until the solve ends.
+                let vectors: Vectors = tables
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(m, t)| self.spec_in(m, zi).sample_rows(t))
+                    .collect();
+                // The claim orders builds of one zone; the bit publishes
+                // nothing else.
+                if self.built[zi].swap(true, Ordering::Relaxed) {
+                    ins.registry.record_zone_recompute();
+                }
+                for _ in 0..claim.publish(Arc::clone(&vectors)) {
+                    ins.registry.record_zone_spill();
+                }
+                vectors
+            }
+        };
         ZoneProblem {
             specs: Arc::clone(&self.specs),
             zi,
             zones: self.zones,
             vectors,
-        }
-    }
-
-    fn vectors(
-        &self,
-        zi: usize,
-        tables: &[NoiseTable],
-        registry: &MetricsRegistry,
-    ) -> Arc<[Vec<f64>]> {
-        let mut state = self.lock();
-        loop {
-            state.clock += 1;
-            let now = state.clock;
-            let slot = &mut state.slots[zi];
-            if let Some(vectors) = &slot.vectors {
-                slot.last_used = now;
-                return Arc::clone(vectors);
-            }
-            if !slot.building {
-                slot.building = true;
-                break;
-            }
-            state = self
-                .built
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(state);
-        // Build outside the lock so other workers keep hitting the store.
-        let claim = BuildClaim { store: self, zi };
-        let vectors: Arc<[Vec<f64>]> = tables
-            .iter()
-            .enumerate()
-            .flat_map(|(m, t)| self.spec_in(m, zi).sample_rows(t))
-            .collect();
-        self.install(zi, &vectors, tables, registry);
-        drop(claim);
-        vectors
-    }
-
-    fn install(
-        &self,
-        zi: usize,
-        vectors: &Arc<[Vec<f64>]>,
-        tables: &[NoiseTable],
-        registry: &MetricsRegistry,
-    ) {
-        let mut state = self.lock();
-        state.clock += 1;
-        let now = state.clock;
-        let slot = &mut state.slots[zi];
-        if slot.ever_built {
-            registry.record_zone_recompute();
-        }
-        slot.vectors = Some(Arc::clone(vectors));
-        slot.last_used = now;
-        slot.ever_built = true;
-        state.bytes += self.hot_bytes(zi, tables);
-        // Evict least-recently-used zones (never the one just installed)
-        // until the store fits its budget again. A worker still solving
-        // an evicted zone keeps its `Arc` until the solve ends.
-        while state.bytes > self.limit_bytes {
-            let victim = state
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| s.vectors.is_some() && *i != zi)
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(i, _)| i);
-            let Some(v) = victim else {
-                break; // only the hot zone is resident; nothing to spill
-            };
-            state.slots[v].vectors = None;
-            state.bytes -= self.hot_bytes(v, tables);
-            registry.record_zone_spill();
         }
     }
 }
@@ -263,16 +173,9 @@ mod tests {
     /// The resident zones, in index order, after checking that the byte
     /// ledger charges exactly their hot bytes.
     fn resident(store: &ZoneStorage, tables: &[NoiseTable]) -> Vec<usize> {
-        let state = store.lock();
-        let zones: Vec<usize> = state
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.vectors.is_some())
-            .map(|(zi, _)| zi)
-            .collect();
+        let zones: Vec<usize> = store.store.resident().iter().map(|&k| k as usize).collect();
         let charged: usize = zones.iter().map(|&z| store.hot_bytes(z, tables)).sum();
-        assert_eq!(state.bytes, charged, "byte ledger drifted");
+        assert_eq!(store.store.stats().bytes, charged, "byte ledger drifted");
         zones
     }
     #[test]
@@ -329,6 +232,9 @@ mod tests {
         let specs = ZoneSpec::build_specs(&design, &config, &table[0]);
         let store = ZoneStorage::new(specs, 1, usize::MAX);
         let ins = collecting();
+        // A dropped claim (a build that unwound) is not a build: zone 0's
+        // first real build below is no recompute.
+        drop(store.store.acquire(0));
         const THREADS: usize = 4;
         let barrier = std::sync::Barrier::new(THREADS);
         for zi in 0..store.len() {
@@ -542,22 +448,28 @@ mod tests {
         let expect = bits(&specs[0].sample_rows(&table[0]).collect::<Vec<_>>());
         let store = ZoneStorage::new(specs, 1, usize::MAX);
         let ins = collecting();
-        // Claim zone 0 as a builder that will unwind without installing.
-        store.lock().slots[0].building = true;
-        let claim = BuildClaim {
-            store: &store,
-            zi: 0,
+        // Claim zone 0 as a builder that will unwind without publishing.
+        let Lookup::Miss(claim) = store.store.acquire(0) else {
+            panic!("a cold zone must miss")
         };
+        let started = std::sync::Barrier::new(2);
         let got = std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| store.acquire(0, &table, &ins));
-            // Let the waiter block on the claim; the outcome is the same
-            // if it has not started yet.
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            let waiter = scope.spawn(|| {
+                started.wait();
+                // Blocks on the claim until it drops; the outcome is the
+                // same if the claim is already gone.
+                store.acquire(0, &table, &ins)
+            });
+            started.wait();
             drop(claim);
             waiter.join().expect("waiter")
         });
         assert_eq!(bits(&got.vectors), expect);
-        assert!(!store.lock().slots[0].building, "the claim was released");
+        assert_eq!(
+            resident(&store, &table),
+            vec![0],
+            "the waiter's build is resident"
+        );
         let counters = report(&ins).counters;
         assert_eq!(
             counters.zone_recomputes, 0,

@@ -41,12 +41,10 @@
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
-#[allow(clippy::disallowed_types)]
-use std::collections::HashMap;
+use crate::store::{Claim, Lookup, SingleFlightLru};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use wavemin_cells::units::Picoseconds;
 
 /// Journal format version; bumped on any incompatible layout change.
@@ -236,12 +234,10 @@ impl JournalFile {
 /// *trailing* line — the signature of a process killed mid-append — is
 /// skipped; a malformed line anywhere earlier is corruption and fails
 /// the resume rather than silently dropping vouched zones.
-// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
-#[allow(clippy::disallowed_types)]
 fn load_entries(
     path: &str,
     fingerprint: u64,
-) -> Result<Option<HashMap<u64, CachedZone>>, WaveMinError> {
+) -> Result<Option<Vec<(u64, CachedZone)>>, WaveMinError> {
     let Ok(file) = File::open(path) else {
         return Ok(None);
     };
@@ -257,13 +253,11 @@ fn load_entries(
     let body: Vec<String> = lines
         .collect::<Result<_, _>>()
         .map_err(|e| WaveMinError::Checkpoint(format!("{path}: unreadable journal body: {e}")))?;
-    let mut cache = HashMap::new();
+    let mut entries = Vec::with_capacity(body.len());
     let last = body.len().saturating_sub(1);
     for (i, line) in body.iter().enumerate() {
         match parse_entry(line) {
-            Some((key, entry)) => {
-                cache.insert(key, entry);
-            }
+            Some(entry) => entries.push(entry),
             None if i == last => {
                 // A killed process leaves exactly one dangling half line,
                 // and it can only be the final one.
@@ -276,7 +270,7 @@ fn load_entries(
             }
         }
     }
-    Ok(Some(cache))
+    Ok(Some(entries))
 }
 
 fn parse_entry(line: &str) -> Option<(u64, CachedZone)> {
@@ -313,22 +307,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-enum Slot {
-    Done(CachedZone),
-    /// A worker holds a [`ZoneReservation`] and is solving; peers that
-    /// acquire the same key block until it publishes or abandons.
-    InFlight,
-}
-
-// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
-#[allow(clippy::disallowed_types)]
-struct CacheInner {
-    map: HashMap<u64, (Slot, u64)>,
-    bytes: usize,
-    tick: u64,
-    stats: CacheStats,
-}
-
 /// The zone-result store: a content-keyed LRU map shared by concurrent
 /// jobs. A miss reserves the key, so two jobs racing onto the same zone
 /// never duplicate the solve — the loser blocks on the reservation and
@@ -338,21 +316,21 @@ struct CacheInner {
 /// `optimize --checkpoint` opens a file-backed one ([`ZoneCache::open`])
 /// that appends every recorded zone to the journal and is never bounded.
 pub struct ZoneCache {
-    max_bytes: usize,
     journal: Option<JournalFile>,
-    inner: Mutex<CacheInner>,
-    ready: Condvar,
+    store: SingleFlightLru<CachedZone>,
 }
 
-// Keyed lookups and counts; LRU eviction picks the unique smallest tick.
-#[allow(clippy::disallowed_types)]
 impl ZoneCache {
     /// Creates a cache bounded to roughly `max_bytes` of entry payload.
-    /// A budget of zero disables retention (every lookup misses, every
-    /// record is immediately evicted) but still dedups in-flight solves.
+    /// The entry just recorded is never evicted, so a budget of zero keeps
+    /// exactly one entry: waiters on a reservation still splice its result,
+    /// and the next record evicts it.
     #[must_use]
     pub fn new(max_bytes: usize) -> Self {
-        Self::with_entries(max_bytes, None, HashMap::new())
+        Self {
+            journal: None,
+            store: SingleFlightLru::new(max_bytes, CachedZone::weight),
+        }
     }
 
     /// Opens (or creates) the checkpoint journal at `path` for
@@ -387,83 +365,35 @@ impl ZoneCache {
                 )
                 .and_then(|()| writer.flush())
                 .map_err(io_err)?;
-                (writer, HashMap::new())
+                (writer, Vec::new())
             }
         };
-        let journal = JournalFile {
-            path: path.to_string(),
-            writer: Mutex::new(writer),
-        };
-        Ok(Self::with_entries(usize::MAX, Some(journal), entries))
-    }
-
-    fn with_entries(
-        max_bytes: usize,
-        journal: Option<JournalFile>,
-        entries: HashMap<u64, CachedZone>,
-    ) -> Self {
-        let bytes = entries.values().map(CachedZone::weight).sum();
-        Self {
-            max_bytes,
-            journal,
-            inner: Mutex::new(CacheInner {
-                map: entries
-                    .into_iter()
-                    .map(|(key, zone)| (key, (Slot::Done(zone), 0)))
-                    .collect(),
-                bytes,
-                tick: 0,
-                stats: CacheStats::default(),
-            }),
-            ready: Condvar::new(),
+        let store = SingleFlightLru::new(usize::MAX, CachedZone::weight);
+        for (key, zone) in entries {
+            store.publish(key, zone);
         }
+        Ok(Self {
+            journal: Some(JournalFile {
+                path: path.to_string(),
+                writer: Mutex::new(writer),
+            }),
+            store,
+        })
     }
 
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let g = self.lock();
-        let mut s = g.stats;
-        s.bytes = g.bytes;
-        s.entries = g
-            .map
-            .values()
-            .filter(|(slot, _)| matches!(slot, Slot::Done(_)))
-            .count();
-        s
+        self.store.stats()
     }
 
     /// Looks up `key`: a completed entry is a hit; a key another worker
     /// is solving blocks until it publishes or abandons; otherwise the
     /// caller gets a reservation to solve under.
     pub fn acquire(&self, key: u64) -> StoreAcquire<'_> {
-        let mut g = self.lock();
-        loop {
-            match g.map.get(&key) {
-                Some((Slot::Done(zone), _)) => {
-                    let hit = zone.clone();
-                    g.tick += 1;
-                    let tick = g.tick;
-                    if let Some((_, t)) = g.map.get_mut(&key) {
-                        *t = tick;
-                    }
-                    g.stats.hits += 1;
-                    return StoreAcquire::Hit(hit);
-                }
-                Some((Slot::InFlight, _)) => {
-                    g = self
-                        .ready
-                        .wait(g)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                None => {
-                    g.tick += 1;
-                    let tick = g.tick;
-                    g.map.insert(key, (Slot::InFlight, tick));
-                    g.stats.misses += 1;
-                    return StoreAcquire::Solve(ZoneReservation { cache: self, key });
-                }
-            }
+        match self.store.acquire(key) {
+            Lookup::Hit(zone) => StoreAcquire::Hit(zone),
+            Lookup::Miss(claim) => StoreAcquire::Solve(ZoneReservation { cache: self, claim }),
         }
     }
 
@@ -480,6 +410,19 @@ impl ZoneCache {
         cost_bits: u64,
         choices: &[(usize, Picoseconds)],
     ) -> Result<(), WaveMinError> {
+        let zone = self.journaled(key, cost_bits, choices)?;
+        self.store.publish(key, zone);
+        Ok(())
+    }
+
+    /// The zone to publish under `key`, after its journal line is
+    /// flushed.
+    fn journaled(
+        &self,
+        key: u64,
+        cost_bits: u64,
+        choices: &[(usize, Picoseconds)],
+    ) -> Result<CachedZone, WaveMinError> {
         let zone = CachedZone {
             cost_bits,
             choices: choices
@@ -490,53 +433,7 @@ impl ZoneCache {
         if let Some(journal) = &self.journal {
             journal.append(key, &zone)?;
         }
-        self.publish(key, zone);
-        Ok(())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn publish(&self, key: u64, zone: CachedZone) {
-        let weight = zone.weight();
-        let mut g = self.lock();
-        g.tick += 1;
-        let tick = g.tick;
-        if let Some((Slot::Done(old), _)) = g.map.insert(key, (Slot::Done(zone), tick)) {
-            g.bytes -= old.weight();
-        }
-        g.bytes += weight;
-        // Evict least-recently-used completed entries until under budget.
-        // The entry just published is fair game too: with a zero budget
-        // it leaves immediately, which still satisfies the contract
-        // (waiters are notified of completion and retry the lookup).
-        while g.bytes > self.max_bytes {
-            let victim = g
-                .map
-                .iter()
-                .filter(|(_, (slot, _))| matches!(slot, Slot::Done(_)))
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(&k, _)| k);
-            let Some(k) = victim else { break };
-            if let Some((Slot::Done(old), _)) = g.map.remove(&k) {
-                g.bytes -= old.weight();
-                g.stats.evictions += 1;
-            }
-        }
-        drop(g);
-        self.ready.notify_all();
-    }
-
-    fn abandon(&self, key: u64) {
-        let mut g = self.lock();
-        if matches!(g.map.get(&key), Some((Slot::InFlight, _))) {
-            g.map.remove(&key);
-        }
-        drop(g);
-        self.ready.notify_all();
+        Ok(zone)
     }
 }
 
@@ -545,7 +442,7 @@ impl ZoneCache {
 /// peers retry and solve for themselves.
 pub struct ZoneReservation<'a> {
     cache: &'a ZoneCache,
-    key: u64,
+    claim: Claim<'a, CachedZone>,
 }
 
 impl ZoneReservation<'_> {
@@ -560,13 +457,9 @@ impl ZoneReservation<'_> {
         cost_bits: u64,
         choices: &[(usize, Picoseconds)],
     ) -> Result<(), WaveMinError> {
-        self.cache.record(self.key, cost_bits, choices)
-    }
-}
-
-impl Drop for ZoneReservation<'_> {
-    fn drop(&mut self) {
-        self.cache.abandon(self.key);
+        let zone = self.cache.journaled(self.claim.key(), cost_bits, choices)?;
+        self.claim.publish(zone);
+        Ok(())
     }
 }
 
@@ -806,35 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_acquires_dedup_the_solve() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = ZoneCache::new(1 << 20);
-        let solves = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| match cache.acquire(11) {
-                    StoreAcquire::Hit(z) => {
-                        assert_eq!(z.cost_bits, 9.0_f64.to_bits());
-                    }
-                    StoreAcquire::Solve(reservation) => {
-                        solves.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                        reservation.record(9.0_f64.to_bits(), &[]).expect("record");
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            solves.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "exactly one thread wins the reservation; the rest block and hit"
-        );
-        let s = cache.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 7);
-    }
-
-    #[test]
     fn lru_eviction_respects_byte_budget_and_recency() {
         let entry_weight = CachedZone {
             cost_bits: 0,
@@ -863,5 +727,41 @@ mod tests {
             matches!(cache.acquire(3), StoreAcquire::Hit(_)),
             "new key kept"
         );
+    }
+    #[test]
+    fn a_zero_budget_cache_still_dedups_a_racing_solve() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cache = ZoneCache::new(0);
+        let solves = AtomicUsize::new(0);
+        let hits = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    match cache.acquire(11) {
+                        StoreAcquire::Hit(z) => {
+                            assert_eq!(z.cost_bits, 9.0_f64.to_bits());
+                            hits.fetch_add(1, Ordering::SeqCst);
+                        }
+                        StoreAcquire::Solve(reservation) => {
+                            solves.fetch_add(1, Ordering::SeqCst);
+                            reservation.record(9.0_f64.to_bits(), &[]).expect("record");
+                        }
+                    }
+                });
+            }
+        });
+        // Whether the waiter blocked on the reservation or came after the
+        // record, the zone it finds is the one just recorded.
+        assert_eq!(solves.load(Ordering::SeqCst), 1, "one solve");
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "the waiter hits");
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (1, 0));
+        // The next record evicts it.
+        cache.record(12, 0, &[]).expect("record");
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (1, 1));
+        assert!(lookup(&cache, 11).is_none());
     }
 }

@@ -64,6 +64,7 @@ pub mod sampling;
 pub mod serve;
 pub mod session;
 pub mod shardrun;
+mod store;
 pub mod trace;
 
 /// Convenient re-exports of the main types.

@@ -46,10 +46,22 @@ pub fn layered(
     (g, src, dest)
 }
 
-/// Median wall-clock time of `f` over `batches` timed batches, each at
+/// Per-call wall-clock seconds over a run's timed batches: the median
+/// and the quartiles around it, so one row shows its own noise.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchTimes {
+    /// The lower quartile.
+    pub q1: f64,
+    /// The median.
+    pub median: f64,
+    /// The upper quartile.
+    pub q3: f64,
+}
+
+/// Per-call wall-clock time of `f` over `batches` timed batches, each at
 /// least `budget / batches` long — the same scheme as the vendored
-/// criterion stand-in, but returning the number instead of printing it.
-pub fn median_secs<O, F: FnMut() -> O>(mut f: F, batches: usize, budget: Duration) -> f64 {
+/// criterion stand-in, but returning the numbers instead of printing them.
+pub fn median_secs<O, F: FnMut() -> O>(mut f: F, batches: usize, budget: Duration) -> BatchTimes {
     let batches = batches.max(1);
     std::hint::black_box(f()); // warmup
     let per_batch = budget / u32::try_from(batches).unwrap_or(1);
@@ -67,7 +79,12 @@ pub fn median_secs<O, F: FnMut() -> O>(mut f: F, batches: usize, budget: Duratio
         samples.push(start.elapsed().as_secs_f64() / iters as f64);
     }
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    let n = samples.len();
+    BatchTimes {
+        q1: samples[n / 4],
+        median: samples[n / 2],
+        q3: samples[3 * n / 4],
+    }
 }
 
 #[cfg(test)]
@@ -93,6 +110,7 @@ mod tests {
             3,
             Duration::from_millis(5),
         );
-        assert!(t > 0.0 && t < 1.0);
+        assert!(t.median > 0.0 && t.median < 1.0);
+        assert!(t.q1 <= t.median && t.median <= t.q3);
     }
 }
