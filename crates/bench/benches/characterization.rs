@@ -1,69 +1,41 @@
-//! Criterion bench: the analytic characterizer (the SPICE substitute) —
-//! the innermost hot path of preprocessing and evaluation.
+//! Bench: the analytic characterizer (the SPICE substitute) — the
+//! innermost hot path of preprocessing and evaluation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wavemin_cells::units::{Femtofarads, Picoseconds, Volts};
-use wavemin_cells::{CellLibrary, Characterizer};
+use std::hint::black_box;
+use wavemin_cells::characterize::ClockEdge;
+use wavemin_cells::units::{Femtofarads, MicroAmps, Picoseconds, Volts};
+use wavemin_cells::{CellLibrary, Characterizer, Waveform};
+use wavemin_testkit::timing::Bench;
 
-fn bench_characterize(c: &mut Criterion) {
+fn main() {
+    let bench = Bench::from_args();
     let lib = CellLibrary::nangate45();
     let chr = Characterizer::default();
-    let mut group = c.benchmark_group("characterize");
+    let (load, slew, vdd) = (
+        Femtofarads::new(6.0),
+        Picoseconds::new(20.0),
+        Volts::new(1.1),
+    );
     for name in ["INV_X8", "BUF_X8", "ADI_X8"] {
         let cell = lib.get(name).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(name), cell, |b, cell| {
-            b.iter(|| {
-                chr.characterize(
-                    std::hint::black_box(cell),
-                    Femtofarads::new(6.0),
-                    Picoseconds::new(20.0),
-                    Volts::new(1.1),
-                )
-            });
+        bench.time(&format!("characterize/{name}"), || {
+            chr.characterize(black_box(cell), load, slew, vdd)
         });
     }
-    group.finish();
-}
-
-fn bench_timing_only(c: &mut Criterion) {
-    let lib = CellLibrary::nangate45();
-    let chr = Characterizer::default();
     let cell = lib.get("BUF_X8").unwrap();
-    c.bench_function("timing_fast_path", |b| {
-        b.iter(|| {
-            chr.timing(
-                std::hint::black_box(cell),
-                Femtofarads::new(6.0),
-                Picoseconds::new(20.0),
-                Volts::new(1.1),
-                wavemin_cells::characterize::ClockEdge::Rise,
-            )
-        });
+    bench.time("timing_fast_path", || {
+        chr.timing(black_box(cell), load, slew, vdd, ClockEdge::Rise)
     });
-}
-
-fn bench_waveform_sum(c: &mut Criterion) {
-    use wavemin_cells::units::MicroAmps;
-    use wavemin_cells::Waveform;
     let waves: Vec<Waveform> = (0..100)
         .map(|i| {
+            let t = f64::from(i);
             Waveform::triangle(
-                Picoseconds::new(i as f64),
-                Picoseconds::new(i as f64 + 5.0),
-                Picoseconds::new(i as f64 + 20.0),
+                Picoseconds::new(t),
+                Picoseconds::new(t + 5.0),
+                Picoseconds::new(t + 20.0),
                 MicroAmps::new(100.0),
             )
         })
         .collect();
-    c.bench_function("waveform_sum_100", |b| {
-        b.iter(|| Waveform::sum(std::hint::black_box(&waves)));
-    });
+    bench.time("waveform_sum_100", || Waveform::sum(black_box(&waves)));
 }
-
-criterion_group!(
-    benches,
-    bench_characterize,
-    bench_timing_only,
-    bench_waveform_sum
-);
-criterion_main!(benches);

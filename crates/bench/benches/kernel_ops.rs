@@ -1,12 +1,14 @@
-//! Criterion bench: the numeric kernel primitives in isolation, the
-//! shipped vectorized bodies (`vector`) vs the scalar reference, at the
-//! dimensionalities the solver actually runs (|S| = 4·k sampled waveform
-//! points; 156 matches the paper's ≈158-point waveforms, 8/32 cover small
-//! zones). This is the per-primitive measurement a kernel body is chosen
-//! from.
+//! Bench: the numeric kernel primitives in isolation, each a paired row
+//! of the shipped vectorized body (B) over its scalar reference (A), at
+//! the dimensionalities the solver actually runs (|S| = 4·k sampled
+//! waveform points; 156 matches the paper's ≈158-point waveforms, 8/32
+//! cover small zones). A body must win its row (ratio below 1).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
 use wavemin_mosp::kernels::{self, scalar};
+use wavemin_testkit::timing::Bench;
+
+const DIMS: [usize; 3] = [8, 32, 156];
 
 /// Deterministic pseudo-random operands (no RNG dependency needed — a
 /// fixed linear-congruential walk is plenty for timing).
@@ -22,68 +24,6 @@ fn operand(len: usize, salt: u64) -> Vec<f64> {
         .collect()
 }
 
-fn bench_add(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_add_into");
-    for dims in [8usize, 32, 156] {
-        let a = operand(dims, 1);
-        let b = operand(dims, 2);
-        let mut out = vec![0.0; dims];
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| kernels::add_into(&mut out, std::hint::black_box(&a), &b));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
-            bch.iter(|| scalar::add_into(&mut out, std::hint::black_box(&a), &b));
-        });
-    }
-    group.finish();
-}
-
-fn bench_add_max(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_add_max");
-    for dims in [8usize, 32, 156] {
-        let a = operand(dims, 3);
-        let b = operand(dims, 4);
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| kernels::add_max(std::hint::black_box(&a), &b));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
-            bch.iter(|| scalar::add_max(std::hint::black_box(&a), &b));
-        });
-    }
-    group.finish();
-}
-
-fn bench_max_component(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_max_component");
-    for dims in [8usize, 32, 156] {
-        let a = operand(dims, 5);
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| kernels::max_component(std::hint::black_box(&a)));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
-            bch.iter(|| scalar::max_component(std::hint::black_box(&a)));
-        });
-    }
-    group.finish();
-}
-
-fn bench_dominates(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_dominates");
-    for dims in [8usize, 32, 156] {
-        // Comparable vectors (a <= b componentwise) force the full scan —
-        // the worst case; incomparable pairs early-exit per chunk.
-        let a = operand(dims, 6);
-        let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| kernels::dominates(std::hint::black_box(&a), &b));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
-            bch.iter(|| scalar::dominates(std::hint::black_box(&a), &b));
-        });
-    }
-    group.finish();
-}
-
 /// Operands on the Warburton ε-grid: the f64 operand scaled to integers.
 fn grid_operand(len: usize, salt: u64) -> Vec<i64> {
     operand(len, salt)
@@ -92,28 +32,53 @@ fn grid_operand(len: usize, salt: u64) -> Vec<i64> {
         .collect()
 }
 
-fn bench_scaled_leq(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_scaled_leq");
-    for dims in [8usize, 32, 156] {
+fn main() {
+    let bench = Bench::from_args();
+    let row = |group: &str, dims: usize| format!("{group}/vector_vs_scalar/{dims}");
+    for dims in DIMS {
+        let (a, b) = (operand(dims, 1), operand(dims, 2));
+        let (mut out_s, mut out_v) = (vec![0.0; dims], vec![0.0; dims]);
+        bench.paired(
+            &row("kernel_add_into", dims),
+            || scalar::add_into(&mut out_s, black_box(&a), &b),
+            || kernels::add_into(&mut out_v, black_box(&a), &b),
+        );
+    }
+    for dims in DIMS {
+        let (a, b) = (operand(dims, 3), operand(dims, 4));
+        bench.paired(
+            &row("kernel_add_max", dims),
+            || scalar::add_max(black_box(&a), &b),
+            || kernels::add_max(black_box(&a), &b),
+        );
+    }
+    for dims in DIMS {
+        let a = operand(dims, 5);
+        bench.paired(
+            &row("kernel_max_component", dims),
+            || scalar::max_component(black_box(&a)),
+            || kernels::max_component(black_box(&a)),
+        );
+    }
+    for dims in DIMS {
+        // Comparable vectors (a <= b componentwise) force the full scan —
+        // the worst case; incomparable pairs early-exit per chunk.
+        let a = operand(dims, 6);
+        let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
+        bench.paired(
+            &row("kernel_dominates", dims),
+            || scalar::dominates(black_box(&a), &b),
+            || kernels::dominates(black_box(&a), &b),
+        );
+    }
+    for dims in DIMS {
         // a <= b componentwise forces the full scan, as in `dominates`.
         let a = grid_operand(dims, 8);
         let b: Vec<i64> = a.iter().map(|x| x + 1).collect();
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| kernels::scaled_leq(std::hint::black_box(&a), &b));
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
-            bch.iter(|| scalar::scaled_leq(std::hint::black_box(&a), &b));
-        });
+        bench.paired(
+            &row("kernel_scaled_leq", dims),
+            || scalar::scaled_leq(black_box(&a), &b),
+            || kernels::scaled_leq(black_box(&a), &b),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_add,
-    bench_add_max,
-    bench_max_component,
-    bench_dominates,
-    bench_scaled_leq
-);
-criterion_main!(benches);

@@ -1,8 +1,9 @@
-//! Criterion bench: end-to-end optimizer runtimes per circuit — the
-//! execution-time columns of Table VI.
+//! Bench: end-to-end optimizer runtimes per circuit — the execution-time
+//! columns of Table VI.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
 use wavemin::prelude::*;
+use wavemin_testkit::timing::Bench;
 
 fn quick(sample_count: usize) -> WaveMinConfig {
     let mut cfg = WaveMinConfig::default().with_sample_count(sample_count);
@@ -10,76 +11,43 @@ fn quick(sample_count: usize) -> WaveMinConfig {
     cfg
 }
 
-fn bench_algorithms(c: &mut Criterion) {
+fn main() {
+    let bench = Bench::from_args();
     let design = Design::from_benchmark(&Benchmark::s13207(), 1);
-    let mut group = c.benchmark_group("s13207");
-    group.sample_size(10);
-    group.bench_function("clkpeakmin", |b| {
-        let algo = ClkPeakMin::new(quick(158));
-        b.iter(|| algo.run(std::hint::black_box(&design)).unwrap());
+    let algo = ClkPeakMin::new(quick(158));
+    bench.time("s13207/clkpeakmin", || {
+        algo.run(black_box(&design)).unwrap()
     });
-    group.bench_function("clkwavemin_s158", |b| {
-        let algo = ClkWaveMin::new(quick(158));
-        b.iter(|| algo.run(std::hint::black_box(&design)).unwrap());
-    });
-    group.bench_function("clkwavemin_s8", |b| {
-        let algo = ClkWaveMin::new(quick(8));
-        b.iter(|| algo.run(std::hint::black_box(&design)).unwrap());
-    });
-    group.bench_function("clkwavemin_fast", |b| {
-        let algo = ClkWaveMinFast::new(quick(158));
-        b.iter(|| algo.run(std::hint::black_box(&design)).unwrap());
-    });
-    group.finish();
-}
-
-fn bench_preprocessing(c: &mut Criterion) {
-    let design = Design::from_benchmark(&Benchmark::s13207(), 1);
-    let cfg = WaveMinConfig::default();
-    let mut group = c.benchmark_group("preprocess");
-    group.bench_function("noise_table", |b| {
-        b.iter(|| NoiseTable::build(std::hint::black_box(&design), &cfg, 0).unwrap());
-    });
-    let table = NoiseTable::build(&design, &cfg, 0).unwrap();
-    group.bench_function("intervals", |b| {
-        b.iter(|| IntervalSet::generate(std::hint::black_box(&table), cfg.skew_bound, Some(48)));
-    });
-    group.finish();
-}
-
-fn bench_evaluation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("evaluate");
-    group.sample_size(10);
-    for bench in [Benchmark::s13207(), Benchmark::s35932()] {
-        let design = Design::from_benchmark(&bench, 1);
-        group.bench_with_input(BenchmarkId::from_parameter(&bench.name), &design, |b, d| {
-            let eval = NoiseEvaluator::new(d);
-            b.iter(|| eval.evaluate(0).unwrap());
+    for (name, samples) in [("clkwavemin_s158", 158), ("clkwavemin_s8", 8)] {
+        let algo = ClkWaveMin::new(quick(samples));
+        bench.time(&format!("s13207/{name}"), || {
+            algo.run(black_box(&design)).unwrap()
         });
     }
-    group.finish();
-}
+    let algo = ClkWaveMinFast::new(quick(158));
+    bench.time("s13207/clkwavemin_fast", || {
+        algo.run(black_box(&design)).unwrap()
+    });
 
-fn bench_synthesis(c: &mut Criterion) {
-    let mut group = c.benchmark_group("synthesis");
-    group.sample_size(10);
-    for bench in [Benchmark::s15850(), Benchmark::s13207()] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(&bench.name),
-            &bench,
-            |b, bench| {
-                b.iter(|| bench.synthesize(std::hint::black_box(1)));
-            },
-        );
+    let cfg = WaveMinConfig::default();
+    bench.time("preprocess/noise_table", || {
+        NoiseTable::build(black_box(&design), &cfg, 0).unwrap()
+    });
+    let table = NoiseTable::build(&design, &cfg, 0).unwrap();
+    bench.time("preprocess/intervals", || {
+        IntervalSet::generate(black_box(&table), cfg.skew_bound, Some(48))
+    });
+
+    for bm in [Benchmark::s13207(), Benchmark::s35932()] {
+        let design = Design::from_benchmark(&bm, 1);
+        let eval = NoiseEvaluator::new(&design);
+        bench.time(&format!("evaluate/{}", bm.name), || {
+            eval.evaluate(0).unwrap()
+        });
     }
-    group.finish();
+    for bm in [Benchmark::s15850(), Benchmark::s13207()] {
+        bench.time(&format!("synthesis/{}", bm.name), || {
+            bm.synthesize(black_box(1))
+        });
+    }
 }
-
-criterion_group!(
-    benches,
-    bench_algorithms,
-    bench_preprocessing,
-    bench_evaluation,
-    bench_synthesis
-);
-criterion_main!(benches);

@@ -1,5 +1,5 @@
-//! `bench_mosp` — machine-readable runs of the `mosp_scaling` criterion
-//! benches, persisted as `BENCH_mosp.json` for regression tracking.
+//! `bench_mosp` — the MOSP solver rows, scale runs and run-report
+//! counters, persisted as `BENCH_mosp.json` for regression tracking.
 //!
 //! Usage: `bench_mosp [seed] [--json path]` (default path
 //! `BENCH_mosp.json` in the current directory). The record carries the
@@ -8,14 +8,13 @@
 //! median, so a difference inside them is noise.
 
 use serde::Serialize;
-use std::time::Duration;
 use wavemin::prelude::*;
-use wavemin_bench::mosp_fixtures::{layered, median_secs};
 use wavemin_bench::{append_history, ExperimentArgs};
-use wavemin_mosp::solve;
+use wavemin_testkit::mosp::{layered, solver_rows, SolverRow};
+use wavemin_testkit::timing::time;
 
-/// One timed measurement, named like its criterion counterpart, with the
-/// solver's label counters from an instrumented reference solve.
+/// One timed solver row, with the solver's label counters from a
+/// reference solve.
 #[derive(Serialize)]
 struct Measurement {
     name: String,
@@ -85,17 +84,13 @@ struct Record {
     scale: Vec<ScaleSample>,
 }
 
-const BATCHES: usize = 5;
-const SOLVER_BUDGET: Duration = Duration::from_millis(300);
-
-#[allow(clippy::unwrap_used)]
-fn measure(name: String, run: impl Fn() -> wavemin_mosp::ParetoSet) -> Measurement {
-    let times = median_secs(&run, BATCHES, SOLVER_BUDGET);
+fn measure(row: &SolverRow) -> Measurement {
+    let times = time(|| row.solve(None));
     // One reference solve for the label counters (deterministic, so any
     // repetition reports the same numbers as the timed ones).
-    let stats = *run().stats();
+    let stats = *row.solve(None).stats();
     Measurement {
-        name,
+        name: row.name.clone(),
         median_us: times.median * 1e6,
         q1_us: times.q1 * 1e6,
         q3_us: times.q3 * 1e6,
@@ -105,33 +100,6 @@ fn measure(name: String, run: impl Fn() -> wavemin_mosp::ParetoSet) -> Measureme
         dominance_checks: stats.dominance_checks,
         dominance_skipped: stats.dominance_skipped,
     }
-}
-
-#[allow(clippy::unwrap_used)]
-fn solver_measurements() -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for rows in [2usize, 4, 8] {
-        let (g, s, t) = layered(rows, 4, 8, 1);
-        out.push(measure(format!("warburton_rows/{rows}"), || {
-            solve::warburton(&g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
-        }));
-    }
-    for dims in [4usize, 32, 156] {
-        let (g, s, t) = layered(5, 4, dims, 2);
-        out.push(measure(format!("warburton_dims/{dims}"), || {
-            solve::warburton(&g, s, t, 0.01, Some(64), &Budget::unlimited(), None).unwrap()
-        }));
-    }
-    let (g, s, t) = layered(6, 4, 8, 3);
-    for (name, eps) in [("warburton_e01", 0.01), ("warburton_e50", 0.5)] {
-        out.push(measure(format!("solver_kind/{name}"), || {
-            solve::warburton(&g, s, t, eps, Some(64), &Budget::unlimited(), None).unwrap()
-        }));
-    }
-    out.push(measure("solver_kind/exact".to_owned(), || {
-        solve::exact(&g, s, t, Some(64), &Budget::unlimited(), None).unwrap()
-    }));
-    out
 }
 
 /// One instrumented ClkWaveMin run; its RunReport supplies the label and
@@ -223,7 +191,7 @@ fn main() {
         seed: args.seed,
         available_cores: std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get),
-        solver: solver_measurements(),
+        solver: solver_rows().iter().map(measure).collect(),
         arena: arena_stats(),
         metrics: metrics_summary(args.seed),
         scale: scale_measurements(args.seed, full),

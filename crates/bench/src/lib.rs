@@ -10,11 +10,6 @@
 use serde::Serialize;
 use std::path::PathBuf;
 
-// The layered-graph fixtures moved to the shared testkit crate; the
-// re-export keeps the historical `wavemin_bench::mosp_fixtures` path that
-// the criterion benches and the JSON emitter use.
-pub use wavemin_testkit::mosp as mosp_fixtures;
-
 /// Common CLI arguments shared by the experiment binaries:
 /// `[seed] [--json <path>]` plus binary-specific extras read separately.
 #[derive(Debug, Clone)]

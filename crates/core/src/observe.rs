@@ -8,8 +8,8 @@
 //! The registry is an `Option<Arc<_>>`: a disabled registry carries no
 //! allocation and every recording call is a single branch on `None`, so
 //! the instrumented hot paths cost nothing when metrics are off (the
-//! `metrics_overhead` criterion group in `wavemin-bench` keeps that
-//! honest). An enabled registry records straight into the report's own
+//! paired `trace_overhead/e2e/disabled_vs_baseline` row of
+//! `wavemin-bench`'s `overhead` bench keeps that honest). An enabled registry records straight into the report's own
 //! structs behind one mutex, so a report is a clone of them. Every
 //! recorded value is a commutative sum or a maximum, so the aggregates
 //! are identical for any worker count on an unbudgeted run.

@@ -1,12 +1,12 @@
 //! Shared test and benchmark fixtures for the WaveMin workspace.
 //!
-//! Before this crate existed the same builders were copy-pasted into
-//! `wavemin_bench::mosp_fixtures`, `conformance_exhaustive.rs`,
-//! `session_cache.rs`, and the top-level integration tests. Everything
-//! fixture-shaped now lives here, in three modules:
+//! Everything fixture-shaped that the bench binaries, the conformance
+//! suites and the integration tests share lives here, in five modules:
 //!
-//! * [`mosp`] — the layered WaveMin-shaped MOSP graph and the median
-//!   wall-clock helper used by criterion benches and the JSON emitter;
+//! * [`mosp`] — the layered WaveMin-shaped MOSP graph and the solver
+//!   rows `bench_mosp` and the `overhead` bench time;
+//! * [`timing`] — the one micro-benchmark timer: per-call quartiles and
+//!   paired A/B ratios, with the row filter the bench mains share;
 //! * [`designs`] — deterministic clock-tree designs: benchmark-derived
 //!   and randomized polarity trees for conformance sweeps;
 //! * [`configs`] — the small/strict/hard [`WaveMinConfig`] presets the
@@ -24,5 +24,6 @@ pub mod configs;
 pub mod designs;
 pub mod golden;
 pub mod mosp;
+pub mod timing;
 
 pub use wavemin::prelude::WaveMinConfig;

@@ -1,12 +1,10 @@
-//! Shared MOSP benchmark fixtures: the layered WaveMin-shaped graph used
-//! by both the criterion benches (`benches/mosp_scaling.rs`) and the
-//! `bench_mosp` JSON emitter, plus a small timing helper for the emitter.
+//! Shared MOSP benchmark fixtures: the layered WaveMin-shaped graph and
+//! the solver rows the `bench_mosp` emitter and the `overhead` bench time.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
-use wavemin_mosp::{MospGraph, VertexId};
+use wavemin_mosp::{solve, Budget, MospGraph, ParetoSet, SolveObserver, VertexId};
 
 /// Builds a WaveMin-shaped layered graph: `rows` sinks × `cols` candidate
 /// cells with `dims`-dimensional weights. Every candidate's full fan-in
@@ -46,45 +44,76 @@ pub fn layered(
     (g, src, dest)
 }
 
-/// Per-call wall-clock seconds over a run's timed batches: the median
-/// and the quartiles around it, so one row shows its own noise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchTimes {
-    /// The lower quartile.
-    pub q1: f64,
-    /// The median.
-    pub median: f64,
-    /// The upper quartile.
-    pub q3: f64,
+/// One MOSP solver row: a layered fixture and the solver run on it, with
+/// a 64-label cap and no budget. `bench_mosp` times every row; the
+/// `overhead` bench traces `warburton_rows/8`.
+pub struct SolverRow {
+    /// The row's name, e.g. `warburton_rows/8`.
+    pub name: String,
+    graph: MospGraph,
+    src: VertexId,
+    dest: VertexId,
+    /// Warburton's ε; `None` runs the exact solver.
+    epsilon: Option<f64>,
 }
 
-/// Per-call wall-clock time of `f` over `batches` timed batches, each at
-/// least `budget / batches` long — the same scheme as the vendored
-/// criterion stand-in, but returning the numbers instead of printing them.
-pub fn median_secs<O, F: FnMut() -> O>(mut f: F, batches: usize, budget: Duration) -> BatchTimes {
-    let batches = batches.max(1);
-    std::hint::black_box(f()); // warmup
-    let per_batch = budget / u32::try_from(batches).unwrap_or(1);
-    let mut samples: Vec<f64> = Vec::with_capacity(batches);
-    for _ in 0..batches {
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            std::hint::black_box(f());
-            iters += 1;
-            if start.elapsed() >= per_batch {
-                break;
-            }
+impl SolverRow {
+    /// Solves the row's fixture, reporting to `observer` when given.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the solver rejects the fixture (it cannot: ε is
+    /// positive and the budget unlimited).
+    pub fn solve(&self, observer: Option<&mut dyn SolveObserver>) -> ParetoSet {
+        let (g, s, t, budget) = (&self.graph, self.src, self.dest, Budget::unlimited());
+        match self.epsilon {
+            Some(eps) => solve::warburton(g, s, t, eps, Some(64), &budget, observer),
+            None => solve::exact(g, s, t, Some(64), &budget, observer),
         }
-        samples.push(start.elapsed().as_secs_f64() / iters as f64);
+        .expect("fixture rows solve")
     }
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    BatchTimes {
-        q1: samples[n / 4],
-        median: samples[n / 2],
-        q3: samples[3 * n / 4],
+}
+
+/// Every solver row, each defined here once: zone rows 2 → 8
+/// (`warburton_rows/*`), weight dimensions 4 → 156 (`warburton_dims/*`),
+/// and ε = 0.01 and 0.5 against the exact solver on one fixture
+/// (`solver_kind/*`).
+#[must_use]
+pub fn solver_rows() -> Vec<SolverRow> {
+    let row = |name: String, (graph, src, dest), epsilon| SolverRow {
+        name,
+        graph,
+        src,
+        dest,
+        epsilon,
+    };
+    let mut out = Vec::new();
+    for rows in [2usize, 4, 8] {
+        out.push(row(
+            format!("warburton_rows/{rows}"),
+            layered(rows, 4, 8, 1),
+            Some(0.01),
+        ));
     }
+    for dims in [4usize, 32, 156] {
+        out.push(row(
+            format!("warburton_dims/{dims}"),
+            layered(5, 4, dims, 2),
+            Some(0.01),
+        ));
+    }
+    for (name, epsilon) in [
+        ("warburton_e01", Some(0.01)),
+        ("warburton_e50", Some(0.5)),
+        ("exact", None),
+    ] {
+        out.push(row(
+            format!("solver_kind/{name}"),
+            layered(6, 4, 8, 3),
+            epsilon,
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -101,16 +130,5 @@ mod tests {
         // Fan-in arcs share interned weights: one unique vector per
         // (row, col) plus the zero vector into dest.
         assert_eq!(g.unique_weight_count(), 3 * 4 + 1);
-    }
-
-    #[test]
-    fn median_secs_measures_something_positive() {
-        let t = median_secs(
-            || std::hint::black_box((0..100).sum::<u64>()),
-            3,
-            Duration::from_millis(5),
-        );
-        assert!(t.median > 0.0 && t.median < 1.0);
-        assert!(t.q1 <= t.median && t.median <= t.q3);
     }
 }
