@@ -25,10 +25,10 @@ fn operand(len: usize, salt: u64) -> Vec<f64> {
 }
 
 /// Operands on the Warburton ε-grid: the f64 operand scaled to integers.
-fn grid_operand(len: usize, salt: u64) -> Vec<i64> {
+fn grid_operand(len: usize, salt: u64) -> Vec<i32> {
     operand(len, salt)
         .iter()
-        .map(|x| (x * 1e3) as i64)
+        .map(|x| (x * 1e3) as i32)
         .collect()
 }
 
@@ -74,7 +74,7 @@ fn main() {
     for dims in DIMS {
         // a <= b componentwise forces the full scan, as in `dominates`.
         let a = grid_operand(dims, 8);
-        let b: Vec<i64> = a.iter().map(|x| x + 1).collect();
+        let b: Vec<i32> = a.iter().map(|x| x + 1).collect();
         bench.paired(
             &row("kernel_scaled_leq", dims),
             || scalar::scaled_leq(black_box(&a), &b),

@@ -17,11 +17,12 @@ fn tight_budget_degrades_but_stays_valid() {
     // One zone spanning the whole die (huge pitch) makes every sink a DAG
     // layer, and with high-dimensional sample vectors almost no label
     // dominates another, so every frontier fills to the 64-label cap. A
-    // ~100 ms wall-clock budget must force the ladder down instead of
-    // letting the solve run to completion.
+    // budget already spent when the solve starts must force the ladder
+    // down however fast the solver is, instead of letting the solve run
+    // to completion.
     let mut cfg = WaveMinConfig::default()
         .with_solver(SolverKind::Exact)
-        .with_time_budget_ms(100);
+        .with_time_budget_ms(0);
     cfg.zone_pitch = wavemin_cells::units::Microns::new(1.0e9);
     let started = Instant::now();
     let out = ClkWaveMin::new(cfg.clone()).run(&d).expect("budgeted run");
@@ -32,7 +33,7 @@ fn tight_budget_degrades_but_stays_valid() {
         started.elapsed()
     );
 
-    let degradation = out.degradation.expect("a 100 ms budget must degrade");
+    let degradation = out.degradation.expect("a spent budget must degrade");
     assert!(degradation.exhausted_solves > 0);
     assert!(degradation.total_solves >= degradation.exhausted_solves);
     assert!(

@@ -317,32 +317,41 @@ impl MospGraph {
     /// Returns [`MospError::Cyclic`] when the graph is not a DAG.
     pub fn path_upper_bounds(&self, source: VertexId) -> Result<Vec<f64>, MospError> {
         let order = self.topological_order()?;
-        let n = self.adjacency.len();
-        let mut best = vec![vec![f64::NEG_INFINITY; self.dim]; n];
-        best[source.0] = vec![0.0; self.dim];
+        Ok(self.upper_bounds_along(&order, source))
+    }
+
+    /// [`Self::path_upper_bounds`] along a topological `order` the caller
+    /// already holds. The per-vertex longest-path rows live in one flat
+    /// `n × dim` buffer.
+    pub(crate) fn upper_bounds_along(&self, order: &[VertexId], source: VertexId) -> Vec<f64> {
+        let dim = self.dim;
+        let mut best = vec![f64::NEG_INFINITY; self.adjacency.len() * dim];
+        best[source.0 * dim..(source.0 + 1) * dim].fill(0.0);
         for v in order {
-            if best[v.0][0] == f64::NEG_INFINITY {
+            let from = v.0 * dim;
+            if best[from] == f64::NEG_INFINITY {
                 continue;
             }
             for &(to, slot) in &self.adjacency[v.0] {
                 let w = self.weight_slice(slot);
-                for k in 0..self.dim {
-                    let cand = best[v.0][k] + w[k];
-                    if cand > best[to.0][k] {
-                        best[to.0][k] = cand;
+                let at = to.0 * dim;
+                for k in 0..dim {
+                    let cand = best[from + k] + w[k];
+                    if cand > best[at + k] {
+                        best[at + k] = cand;
                     }
                 }
             }
         }
-        let mut ub = vec![0.0; self.dim];
-        for row in best.iter().take(n) {
-            for (k, u) in ub.iter_mut().enumerate() {
-                if row[k].is_finite() && row[k] > *u {
-                    *u = row[k];
+        let mut ub = vec![0.0; dim];
+        for row in best.chunks_exact(dim) {
+            for (u, &b) in ub.iter_mut().zip(row) {
+                if b.is_finite() && b > *u {
+                    *u = b;
                 }
             }
         }
-        Ok(ub)
+        ub
     }
 }
 

@@ -158,7 +158,7 @@ pub mod scalar {
     /// Panics if the vectors differ in length.
     #[inline]
     #[must_use]
-    pub fn scaled_leq(a: &[i64], b: &[i64]) -> bool {
+    pub fn scaled_leq(a: &[i32], b: &[i32]) -> bool {
         assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
         a.iter().zip(b).all(|(x, y)| x <= y)
     }
@@ -235,10 +235,15 @@ pub fn add_assign(acc: &mut [f64], x: &[f64]) {
 /// Lane-parallel max reduction; see [`scalar::max_component`].
 /// The per-lane `if x > m` recurrence skips NaN exactly like the
 /// sequential form, and the final `-0.0` canonicalization erases the
-/// only bit the lane split could change.
+/// only bit the lane split could change. Up to one chunk the lane body
+/// is pure overhead (a lane fold on top of the same compares), so short
+/// vectors take the sequential path, as in [`scaled_leq`].
 #[inline]
 #[must_use]
 pub fn max_component(v: &[f64]) -> f64 {
+    if v.len() <= LANES {
+        return scalar::max_component(v);
+    }
     let chunks = v.chunks_exact(LANES);
     let rem = chunks.remainder();
     let mut lanes = [f64::NEG_INFINITY; LANES];
@@ -374,7 +379,9 @@ pub fn dominates_or_eq(a: &[f64], b: &[f64]) -> bool {
     strict || !unequal
 }
 
-/// ε-grid weak dominance; see [`scalar::scaled_leq`].
+/// ε-grid weak dominance; see [`scalar::scaled_leq`]. Grid cells are
+/// `i32`, so a chunk is two SSE2 `pcmpgtd` compares at the x86-64
+/// baseline.
 ///
 /// Integer compares are single cheap ops, so below one full chunk the
 /// branchless lane body costs more than the sequential early exit
@@ -386,7 +393,7 @@ pub fn dominates_or_eq(a: &[f64], b: &[f64]) -> bool {
 /// Panics if the vectors differ in length.
 #[inline]
 #[must_use]
-pub fn scaled_leq(a: &[i64], b: &[i64]) -> bool {
+pub fn scaled_leq(a: &[i32], b: &[i32]) -> bool {
     assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
     if a.len() <= LANES {
         return a.iter().zip(b).all(|(x, y)| x <= y);
@@ -500,7 +507,7 @@ mod tests {
 
     #[test]
     fn scaled_leq_families_agree() {
-        let a: Vec<i64> = (0..17).collect();
+        let a: Vec<i32> = (0..17).collect();
         let mut b = a.clone();
         assert!(scalar::scaled_leq(&a, &b));
         assert!(super::scaled_leq(&a, &b));

@@ -55,8 +55,9 @@ pub trait SolveObserver {
 ///
 /// The costs of the *active* labels live in one flat `f64` slab (stride =
 /// the graph's weight dimension); the ε-solver's scaled grid lives in a
-/// parallel `i64` slab with the same row numbering, which stays **empty**
-/// in exact mode. Only `entries` is kept in ascending key order: a label's
+/// parallel `i32` slab with the same row numbering, which stays **empty**
+/// in exact mode (see [`grid_cell`] for why 32 bits hold every cell
+/// exactly). Only `entries` is kept in ascending key order: a label's
 /// slab rows never move once written, and an evicted label's row goes on
 /// a free list that the next admitted label reuses, so the slabs never
 /// hold more rows than the frontier's peak label count. Keeping the
@@ -81,7 +82,7 @@ pub trait SolveObserver {
 struct Frontier {
     entries: Vec<FrontierEntry>,
     costs: Vec<f64>,
-    scaled: Vec<i64>,
+    scaled: Vec<i32>,
     /// Slab rows of evicted labels, reused by later commits.
     free: Vec<usize>,
 }
@@ -91,10 +92,9 @@ struct FrontierEntry {
     /// Cached max true-cost component: the exact-mode sort key and the
     /// cap-truncation order in both modes.
     fkey: f64,
-    /// Cached max scaled component: the ε-mode sort key (the `i64` grid
-    /// must not be compared through `f64` — large grids lose precision).
-    /// 0 in exact mode.
-    ikey: i64,
+    /// Cached max scaled component: the ε-mode sort key (grid cells are
+    /// compared as integers, never through `f64`). 0 in exact mode.
+    ikey: i32,
     /// The label's slot in its vertex's predecessor store.
     slot: usize,
     /// The label's row in the cost (and scaled) slab.
@@ -102,19 +102,17 @@ struct FrontierEntry {
 }
 
 impl Frontier {
-    /// Empties the frontier for the spare pool, giving back slab memory
-    /// beyond `rows` labels of `dim` components. The recycled state is
-    /// logically identical to `Frontier::default()` (every operation
-    /// depends only on content, never capacity).
-    fn recycled(mut self, rows: usize, dim: usize) -> Self {
+    /// Empties the frontier for the spare pool. Its slabs keep their
+    /// capacity: the next vertex to take it fills it to a similar size,
+    /// and regrowing a slab past the allocator's `mmap` threshold costs
+    /// fresh pages on every take. The recycled state is logically
+    /// identical to `Frontier::default()` (every operation depends only
+    /// on content, never capacity).
+    fn recycled(mut self) -> Self {
         self.entries.clear();
         self.costs.clear();
         self.scaled.clear();
         self.free.clear();
-        self.entries.shrink_to(rows);
-        self.costs.shrink_to(rows.saturating_mul(dim));
-        self.scaled.shrink_to(rows.saturating_mul(dim));
-        self.free.shrink_to(rows);
         self
     }
 
@@ -149,9 +147,9 @@ impl Frontier {
         dim: usize,
         eps_mode: bool,
         cost: &[f64],
-        scaled: &[i64],
+        scaled: &[i32],
         fkey: f64,
-        ikey: i64,
+        ikey: i32,
         stats: &mut SolveStats,
     ) -> bool {
         let Self {
@@ -215,9 +213,9 @@ impl Frontier {
         dim: usize,
         eps_mode: bool,
         cost: &[f64],
-        scaled: &[i64],
+        scaled: &[i32],
         fkey: f64,
-        ikey: i64,
+        ikey: i32,
         slot: usize,
     ) {
         let p = if eps_mode {
@@ -243,26 +241,34 @@ impl Frontier {
     }
 
     /// Truncates to the `cap` labels with the smallest max true-cost
-    /// component (ties keep earlier-inserted labels) and keeps the
-    /// survivors in their entry order. Exact-mode entries are already in
-    /// `fkey` order, so there the cap keeps the first `cap` entries; ε
-    /// mode keeps its scaled-key order. Returns the number of evicted
-    /// labels.
-    fn apply_cap(&mut self, cap: usize) -> usize {
+    /// component (ties keep the earlier entry) and keeps the survivors in
+    /// their entry order. Exact-mode entries are already in `fkey` order,
+    /// so there the cap keeps the first `cap` entries; ε mode keeps its
+    /// scaled-key order. `order` is index scratch reused across calls.
+    /// Returns the number of evicted labels.
+    fn apply_cap(&mut self, cap: usize, order: &mut Vec<usize>) -> usize {
         let n = self.entries.len();
         if n <= cap {
             return 0;
         }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| self.entries[a].fkey.total_cmp(&self.entries[b].fkey));
-        let mut keep = vec![false; n];
-        for &i in order.iter().take(cap) {
-            keep[i] = true;
-        }
-        let mut keep = keep.into_iter();
+        // Entry `i` ranks by `(fkey, i)`, a total order: the `cap`
+        // smallest are those ranked no later than the `cap`-th, which a
+        // selection finds without a full sort.
+        let cut = cap.checked_sub(1).map(|last| {
+            order.clear();
+            order.extend(0..n);
+            let entries = &self.entries;
+            let (_, &mut t, _) = order.select_nth_unstable_by(last, |&a, &b| {
+                entries[a].fkey.total_cmp(&entries[b].fkey).then(a.cmp(&b))
+            });
+            (entries[t].fkey, t)
+        });
         let free = &mut self.free;
+        let mut i = 0;
         self.entries.retain(|e| {
-            let kept = keep.next() == Some(true);
+            let kept = cut
+                .is_some_and(|(tk, t)| e.fkey.total_cmp(&tk).then(i.cmp(&t)) != Ordering::Greater);
+            i += 1;
             if !kept {
                 free.push(e.row);
             }
@@ -290,12 +296,13 @@ fn write_row<T: Copy>(slab: &mut Vec<T>, row: usize, values: &[T]) {
 }
 
 /// Per-thread solve scratch recycled between solves: the per-vertex
-/// predecessor stores and a pool of spare frontier slabs, which the zone
-/// pipeline would otherwise reallocate for every zone. A vertex's frontier
-/// is moved out when the vertex is expanded and goes back to the pool,
-/// shrunk to the per-vertex label cap, so the scratch never holds a whole
-/// zone's labels: only the frontiers alive at once, plus the destination's
-/// until the next solve. A solve takes the thread's scratch and returns it
+/// predecessor stores, a pool of spare frontier slabs and the cap's index
+/// scratch, which the zone pipeline would otherwise reallocate for every
+/// zone. A vertex's frontier is moved out when the vertex is expanded and
+/// goes back to the pool with its capacity, so the scratch never holds
+/// more slabs than the most frontiers ever alive at once on the thread
+/// (about two rows of a layered zone graph), plus the destination's until
+/// the next solve. A solve takes the thread's scratch and returns it
 /// on completion — including early returns and panics, via
 /// [`ScratchGuard`]'s `Drop`. Recycling is bit-neutral: a cleared
 /// [`Frontier`] is logically `Frontier::default()`, and no solver
@@ -305,19 +312,19 @@ struct SolveScratch {
     fronts: Vec<Frontier>,
     preds: Vec<Vec<Option<(usize, usize)>>>,
     spare: Vec<Frontier>,
+    cap_order: Vec<usize>,
 }
 
 impl SolveScratch {
-    /// Prepares the scratch for a graph of `n` vertices whose frontiers
-    /// are capped at `rows` labels of `dim` components: every frontier
+    /// Prepares the scratch for a graph of `n` vertices: every frontier
     /// left from the last solve goes to the spare pool, the predecessor
     /// stores are truncated (a later bigger solve must never see stale
     /// rows) and cleared in place, and missing slots are
     /// default-constructed.
-    fn begin(&mut self, n: usize, rows: usize, dim: usize) {
+    fn begin(&mut self, n: usize) {
         for f in self.fronts.drain(..) {
             if f.has_slabs() {
-                self.spare.push(f.recycled(rows, dim));
+                self.spare.push(f.recycled());
             }
         }
         self.fronts.resize_with(n, Frontier::default);
@@ -337,9 +344,9 @@ thread_local! {
 /// Moves the thread's scratch pool out of thread-local storage (leaving a
 /// fresh empty pool behind, so a nested or racing borrow can never
 /// observe the in-use state) and prepares it (see [`SolveScratch::begin`]).
-fn acquire_scratch(n: usize, rows: usize, dim: usize) -> ScratchGuard {
+fn acquire_scratch(n: usize) -> ScratchGuard {
     let mut scratch = SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
-    scratch.begin(n, rows, dim);
+    scratch.begin(n);
     ScratchGuard { scratch }
 }
 
@@ -389,7 +396,10 @@ pub fn exact(
     budget: &Budget,
     observer: Option<&mut dyn SolveObserver>,
 ) -> Result<ParetoSet, MospError> {
-    run(graph, source, dest, max_labels, None, budget, observer)
+    let order = checked_order(graph, source, dest)?;
+    run(
+        graph, order, source, dest, max_labels, None, budget, observer,
+    )
 }
 
 /// Warburton's fully polynomial ε-approximation.
@@ -402,10 +412,13 @@ pub fn exact(
 /// even the scaled label space can be large); the cap, `budget` and
 /// `observer` behave as in [`exact`].
 ///
+/// Grid cells are stored as `i32`, so `n/ε` must stay below `2^30` (at
+/// `ε = 0.01`, zones of up to 10^7 vertices).
+///
 /// # Errors
 ///
-/// Returns [`MospError::InvalidParameter`] for `ε <= 0`, plus the same
-/// errors as [`exact`].
+/// Returns [`MospError::InvalidParameter`] for `ε <= 0` and for
+/// `n/ε >= 2^30`, plus the same errors as [`exact`].
 pub fn warburton(
     graph: &MospGraph,
     source: VertexId,
@@ -418,8 +431,14 @@ pub fn warburton(
     if epsilon <= 0.0 || epsilon.is_nan() || !epsilon.is_finite() {
         return Err(MospError::InvalidParameter("epsilon must be positive"));
     }
-    let ub = graph.path_upper_bounds(source)?;
     let n = graph.vertex_count().max(1) as f64;
+    if n / epsilon >= GRID_CELL_LIMIT {
+        return Err(MospError::InvalidParameter(
+            "epsilon too small for the graph: n/epsilon must stay below 2^30",
+        ));
+    }
+    let order = checked_order(graph, source, dest)?;
+    let ub = graph.upper_bounds_along(&order, source);
     let deltas: Vec<f64> = ub
         .iter()
         .map(|&u| {
@@ -433,6 +452,7 @@ pub fn warburton(
         .collect();
     run(
         graph,
+        order,
         source,
         dest,
         max_labels,
@@ -442,7 +462,35 @@ pub fn warburton(
     )
 }
 
-/// Shared label-correcting DP. `deltas` switches scaled-dominance mode;
+/// The bound on `n/ε` that keeps every ε-grid cell an exact `i32`.
+///
+/// Every DP cost satisfies `c_k <= UB_k`: a label's cost is built by the
+/// same `f64` additions along a path as the longest-path bound, and
+/// rounding is monotone. So a cell `⌊c_k / δ_k⌋` is at most about
+/// `UB_k / δ_k = n/ε`. The factor-two margin below `2^31` absorbs the
+/// rounding of `δ_k` itself, which stays well under ×2 even when `δ_k`
+/// is subnormal.
+const GRID_CELL_LIMIT: f64 = (1u64 << 30) as f64;
+
+/// The graph's topological order, once the endpoints are checked.
+fn checked_order(
+    graph: &MospGraph,
+    source: VertexId,
+    dest: VertexId,
+) -> Result<Vec<VertexId>, MospError> {
+    let order = graph.topological_order()?;
+    let n = graph.vertex_count();
+    if source.0 >= n {
+        return Err(MospError::InvalidVertex(source));
+    }
+    if dest.0 >= n {
+        return Err(MospError::InvalidVertex(dest));
+    }
+    Ok(order)
+}
+
+/// Shared label-correcting DP over the vertices in topological `order`
+/// (from [`checked_order`]). `deltas` switches scaled-dominance mode;
 /// `budget` bounds the work (on exhaustion the DP degrades to single-label
 /// greedy propagation instead of aborting, so the result stays valid).
 ///
@@ -455,6 +503,7 @@ pub fn warburton(
 #[allow(clippy::too_many_arguments)]
 fn run(
     graph: &MospGraph,
+    order: Vec<VertexId>,
     source: VertexId,
     dest: VertexId,
     max_labels: Option<usize>,
@@ -462,14 +511,6 @@ fn run(
     budget: &Budget,
     mut observer: Option<&mut dyn SolveObserver>,
 ) -> Result<ParetoSet, MospError> {
-    let order = graph.topological_order()?;
-    let n = graph.vertex_count();
-    if source.0 >= n {
-        return Err(MospError::InvalidVertex(source));
-    }
-    if dest.0 >= n {
-        return Err(MospError::InvalidVertex(dest));
-    }
     let dim = graph.dim();
     let eps_mode = deltas.is_some();
 
@@ -479,12 +520,12 @@ fn run(
     // Both come from the thread's recycled scratch: at scale the pipeline
     // runs thousands of zone solves per thread, and reusing the slabs
     // removes the per-zone allocation storm.
-    let spare_rows = max_labels.unwrap_or(usize::MAX);
-    let mut guard = acquire_scratch(n, spare_rows, dim);
+    let mut guard = acquire_scratch(graph.vertex_count());
     let SolveScratch {
         fronts,
         preds,
         spare,
+        cap_order,
     } = &mut guard.scratch;
     let mut truncated = false;
     let mut exhausted = None;
@@ -492,14 +533,14 @@ fn run(
 
     // Writes the ε-grid image of `cost` into `out` (left empty in exact
     // mode, matching the frontier's empty scaled slab).
-    let scale_into = |cost: &[f64], out: &mut Vec<i64>| {
+    let scale_into = |cost: &[f64], out: &mut Vec<i32>| {
         out.clear();
         if let Some(ds) = deltas {
             out.extend(cost.iter().zip(ds).map(|(c, d)| grid_cell(c / d)));
         }
     };
 
-    let mut scaled_scratch: Vec<i64> = Vec::new();
+    let mut scaled_scratch: Vec<i32> = Vec::new();
     let zero = vec![0.0; dim];
     scale_into(&zero, &mut scaled_scratch);
     preds[source.0].push(None);
@@ -540,7 +581,7 @@ fn run(
             max_labels
         };
         if let Some(cap) = cap {
-            let evicted = fronts[v.0].apply_cap(cap);
+            let evicted = fronts[v.0].apply_cap(cap, cap_order);
             if evicted > 0 {
                 stats.labels_pruned += evicted as u64;
                 truncated = true;
@@ -597,7 +638,7 @@ fn run(
         if v == dest {
             fronts[v.0] = src;
         } else {
-            spare.push(src.recycled(spare_rows, dim));
+            spare.push(src.recycled());
         }
     }
     if let (Some(reason), false) = (exhausted, exhaustion_reported) {
@@ -657,7 +698,7 @@ fn push_label(
     preds: &mut Vec<Option<(usize, usize)>>,
     dim: usize,
     cost: &[f64],
-    scaled: &[i64],
+    scaled: &[i32],
     pred: (usize, usize),
     eps_mode: bool,
     stats: &mut SolveStats,
@@ -687,19 +728,21 @@ fn take_spare(front: &mut Frontier, spare: &mut Vec<Frontier>) {
 /// The ε-grid cell of a scaled cost `q = c / δ`. Costs and grid steps
 /// are non-negative ([`MospGraph`] validates the weights), and there the
 /// truncating cast is `floor`, saturation at `+inf` included, without
-/// `f64::floor`'s libm call.
+/// `f64::floor`'s libm call. [`warburton`]'s `n/ε` bound keeps every
+/// finite `q` of a solve below `2^31` (see [`GRID_CELL_LIMIT`]), so the
+/// `i32` cell equals the `i64` one.
 #[inline]
-fn grid_cell(q: f64) -> i64 {
+fn grid_cell(q: f64) -> i32 {
     debug_assert!(
         q >= 0.0 || q.is_nan(),
         "ε-grid costs are non-negative, got {q}"
     );
-    q as i64
+    q as i32
 }
 
 /// Max scaled component: the ε-mode frontier sort key (0 in exact mode,
 /// where the scaled slice is empty).
-fn ikey_of(scaled: &[i64]) -> i64 {
+fn ikey_of(scaled: &[i32]) -> i32 {
     scaled.iter().copied().max().unwrap_or(0)
 }
 
@@ -725,7 +768,7 @@ mod tests {
 
     impl Frontier {
         /// The ε-grid image of the `i`-th label in key order.
-        fn scaled_row(&self, dim: usize, i: usize) -> &[i64] {
+        fn scaled_row(&self, dim: usize, i: usize) -> &[i32] {
             slab_row(&self.scaled, dim, self.entries[i].row)
         }
     }
@@ -803,30 +846,69 @@ mod tests {
         assert!(set.stats().work >= set.stats().labels_created - 1);
     }
 
-    #[test]
-    fn recycled_slabs_stay_bounded_and_capped() {
-        // Every slab a solve hands out comes back, so the spare pool stops
-        // growing after the first solve; and each returned slab is shrunk
-        // to the label cap.
-        std::thread::spawn(|| {
-            let (g, src, dest) = diamond_chain(8);
-            let spare = || SCRATCH.with(|c| c.borrow().spare.len());
-            exact(&g, src, dest, Some(4), &Budget::unlimited(), None).unwrap();
-            let after_one = spare();
-            assert!(after_one > 0, "expanded vertices return their slabs");
-            for _ in 0..20 {
-                exact(&g, src, dest, Some(4), &Budget::unlimited(), None).unwrap();
-                assert_eq!(spare(), after_one, "the pool must not grow per solve");
+    /// The most frontiers a solve holds at once: the source's, plus one
+    /// for each target an expansion reaches first, minus each expanded
+    /// vertex's once its arcs are done (the destination keeps its own).
+    fn peak_live_frontiers(g: &MospGraph, src: VertexId, dest: VertexId) -> usize {
+        let mut reached = vec![false; g.vertex_count()];
+        reached[src.0] = true;
+        let (mut live, mut peak) = (1, 1);
+        for v in g.topological_order().unwrap() {
+            if !reached[v.0] {
+                continue;
             }
-            SCRATCH.with(|c| {
-                for f in &c.borrow().spare {
-                    assert!(f.is_empty());
-                    assert!(
-                        f.costs.capacity() <= 4 * g.dim(),
-                        "slab not shrunk to the cap"
-                    );
+            for (to, _) in g.out_arcs(v) {
+                if !reached[to.0] {
+                    reached[to.0] = true;
+                    live += 1;
+                    peak = peak.max(live);
                 }
-            });
+            }
+            if v != dest {
+                live -= 1;
+            }
+        }
+        peak
+    }
+
+    #[test]
+    fn the_spare_pool_stays_within_the_peak_live_frontiers() {
+        // Slabs come back with their capacity, so the pool is bounded by
+        // how many frontiers were ever alive at once, not by the solves.
+        std::thread::spawn(|| {
+            let weights: Vec<f64> = (0..64).map(|i| ((i * 7) % 11) as f64).collect();
+            let mut peak = 0;
+            for round in 0..3 {
+                for (i, &(rows, cols, dims)) in [
+                    (2, 3, 4),
+                    (6, 2, 2),
+                    (1, 1, 1),
+                    (4, 5, 9),
+                    (3, 2, 16),
+                    (6, 4, 3),
+                ]
+                .iter()
+                .enumerate()
+                {
+                    let (g, src, dest) = layered(rows, cols, dims, &weights);
+                    peak = peak.max(peak_live_frontiers(&g, src, dest));
+                    let free = Budget::unlimited();
+                    if (round + i) % 2 == 0 {
+                        warburton(&g, src, dest, 0.05, Some(4), &free, None).unwrap();
+                    } else {
+                        exact(&g, src, dest, Some(4), &free, None).unwrap();
+                    }
+                    SCRATCH.with(|c| {
+                        let c = c.borrow();
+                        let held = c.fronts.iter().filter(|f| f.has_slabs()).count();
+                        assert_eq!(held, 1, "only the destination keeps its slab");
+                        // Every slab the thread made is pooled or held, so
+                        // the pool never exceeds the peak live frontiers.
+                        assert_eq!(c.spare.len() + held, peak);
+                        assert!(c.spare.iter().all(Frontier::is_empty));
+                    });
+                }
+            }
         })
         .join()
         .unwrap();
@@ -927,36 +1009,195 @@ mod tests {
         }
     }
 
-    /// One ε-mode label of the oracle: slot, true costs, grid image.
+    /// One ε-mode label of the oracle: slot, true costs, grid image. The
+    /// oracle keeps the grid in `i64`, the width the frontier narrowed
+    /// from, so the tests check the `i32` cells against it.
     type OracleLabel = (usize, Vec<f64>, Vec<i64>);
+
+    /// The max grid component of an oracle label.
+    fn wide_key(grid: &[i64]) -> i64 {
+        grid.iter().copied().max().unwrap_or(0)
+    }
 
     /// The ε-mode frontier spelled out on a plain `Vec` in logical order:
     /// reject a candidate some incumbent weakly dominates on the grid,
     /// evict the incumbents it weakly dominates, and insert it after
-    /// every incumbent whose max grid component is not larger.
-    fn oracle_offer(oracle: &mut Vec<OracleLabel>, label: OracleLabel) -> bool {
+    /// every incumbent whose max grid component is not larger. `stats`
+    /// counts what the key index lets the frontier compare and skip: the
+    /// rejection scan covers the incumbents with a key no larger than the
+    /// candidate's, up to the first that rejects it; the eviction scan
+    /// the incumbents with a key no smaller.
+    fn oracle_offer(
+        oracle: &mut Vec<OracleLabel>,
+        label: OracleLabel,
+        stats: &mut SolveStats,
+    ) -> bool {
         let leq = |a: &[i64], b: &[i64]| a.iter().zip(b).all(|(x, y)| x <= y);
-        if oracle.iter().any(|(_, _, g)| leq(g, &label.2)) {
+        let key = wide_key(&label.2);
+        let n = oracle.len() as u64;
+        let at_most = oracle.iter().filter(|(_, _, g)| wide_key(g) <= key).count() as u64;
+        let below = oracle.iter().filter(|(_, _, g)| wide_key(g) < key).count() as u64;
+        stats.dominance_skipped += n - at_most;
+        if let Some(r) = oracle.iter().position(|(_, _, g)| leq(g, &label.2)) {
+            stats.dominance_checks += r as u64 + 1;
             return false;
         }
+        stats.dominance_checks += at_most + (n - below);
+        stats.dominance_skipped += below;
         oracle.retain(|(_, _, g)| !leq(&label.2, g));
-        let key = ikey_of(&label.2);
-        let at = oracle.iter().filter(|(_, _, g)| ikey_of(g) <= key).count();
+        stats.labels_pruned += n - oracle.len() as u64;
+        let at = oracle.iter().filter(|(_, _, g)| wide_key(g) <= key).count();
         oracle.insert(at, label);
         true
     }
 
     /// The oracle's cap: keep the `cap` smallest true max keys (ties to
-    /// the earlier entry) in their logical order.
-    fn oracle_cap(oracle: &mut Vec<OracleLabel>, cap: usize) {
+    /// the earlier entry) in their logical order. Returns the number of
+    /// evicted labels.
+    fn oracle_cap(oracle: &mut Vec<OracleLabel>, cap: usize) -> usize {
         let fkey = |c: &[f64]| c.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut order: Vec<usize> = (0..oracle.len()).collect();
         order.sort_by(|&a, &b| fkey(&oracle[a].1).total_cmp(&fkey(&oracle[b].1)));
         let keep: Vec<bool> = (0..oracle.len())
             .map(|i| order.iter().take(cap).any(|&k| k == i))
             .collect();
+        let before = oracle.len();
         let mut keep = keep.into_iter();
         oracle.retain(|_| keep.next() == Some(true));
+        before - oracle.len()
+    }
+
+    /// One path of a solve: its cost bits and its vertices.
+    type PathBits = (Vec<u64>, Vec<VertexId>);
+
+    /// Warburton's DP spelled out on the `Vec` oracle with `i64` cells
+    /// taken by `f64::floor`: labels propagate in topological order, the
+    /// cap runs before each expansion, and the destination's labels come
+    /// back in true max-key order. Unbudgeted.
+    fn oracle_warburton(
+        g: &MospGraph,
+        src: VertexId,
+        dest: VertexId,
+        eps: f64,
+        cap: Option<usize>,
+    ) -> (Vec<PathBits>, SolveStats) {
+        let n = g.vertex_count();
+        let ub = g.path_upper_bounds(src).unwrap();
+        let deltas: Vec<f64> = ub
+            .iter()
+            .map(|&u| match eps * u / n as f64 {
+                d if d > 0.0 => d,
+                _ => 1.0,
+            })
+            .collect();
+        let cells = |c: &[f64]| -> Vec<i64> {
+            c.iter()
+                .zip(&deltas)
+                .map(|(c, d)| (c / d).floor() as i64)
+                .collect()
+        };
+        let mut stats = SolveStats::default();
+        let mut fronts: Vec<Vec<OracleLabel>> = vec![Vec::new(); n];
+        let mut preds: Vec<Vec<Option<(usize, usize)>>> = vec![Vec::new(); n];
+        let zero = vec![0.0; g.dim()];
+        preds[src.0].push(None);
+        fronts[src.0].push((0, zero.clone(), cells(&zero)));
+        stats.labels_created += 1;
+        for v in g.topological_order().unwrap() {
+            if let Some(cap) = cap {
+                stats.labels_pruned += oracle_cap(&mut fronts[v.0], cap) as u64;
+            }
+            let labels = std::mem::take(&mut fronts[v.0]);
+            for (to, w) in g.out_arcs(v) {
+                for (slot, cost, _) in &labels {
+                    stats.work += 1;
+                    let cand: Vec<f64> = cost.iter().zip(w).map(|(c, w)| c + w).collect();
+                    let label = (preds[to.0].len(), cand.clone(), cells(&cand));
+                    if oracle_offer(&mut fronts[to.0], label, &mut stats) {
+                        stats.labels_created += 1;
+                        preds[to.0].push(Some((v.0, *slot)));
+                    }
+                }
+            }
+            if v == dest {
+                fronts[v.0] = labels;
+            }
+        }
+        let mut found = fronts[dest.0].clone();
+        found.sort_by(|a, b| {
+            kernels::scalar::max_component(&a.1).total_cmp(&kernels::scalar::max_component(&b.1))
+        });
+        stats.front_size = found.len() as u64;
+        let paths = found
+            .into_iter()
+            .map(|(slot, cost, _)| {
+                let bits = cost.iter().map(|c| c.to_bits()).collect();
+                (bits, reconstruct(&preds, dest.0, slot))
+            })
+            .collect();
+        (paths, stats)
+    }
+
+    /// A layered DAG like a WaveMin zone graph: `rows` layers of `cols`
+    /// vertices, each fed by every vertex of the layer before, between a
+    /// source and a destination. Arc weights are taken `dims` at a time
+    /// from `weights`, cyclically.
+    fn layered(
+        rows: usize,
+        cols: usize,
+        dims: usize,
+        weights: &[f64],
+    ) -> (MospGraph, VertexId, VertexId) {
+        let mut g = MospGraph::new(dims);
+        let src = g.add_vertex();
+        let mut prev = vec![src];
+        let mut w = weights.chunks_exact(dims).cycle();
+        for _ in 0..rows {
+            let row = g.add_vertices(cols);
+            for &v in &row {
+                g.add_fan_in(&prev, v, w.next().unwrap()).unwrap();
+            }
+            prev = row;
+        }
+        let dest = g.add_vertex();
+        g.add_fan_in(&prev, dest, &vec![0.0; dims]).unwrap();
+        (g, src, dest)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn warburton_on_i32_cells_matches_an_i64_oracle_dp(
+            (rows, cols, dims) in (1usize..=5, 1usize..=4, 1usize..=12),
+            raw in proptest::collection::vec((0u32..4, 0.0f64..100.0), 5 * 4 * 12),
+            (eps_pick, cap_pick) in (0usize..5, 0usize..4),
+        ) {
+            // Zero and integral weights make grid ties and equal keys.
+            let weights: Vec<f64> = raw
+                .iter()
+                .map(|&(tag, x)| match tag {
+                    0 => 0.0,
+                    1 => x.floor(),
+                    _ => x,
+                })
+                .collect();
+            let (g, src, dest) = layered(rows, cols, dims, &weights);
+            let n = g.vertex_count() as f64;
+            // The last ε puts the largest cells just under the 2^30 bound.
+            let eps = [0.5, 0.05, 1e-3, 1e-6, n / (GRID_CELL_LIMIT - 1.0)][eps_pick];
+            let cap = [None, Some(1), Some(3), Some(64)][cap_pick];
+            let set = warburton(&g, src, dest, eps, cap, &Budget::unlimited(), None).unwrap();
+            let (want, want_stats) = oracle_warburton(&g, src, dest, eps, cap);
+            let got: Vec<PathBits> = set
+                .paths()
+                .iter()
+                .map(|p| (p.cost.iter().map(|c| c.to_bits()).collect(), p.vertices.clone()))
+                .collect();
+            // The same paths in the same order, so the same min–max path.
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(set.stats(), &want_stats);
+        }
     }
 
     proptest! {
@@ -971,27 +1212,33 @@ mod tests {
             let mut front = Frontier::default();
             let mut oracle: Vec<OracleLabel> = Vec::new();
             let mut stats = SolveStats::default();
+            let mut oracle_stats = SolveStats::default();
+            let mut order = Vec::new();
             let mut peak = 0;
             for (slot, (cost, op)) in ops.into_iter().enumerate() {
                 if op == 0 {
                     let cap = 1 + slot % 4;
-                    front.apply_cap(cap);
+                    front.apply_cap(cap, &mut order);
                     oracle_cap(&mut oracle, cap);
                 } else {
-                    let grid: Vec<i64> = cost.iter().map(|c| grid_cell(c / 2.5)).collect();
+                    let grid: Vec<i32> = cost.iter().map(|c| grid_cell(c / 2.5)).collect();
                     let fkey = kernels::max_component(&cost);
                     let ikey = ikey_of(&grid);
                     let admitted = front.admit(dim, true, &cost, &grid, fkey, ikey, &mut stats);
                     if admitted {
                         front.commit(dim, true, &cost, &grid, fkey, ikey, slot);
                     }
-                    prop_assert_eq!(admitted, oracle_offer(&mut oracle, (slot, cost, grid)));
+                    let wide = grid.iter().map(|&g| i64::from(g)).collect();
+                    let label = (slot, cost, wide);
+                    prop_assert_eq!(admitted, oracle_offer(&mut oracle, label, &mut oracle_stats));
+                    prop_assert_eq!(&stats, &oracle_stats);
                 }
                 peak = peak.max(front.len());
                 let logical: Vec<OracleLabel> = (0..front.len())
                     .map(|i| {
                         let e = front.entries[i];
-                        (e.slot, front.cost(dim, i).to_vec(), front.scaled_row(dim, i).to_vec())
+                        let wide = front.scaled_row(dim, i).iter().map(|&g| i64::from(g));
+                        (e.slot, front.cost(dim, i).to_vec(), wide.collect())
                     })
                     .collect();
                 prop_assert_eq!(&logical, &oracle);
@@ -1015,7 +1262,8 @@ mod tests {
 
     #[test]
     fn the_truncating_grid_cast_is_floor_on_non_negative_costs() {
-        let near_2_63 = 9_223_372_036_854_775_808.0_f64; // 2^63
+        let near_2_31 = 2_147_483_648.0_f64; // 2^31
+        let limit = GRID_CELL_LIMIT; // 2^30
         for q in [
             0.0,
             -0.0,
@@ -1025,17 +1273,27 @@ mod tests {
             1.0 - f64::EPSILON / 2.0, // the largest double below 1
             1.0,
             2.5,
-            1e18,
-            near_2_63 - 1024.0, // the largest double below 2^63
-            near_2_63,
-            near_2_63 * 2.0,
+            1e9,
+            limit - 0.5,
+            limit,
+            limit * 1.5 + 0.75,
+            near_2_31 - near_2_31 * f64::EPSILON / 2.0, // the largest double below 2^31
+            near_2_31 - 1.0,
+            near_2_31,
+            near_2_31 * 2.0,
             f64::MAX,
             f64::INFINITY,
         ] {
-            assert_eq!(grid_cell(q), q.floor() as i64, "q = {q:e}");
+            assert_eq!(grid_cell(q), q.floor() as i32, "q = {q:e}");
+            if q < near_2_31 {
+                // Below 2^31 the narrow cell is the wide one.
+                assert_eq!(i64::from(grid_cell(q)), q.floor() as i64, "q = {q:e}");
+            }
         }
-        assert_eq!(grid_cell(f64::INFINITY), i64::MAX);
-        assert_eq!(grid_cell(near_2_63 - 1024.0), i64::MAX - 1023);
+        assert_eq!(grid_cell(f64::INFINITY), i32::MAX);
+        assert_eq!(grid_cell(near_2_31 - 1.0), i32::MAX);
+        assert_eq!(grid_cell(near_2_31 - 1.5), i32::MAX - 1);
+        assert_eq!(grid_cell(limit * 1.5 + 0.75), 1_610_612_736);
     }
 
     #[test]
@@ -1079,7 +1337,7 @@ mod tests {
     fn epsilon_admission_compares_the_scaled_grid_only() {
         let mut front = Frontier::default();
         let mut stats = SolveStats::default();
-        let mut offer_eps = |front: &mut Frontier, cost: &[f64], scaled: &[i64], slot| {
+        let mut offer_eps = |front: &mut Frontier, cost: &[f64], scaled: &[i32], slot| {
             let ikey = ikey_of(scaled);
             let fkey = cost.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let ok = front.admit(2, true, cost, scaled, fkey, ikey, &mut stats);
@@ -1109,12 +1367,12 @@ mod tests {
         {
             offer(&mut exact_front, cost, slot, &mut stats);
         }
-        assert_eq!(exact_front.apply_cap(2), 2);
+        assert_eq!(exact_front.apply_cap(2, &mut Vec::new()), 2);
         let slots: Vec<usize> = exact_front.entries.iter().map(|e| e.slot).collect();
         assert_eq!(slots, vec![1, 3]);
         assert_eq!(exact_front.cost(2, 0), &[2.0, 2.0]);
         assert_eq!(exact_front.cost(2, 1), &[3.0, 1.5]);
-        assert_eq!(exact_front.apply_cap(5), 0);
+        assert_eq!(exact_front.apply_cap(5, &mut Vec::new()), 0);
 
         // In ε mode the survivors are chosen by true max but keep their
         // scaled-key order.
@@ -1123,10 +1381,10 @@ mod tests {
             let row = [ikey, 0];
             eps.commit(2, true, &[fkey, 0.0], &row, fkey, ikey, slot);
         }
-        assert_eq!(eps.apply_cap(2), 1);
-        let kept: Vec<(usize, i64)> = eps.entries.iter().map(|e| (e.slot, e.ikey)).collect();
+        assert_eq!(eps.apply_cap(2, &mut Vec::new()), 1);
+        let kept: Vec<(usize, i32)> = eps.entries.iter().map(|e| (e.slot, e.ikey)).collect();
         assert_eq!(kept, vec![(1, 2), (2, 3)]);
-        let grid: Vec<i64> = (0..eps.len())
+        let grid: Vec<i32> = (0..eps.len())
             .flat_map(|i| eps.scaled_row(2, i).to_vec())
             .collect();
         assert_eq!(grid, vec![2, 0, 3, 0]);
@@ -1135,12 +1393,12 @@ mod tests {
     #[test]
     fn beginning_a_smaller_solve_leaves_no_stale_rows() {
         let mut scratch = SolveScratch::default();
-        scratch.begin(5, 4, 2);
+        scratch.begin(5);
         scratch.preds[4].push(Some((1, 0)));
         scratch.preds[1].push(None);
         let mut stats = SolveStats::default();
         offer(&mut scratch.fronts[2], &[1.0, 1.0], 0, &mut stats);
-        scratch.begin(3, 4, 2);
+        scratch.begin(3);
         assert_eq!(scratch.preds.len(), 3);
         assert!(scratch.preds.iter().all(Vec::is_empty));
         assert_eq!(scratch.fronts.len(), 3);
@@ -1491,6 +1749,26 @@ mod tests {
             warburton(&g, s, t, f64::NAN, None, &Budget::unlimited(), None),
             Err(MospError::InvalidParameter(_))
         ));
+    }
+
+    #[test]
+    fn warburton_rejects_a_grid_of_2_pow_30_cells_and_runs_just_below() {
+        let (g, s, t) = diamond();
+        let n = g.vertex_count() as f64; // 4: n/ε below is exact
+        let free = Budget::unlimited();
+        for eps in [n / GRID_CELL_LIMIT, n / GRID_CELL_LIMIT / 2.0, 1e-300] {
+            assert!(matches!(
+                warburton(&g, s, t, eps, None, &free, None),
+                Err(MospError::InvalidParameter(_))
+            ));
+        }
+        // One cell under the bound the grid is as fine as `i32` holds,
+        // and the ε answer is the exact Pareto set.
+        let eps = n / (GRID_CELL_LIMIT - 1.0);
+        assert!(n / eps < GRID_CELL_LIMIT);
+        let fine = warburton(&g, s, t, eps, None, &free, None).unwrap();
+        let exact_set = exact(&g, s, t, None, &free, None).unwrap();
+        assert_eq!(fine.paths(), exact_set.paths());
     }
 
     #[test]

@@ -26,6 +26,16 @@ fn arb_f64() -> impl Strategy<Value = f64> {
     })
 }
 
+/// ε-grid cells weighted toward the `i32` extremes and zero.
+fn arb_cell() -> impl Strategy<Value = i32> {
+    (0u32..8, -1_000_000i32..1_000_000).prop_map(|(tag, x)| match tag {
+        0 => i32::MIN,
+        1 => i32::MAX,
+        2 => 0,
+        _ => x,
+    })
+}
+
 /// Equal-length pairs across all remainder shapes: 0..=257 covers empty,
 /// sub-lane, exactly `LANES`, multi-chunk, and every `len % 8` residue.
 fn arb_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -115,14 +125,20 @@ proptest! {
     #[test]
     fn scaled_dominance_families_agree(
         len in 0usize..=257,
-        seed_a in proptest::collection::vec(-1_000_000i64..1_000_000, 257),
-        seed_b in proptest::collection::vec(-1_000_000i64..1_000_000, 257),
+        seed_a in proptest::collection::vec(arb_cell(), 257),
+        seed_b in proptest::collection::vec(arb_cell(), 257),
+        steps in proptest::collection::vec(-1i32..=3, 257),
     ) {
         let a = &seed_a[..len];
         let b = &seed_b[..len];
         prop_assert_eq!(scalar::scaled_leq(a, b), kernels::scaled_leq(a, b));
         prop_assert_eq!(scalar::scaled_leq(b, a), kernels::scaled_leq(b, a));
         prop_assert!(kernels::scaled_leq(a, a), "weak dominance is reflexive");
+        // A near copy of `a` (each cell moved by -1..=3) is comparable far
+        // more often than an independent row, so the scans run deep.
+        let near: Vec<i32> = a.iter().zip(&steps).map(|(x, d)| x.saturating_add(*d)).collect();
+        prop_assert_eq!(scalar::scaled_leq(a, &near), kernels::scaled_leq(a, &near));
+        prop_assert_eq!(scalar::scaled_leq(&near, a), kernels::scaled_leq(&near, a));
     }
 
     #[test]
