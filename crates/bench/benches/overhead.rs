@@ -31,7 +31,11 @@ fn main() {
     let baseline = ClkWaveMin::new(cfg);
     let run_baseline = || baseline.run(black_box(&design)).unwrap();
     // Each observed call gets fresh instruments, as each real run does.
-    let run_with = |ins: Instruments| baseline.run_instrumented(black_box(&design), &ins).unwrap();
+    let run_with = |ins: Instruments| {
+        baseline
+            .run_instrumented(black_box(&design), None, &ins)
+            .unwrap()
+    };
     let metrics = || Instruments {
         registry: MetricsRegistry::enabled(),
         ..Instruments::disabled()

@@ -4,7 +4,7 @@ use crate::algo::{
     characterize_design, solve_prepared, Degradation, DegradationStep, Outcome, PreparedRun,
     ZoneProblem, ZoneSolution, ZoneSolver,
 };
-use crate::checkpoint::{design_fingerprint, ZoneCache};
+use crate::checkpoint::ZoneCache;
 use crate::config::{SolverKind, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -12,7 +12,7 @@ use crate::eval::NoiseEvaluator;
 use crate::fault::{FaultKind, FaultObserver, FaultPlan, FaultSite};
 use crate::multimode::FeasibleIntersection;
 use crate::noise_table::{BackgroundAccumulator, NoiseTable};
-use crate::observe::{Instruments, PeakAttribution, ZoneSolveRecord};
+use crate::observe::{Instruments, ZoneSolveRecord};
 use crate::trace::TraceEventKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -55,7 +55,7 @@ impl ClkWaveMin {
     }
 
     /// Optimizes a single-power-mode design, instrumented as the config
-    /// asks ([`Instruments::from_config`]).
+    /// asks ([`Instruments::from_config`]), without a zone store.
     ///
     /// When the config carries a time budget, pathological solves descend
     /// the degradation ladder instead of running unbounded; the applied
@@ -66,20 +66,25 @@ impl ClkWaveMin {
     /// [`WaveMinError::NoFeasibleInterval`] when no assignment can satisfy
     /// the skew bound; timing/characterization errors otherwise.
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        self.run_instrumented(design, &Instruments::from_config(&self.config))
+        self.run_instrumented(design, None, &Instruments::from_config(&self.config))
     }
 
-    /// [`ClkWaveMin::run`] observed through the caller's [`Instruments`]:
-    /// their registry yields the report, their journal the spans and
-    /// instants, their tracker the progress ticks. Observation only — the
-    /// outcome is bit-identical to an uninstrumented run.
+    /// [`ClkWaveMin::run`] against the caller's zone store, observed
+    /// through the caller's [`Instruments`]. With a store — the checkpoint
+    /// journal's ([`ZoneCache::open`]) or an in-memory one — zones whose
+    /// chain keys hit are spliced bit-for-bit and every solved zone is
+    /// recorded (see `crate::checkpoint`). The instruments' registry
+    /// yields the report, their journal the spans and instants, their
+    /// tracker the progress ticks. Neither changes the outcome.
     ///
     /// # Errors
     ///
-    /// Same as [`ClkWaveMin::run`].
+    /// Same as [`ClkWaveMin::run`], plus [`WaveMinError::Checkpoint`] when
+    /// a journal write fails.
     pub fn run_instrumented(
         &self,
         design: &Design,
+        store: Option<&ZoneCache>,
         ins: &Instruments,
     ) -> Result<Outcome, WaveMinError> {
         self.config.validate()?;
@@ -87,24 +92,12 @@ impl ClkWaveMin {
         // The time budget's deadline covers characterization too.
         let budget = self.config.budget();
         let prep = characterize_design(design, &self.config, ins)?;
-        // The checkpoint journal, when asked for, is a file-backed zone
-        // cache. Keys chain through every predecessor zone's content and
-        // solution, so a hit is reusable bit-for-bit (see
-        // `crate::checkpoint`).
-        let journal = match &self.config.checkpoint_path {
-            Some(path) => Some(ZoneCache::open(
-                path,
-                design_fingerprint(design, &self.config)?,
-                self.config.resume,
-            )?),
-            None => None,
-        };
-        solve_single_mode(design, &self.config, &prep, budget, journal.as_ref(), ins)
+        solve_single_mode(design, &self.config, &prep, budget, store, ins)
     }
 }
 
 /// The single-mode MOSP solve of [`ClkWaveMin`] and the session, which
-/// differ only in their zone cache (the checkpoint journal's or serve's):
+/// differ only in where their zone store comes from:
 /// solves and validates `prep` on `budget` (keeping the tree as-is when
 /// no candidate validates), then records degradation, report and peak
 /// attribution.
@@ -122,32 +115,14 @@ pub(crate) fn solve_single_mode(
     out.degradation = solver.ladder.degradation();
     out.attach_report(config, ins, Some(&solver.ladder));
     if out.report.is_some() {
-        let attribution = worst_mode_attribution(design, &out)?;
+        let mut optimized = design.clone();
+        out.assignment.apply_to(&mut optimized);
+        let attribution = NoiseEvaluator::new(&optimized).worst_attribution()?;
         if let Some(report) = out.report.as_mut() {
             report.attribution = attribution;
         }
     }
     Ok(out)
-}
-
-/// The peak attribution of the outcome's assignment: every mode is
-/// decomposed and the one with the largest attributed peak wins (matching
-/// the worst-mode `peak_after` the outcome reports).
-pub(crate) fn worst_mode_attribution(
-    design: &Design,
-    out: &Outcome,
-) -> Result<Option<PeakAttribution>, WaveMinError> {
-    let mut optimized = design.clone();
-    out.assignment.apply_to(&mut optimized);
-    let eval = NoiseEvaluator::new(&optimized);
-    let mut best: Option<PeakAttribution> = None;
-    for mode in 0..optimized.mode_count() {
-        let attr = eval.attribution(mode)?;
-        if best.as_ref().is_none_or(|b| attr.peak_ma > b.peak_ma) {
-            best = Some(attr);
-        }
-    }
-    Ok(best)
 }
 
 /// The resource-governed degradation ladder shared by every MOSP zone

@@ -194,8 +194,7 @@ pub struct Outcome {
     pub degenerate_zones: usize,
     /// The run's structured metrics report (`None` unless the run's
     /// [`Instruments`] carried a collecting registry — by default, unless
-    /// the config set [`crate::config::WaveMinConfig::collect_metrics`] or
-    /// [`crate::config::WaveMinConfig::trace_spans`]).
+    /// the config set [`crate::config::WaveMinConfig::collect_metrics`]).
     #[serde(default)]
     pub report: Option<RunReport>,
     /// Zones whose solve faulted (panicked or hit an injected fault) and
@@ -574,7 +573,8 @@ pub(crate) trait ZoneSolver: Sync {
 /// without a degradation ladder: characterizes the design, solves and
 /// validates every interval (keeping the tree as-is when no candidate
 /// validates), and attaches the run report. No zone store is attached:
-/// store keys do not name the solver, so only [`ClkWaveMin`] journals.
+/// store keys do not name the solver, so only the MOSP flows
+/// ([`ClkWaveMin`] and ClkWaveMin-M) take one.
 pub(crate) fn run_interval_framework<S: ZoneSolver>(
     design: &Design,
     config: &WaveMinConfig,

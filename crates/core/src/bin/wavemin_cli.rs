@@ -19,6 +19,7 @@
 //! run degraded under `--strict`.
 
 use std::process::ExitCode;
+use wavemin::checkpoint::design_fingerprint;
 use wavemin::prelude::*;
 use wavemin::report::degradation_summary;
 use wavemin_cells::liberty;
@@ -286,7 +287,8 @@ FLAGS:
                       also settable via WAVEMIN_FAULTS=seed:rate. Contained
                       faults are salvaged and reported, not fatal
   --checkpoint PATH   append every completed zone's result to a
-                      content-hashed journal as it finishes
+                      content-hashed journal as it finishes (wavemin
+                      and multimode; not with --shard-sinks)
   --resume            with --checkpoint: reuse journal entries whose keys
                       still match and re-solve only missing/dirty zones
   --memory-budget-mb N  cap the whole process at about N MB: the zone
@@ -556,23 +558,10 @@ fn build_config(flags: &Flags) -> Result<WaveMinConfig, CliError> {
     // journal (--trace-out).
     config.collect_metrics =
         flags.has("metrics-out") || flags.has("trace") || flags.has("trace-out");
-    config.trace_spans = flags.has("trace");
     if let Some(spec) = flags.get("fault-plan") {
         let plan =
             FaultPlan::parse(spec).map_err(|e| CliError::usage(format!("--fault-plan: {e}")))?;
         config.fault_plan = Some(plan);
-    }
-    if let Some(path) = flags.get("checkpoint") {
-        if path.is_empty() {
-            return Err(CliError::usage("--checkpoint expects a journal path"));
-        }
-        config.checkpoint_path = Some(path.to_owned());
-    }
-    if flags.has("resume") {
-        if config.checkpoint_path.is_none() {
-            return Err(CliError::usage("--resume requires --checkpoint <path>"));
-        }
-        config.resume = true;
     }
     if let Some(mb) = flags.numeric("memory-budget-mb")? {
         if mb < 1.0 || mb.fract() != 0.0 {
@@ -584,6 +573,33 @@ fn build_config(flags: &Flags) -> Result<WaveMinConfig, CliError> {
     }
     config.validate().map_err(|e| CliError::from(&e))?;
     Ok(config)
+}
+
+/// What `optimize` observes through: a registry whenever metrics are
+/// collected, stage lines on stderr for `--trace` and an event journal
+/// for `--trace-out`.
+fn optimize_instruments(flags: &Flags, config: &WaveMinConfig) -> Instruments {
+    let mut ins = Instruments {
+        trace: flags.has("trace"),
+        ..Instruments::from_config(config)
+    };
+    if flags.has("trace-out") {
+        ins.journal = TraceJournal::enabled();
+    }
+    ins
+}
+
+/// The checkpoint journal `optimize` is asked for: its path and whether
+/// to resume from it.
+fn checkpoint_flags(flags: &Flags) -> Result<Option<(&str, bool)>, CliError> {
+    match flags.get("checkpoint") {
+        Some("") => Err(CliError::usage("--checkpoint expects a journal path")),
+        Some(path) => Ok(Some((path, flags.has("resume")))),
+        None if flags.has("resume") => {
+            Err(CliError::usage("--resume requires --checkpoint <path>"))
+        }
+        None => Ok(None),
+    }
 }
 
 /// A compact rendering of per-shard sink counts: the full list for a few
@@ -621,20 +637,13 @@ fn quiet_injected_panics() {
 fn optimize(flags: &Flags) -> Result<(), CliError> {
     let design = load_design(flags)?;
     let config = build_config(flags)?;
+    let checkpoint = checkpoint_flags(flags)?;
     if config.fault_plan.is_some() {
         quiet_injected_panics();
     }
     let algorithm = flags.get("algorithm").unwrap_or("wavemin");
     let trace_out = flags.get("trace-out");
-    let mut ins = Instruments::from_config(&config);
-    if trace_out.is_some() {
-        ins.journal = TraceJournal::enabled();
-    }
-    if config.checkpoint_path.is_some() && algorithm != "wavemin" {
-        eprintln!(
-            "note: --checkpoint/--resume: only the 'wavemin' algorithm journals zone results"
-        );
-    }
+    let mut ins = optimize_instruments(flags, &config);
     let shard_sinks = match flags.numeric("shard-sinks")? {
         Some(n) if n < 1.0 || n.fract() != 0.0 => {
             return Err(CliError::usage(
@@ -649,6 +658,25 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
             "--shard-sinks only applies to the 'wavemin' algorithm",
         ));
     }
+    if shard_sinks.is_some() && checkpoint.is_some() {
+        return Err(CliError::usage(
+            "--checkpoint cannot be combined with --shard-sinks (every shard is its own design)",
+        ));
+    }
+    // The MOSP flows take the journal as their zone store. Its keys do
+    // not name the solver, so the other algorithms must not write one.
+    let journal = match checkpoint {
+        Some((path, resume)) if matches!(algorithm, "wavemin" | "multimode") => Some(
+            ZoneCache::open(path, design_fingerprint(&design, &config)?, resume)?,
+        ),
+        Some(_) => {
+            eprintln!(
+                "note: --checkpoint/--resume: only the 'wavemin' and 'multimode' algorithms journal zone results"
+            );
+            None
+        }
+        None => None,
+    };
     if flags.has("progress") {
         if matches!(algorithm, "nieh" | "samanta") || shard_sinks.is_some() {
             eprintln!(
@@ -660,7 +688,7 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
     }
     let outcome = match (algorithm, shard_sinks) {
         ("wavemin", Some(max_sinks)) => {
-            wavemin::shardrun::optimize_sharded(&design, &config, max_sinks).map(|sharded| {
+            wavemin::shardrun::optimize_sharded(&design, &config, max_sinks, &ins).map(|sharded| {
                 eprintln!(
                     "sharded: {} shard(s), sinks per shard {}{}",
                     sharded.shard_count,
@@ -675,12 +703,14 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
             })
         }
         _ => match algorithm {
-            "wavemin" => ClkWaveMin::new(config).run_instrumented(&design, &ins),
+            "wavemin" => ClkWaveMin::new(config).run_instrumented(&design, journal.as_ref(), &ins),
             "fast" => ClkWaveMinFast::new(config).run_instrumented(&design, &ins),
             "peakmin" => ClkPeakMin::new(config).run_instrumented(&design, &ins),
             "nieh" => NiehOppositePhase::new().run(&design),
             "samanta" => SamantaBalanced::new(Microns::new(50.0)).run(&design),
-            "multimode" => ClkWaveMinM::new(config).run_instrumented(&design, &ins),
+            "multimode" => {
+                ClkWaveMinM::new(config).run_instrumented(&design, journal.as_ref(), &ins)
+            }
             other => return Err(CliError::usage(format!("unknown algorithm '{other}'"))),
         },
     }
@@ -747,7 +777,7 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
         eprintln!("note: --metrics-out: the '{algorithm}' algorithm does not produce a run report");
     }
     if let Some(path) = trace_out {
-        if matches!(algorithm, "nieh" | "samanta") || shard_sinks.is_some() {
+        if matches!(algorithm, "nieh" | "samanta") {
             eprintln!("note: --trace-out: this '{algorithm}' run emits no solver events");
         }
         let json = ins
@@ -813,7 +843,7 @@ fn report_cmd(flags: &Flags) -> Result<(), CliError> {
         ..Instruments::from_config(&config)
     };
     let outcome = ClkWaveMin::new(config)
-        .run_instrumented(&design, &ins)
+        .run_instrumented(&design, None, &ins)
         .map_err(|e| CliError::from(&e))?;
     let report = outcome
         .report
@@ -866,14 +896,9 @@ fn explain(flags: &Flags) -> Result<(), CliError> {
     let eval = NoiseEvaluator::new(&design);
     let top = flags.numeric("top")?.unwrap_or(10.0).max(1.0) as usize;
 
-    let mut best: Option<PeakAttribution> = None;
-    for mode in 0..design.mode_count() {
-        let attr = eval.attribution(mode).map_err(|e| CliError::from(&e))?;
-        if best.as_ref().is_none_or(|b| attr.peak_ma > b.peak_ma) {
-            best = Some(attr);
-        }
-    }
-    let attr = best.ok_or_else(|| CliError::invalid("design has no power modes"))?;
+    let attr = eval
+        .worst_attribution()?
+        .ok_or_else(|| CliError::invalid("design has no power modes"))?;
 
     println!(
         "peak {:.6} mA on the {} rail at the {} edge, t = {:.2} ps (mode {})",
@@ -1183,8 +1208,9 @@ mod tests {
     #[test]
     fn run_options_are_checked_before_any_work() {
         let usage = |list: &[&str]| {
-            build_config(&Flags::parse(&args(list)))
-                .map(drop)
+            let flags = Flags::parse(&args(list));
+            build_config(&flags)
+                .and_then(|_| checkpoint_flags(&flags).map(drop))
                 .expect_err("rejected")
                 .code
         };
@@ -1195,7 +1221,7 @@ mod tests {
         for plan in ["nonsense", "3:0", "3:1.5", "x:0.5"] {
             assert_eq!(usage(&["--fault-plan", plan]), EXIT_USAGE, "{plan}");
         }
-        let config = build_config(&Flags::parse(&args(&[
+        let flags = Flags::parse(&args(&[
             "--checkpoint",
             "j.ckpt",
             "--resume",
@@ -1205,9 +1231,12 @@ mod tests {
             "3:1.0",
             "--time-budget-ms",
             "0",
-        ])))
-        .unwrap_or_else(|e| panic!("{}", e.message));
-        assert!(config.resume);
+        ]));
+        let config = build_config(&flags).unwrap_or_else(|e| panic!("{}", e.message));
+        assert_eq!(
+            checkpoint_flags(&flags).ok().flatten(),
+            Some(("j.ckpt", true))
+        );
         assert_eq!(config.threads, Some(4));
         assert_eq!(config.time_budget_ms, Some(0));
         assert!(!config.collect_metrics);
@@ -1216,10 +1245,13 @@ mod tests {
     #[test]
     fn metrics_are_collected_whenever_they_have_a_sink() {
         for sink in ["--metrics-out", "--trace", "--trace-out"] {
-            let config = build_config(&Flags::parse(&args(&[sink, "x.json"])))
-                .unwrap_or_else(|e| panic!("{}", e.message));
+            let flags = Flags::parse(&args(&[sink, "x.json"]));
+            let config = build_config(&flags).unwrap_or_else(|e| panic!("{}", e.message));
             assert!(config.collect_metrics, "{sink}");
-            assert_eq!(config.trace_spans, sink == "--trace", "{sink}");
+            let ins = optimize_instruments(&flags, &config);
+            assert!(ins.registry.is_enabled(), "{sink}");
+            assert_eq!(ins.trace, sink == "--trace", "{sink}");
+            assert_eq!(ins.journal.is_enabled(), sink == "--trace-out", "{sink}");
         }
     }
 
@@ -1308,20 +1340,75 @@ mod tests {
         assert_eq!(config.memory_budget_mb, Some(256));
     }
 
-    #[test]
-    fn an_infeasible_memory_budget_exits_infeasible() {
-        let dir = std::env::temp_dir().join("wavemin-cli-tests");
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        let tree = dir.join(format!("budget-{}.clk", std::process::id()));
-        let tree = tree.to_string_lossy();
+    /// Synthesizes `benchmark` into a scratch `.clk` file; the caller
+    /// removes it.
+    fn synthesized(benchmark: &str, name: &str) -> String {
+        let tree = tmp_path(name);
         run(&args(&[
             "synthesize",
             "--benchmark",
-            "scale200",
+            benchmark,
             "-o",
             &tree,
         ]))
         .unwrap_or_else(|e| panic!("{}", e.message));
+        tree
+    }
+
+    #[test]
+    fn checkpoint_with_shard_sinks_is_a_usage_error() {
+        let tree = synthesized("s15850", "shard-journal.clk");
+        let journal = tmp_path("shard-journal.ckpt");
+        let err = run(&args(&[
+            "optimize",
+            "-i",
+            &tree,
+            "--shard-sinks",
+            "8",
+            "--checkpoint",
+            &journal,
+        ]))
+        .expect_err("every shard is its own design");
+        std::fs::remove_file(&tree).ok();
+        assert_eq!(err.code, EXIT_USAGE, "{}", err.message);
+        assert!(
+            !std::path::Path::new(&journal).exists(),
+            "no journal is opened"
+        );
+    }
+
+    #[test]
+    fn only_the_mosp_algorithms_write_a_journal() {
+        let tree = synthesized("s15850", "journal-algos.clk");
+        let out = tmp_path("journal-algos-out.clk");
+        for (algorithm, journals) in [("fast", false), ("peakmin", false), ("wavemin", true)] {
+            let journal = tmp_path(&format!("journal-{algorithm}.ckpt"));
+            std::fs::remove_file(&journal).ok();
+            run(&args(&[
+                "optimize",
+                "-i",
+                &tree,
+                "--algorithm",
+                algorithm,
+                "--samples",
+                "8",
+                "--checkpoint",
+                &journal,
+                "-o",
+                &out,
+            ]))
+            .unwrap_or_else(|e| panic!("{algorithm}: {}", e.message));
+            let written = std::path::Path::new(&journal).exists();
+            std::fs::remove_file(&journal).ok();
+            assert_eq!(written, journals, "{algorithm}");
+        }
+        std::fs::remove_file(&tree).ok();
+        std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
+    fn an_infeasible_memory_budget_exits_infeasible() {
+        let tree = synthesized("scale200", "budget.clk");
         let err = run(&args(&[
             "optimize",
             "-i",
@@ -1332,7 +1419,7 @@ mod tests {
             "1",
         ]))
         .expect_err("1 MB cannot hold the working set");
-        std::fs::remove_file(&*tree).ok();
+        std::fs::remove_file(&tree).ok();
         assert_eq!(err.code, EXIT_INFEASIBLE, "{}", err.message);
     }
 }

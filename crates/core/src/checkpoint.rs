@@ -69,13 +69,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Fingerprint of the characterized design + solver configuration. Any
 /// change to either invalidates every checkpoint entry.
 ///
-/// Run-plumbing fields that cannot change a zone's solution — the worker
-/// count, observability switches, the memory budget (zone residency never
-/// changes results), and the checkpoint/resume flags themselves — are
-/// normalized out before hashing, so an interrupted run and its
-/// `--resume` continuation (or a re-run with `--trace` added) agree on
-/// the fingerprint. Everything semantic stays in, including the
-/// fault plan (injection changes solve results) and the time budget.
+/// The config fields that cannot change a zone's solution — the worker
+/// count, metric collection and the memory budget (zone residency never
+/// changes results) — are normalized out before hashing, so an
+/// interrupted run and its `--resume` continuation agree on the
+/// fingerprint. Everything semantic stays in, including the fault plan
+/// (injection changes solve results) and the time budget.
 ///
 /// # Errors
 ///
@@ -87,7 +86,7 @@ pub fn design_fingerprint(design: &Design, config: &WaveMinConfig) -> Result<u64
 }
 
 /// Fingerprint of the solver configuration alone, with the same
-/// run-plumbing normalization as [`design_fingerprint`]. This seeds the
+/// normalization as [`design_fingerprint`]. This seeds the
 /// per-intersection [`ZoneKeyChain`]: the design itself enters the chain
 /// through per-zone content hashes, so two sessions holding *different*
 /// designs still share cache entries for zones whose characterized
@@ -100,9 +99,6 @@ pub fn config_fingerprint(config: &WaveMinConfig) -> Result<u64, WaveMinError> {
     let mut canon = config.clone();
     canon.threads = None;
     canon.collect_metrics = false;
-    canon.trace_spans = false;
-    canon.checkpoint_path = None;
-    canon.resume = false;
     canon.memory_budget_mb = None;
     let c = serde_json::to_string(&canon)
         .map_err(|e| WaveMinError::Checkpoint(format!("config fingerprint: {e}")))?;
@@ -493,7 +489,7 @@ mod tests {
         let cfg = WaveMinConfig::default().with_fault_plan(None);
         assert_eq!(
             config_fingerprint(&cfg).expect("config fingerprint"),
-            0xc2b5_c512_437d_2809
+            0xba05_8777_daf9_ea34
         );
     }
 
@@ -629,8 +625,6 @@ mod tests {
         // journal header must still match.
         let resumed = base
             .clone()
-            .with_checkpoint("some/path.ckpt")
-            .with_resume(true)
             .with_threads(4)
             .with_metrics(true)
             .with_memory_budget_mb(512);

@@ -50,9 +50,6 @@ pub struct WaveMinConfig {
     pub assignment_cells: Vec<String>,
     /// Zone pitch for the local-noise partition.
     pub zone_pitch: Microns,
-    /// Input slew used during profiling (Section IV-B: slightly sharper
-    /// than the observed average for an upper bound).
-    pub profiling_slew: Picoseconds,
     /// The per-subproblem solver.
     pub solver: SolverKind,
     /// Safety cap on Pareto labels per vertex inside every zone solve,
@@ -89,29 +86,12 @@ pub struct WaveMinConfig {
     /// sites reduce to a branch on a `None` registry.
     #[serde(default)]
     pub collect_metrics: bool,
-    /// Print pipeline-stage spans to stderr as they close. Implies metric
-    /// collection for the run.
-    #[serde(default)]
-    pub trace_spans: bool,
     /// Deterministic fault-injection plan for chaos testing: seeded panics,
     /// forced budget exhaustion, and NaN-poisoned cost vectors fired at
     /// solver hook sites. `None` (the production setting) injects nothing.
     /// Defaults from the `WAVEMIN_FAULTS=seed:rate` environment variable.
     #[serde(default)]
     pub fault_plan: Option<FaultPlan>,
-    /// Path of the zone-result checkpoint journal, the file tier of
-    /// `ClkWaveMin`'s zone cache (the other algorithms ignore it). When
-    /// set, every solved zone's result is appended (and flushed) as it
-    /// completes, keyed by a content hash covering the config, the zone's
-    /// content and restriction, and predecessor solutions.
-    #[serde(default)]
-    pub checkpoint_path: Option<String>,
-    /// Resume from an existing checkpoint journal at
-    /// [`Self::checkpoint_path`]: zones whose keys match are reused
-    /// bit-for-bit, only missing or dirty zones are re-solved. Ignored
-    /// without a checkpoint path.
-    #[serde(default)]
-    pub resume: bool,
     /// Total process memory budget in MB. Zone problems are built when an
     /// interval first needs them and kept resident in a store sized to
     /// what remains after the measured baseline (noise table, intervals)
@@ -138,7 +118,6 @@ impl Default for WaveMinConfig {
                 "INV_X16".to_owned(),
             ],
             zone_pitch: Microns::new(50.0),
-            profiling_slew: Picoseconds::new(20.0),
             solver: SolverKind::default(),
             label_cap: 64,
             max_intervals: Some(48),
@@ -148,10 +127,7 @@ impl Default for WaveMinConfig {
             time_budget_ms: None,
             threads: None,
             collect_metrics: false,
-            trace_spans: false,
             fault_plan: FaultPlan::from_env(),
-            checkpoint_path: None,
-            resume: false,
             memory_budget_mb: None,
         }
     }
@@ -212,32 +188,11 @@ impl WaveMinConfig {
         self
     }
 
-    /// Returns the config with span tracing switched on or off.
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace_spans = trace;
-        self
-    }
-
     /// Returns the config with an explicit fault-injection plan (`None`
     /// disables injection even when `WAVEMIN_FAULTS` is set).
     #[must_use]
     pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Returns the config with a checkpoint journal path.
-    #[must_use]
-    pub fn with_checkpoint(mut self, path: impl Into<String>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Returns the config with resume-from-checkpoint switched on or off.
-    #[must_use]
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
         self
     }
 
@@ -292,11 +247,6 @@ impl WaveMinConfig {
         if !self.zone_pitch.value().is_finite() || self.zone_pitch.value() <= 0.0 {
             return Err(WaveMinError::InvalidConfig(
                 "zone_pitch must be positive and finite",
-            ));
-        }
-        if !self.profiling_slew.value().is_finite() || self.profiling_slew.value() <= 0.0 {
-            return Err(WaveMinError::InvalidConfig(
-                "profiling_slew must be positive and finite",
             ));
         }
         if let SolverKind::Warburton { epsilon } = self.solver {
@@ -424,13 +374,6 @@ mod tests {
                     ..WaveMinConfig::default()
                 },
                 "zone_pitch",
-            ),
-            (
-                WaveMinConfig {
-                    profiling_slew: Picoseconds::new(f64::INFINITY),
-                    ..WaveMinConfig::default()
-                },
-                "profiling_slew",
             ),
             (
                 WaveMinConfig {

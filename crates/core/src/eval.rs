@@ -180,6 +180,27 @@ impl<'a> NoiseEvaluator<'a> {
         })
     }
 
+    /// The [`Self::attribution`] of the mode with the largest attributed
+    /// peak (the first such mode on a tie), matching the worst-mode
+    /// `peak_after` an outcome reports; `None` for a design without power
+    /// modes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates timing/characterization failures.
+    pub fn worst_attribution(
+        &self,
+    ) -> Result<Option<crate::observe::PeakAttribution>, WaveMinError> {
+        let mut worst: Option<crate::observe::PeakAttribution> = None;
+        for mode in 0..self.design.mode_count() {
+            let attr = self.attribution(mode)?;
+            if worst.as_ref().is_none_or(|w| attr.peak_ma > w.peak_ma) {
+                worst = Some(attr);
+            }
+        }
+        Ok(worst)
+    }
+
     fn evaluate_inner(
         &self,
         mode: usize,

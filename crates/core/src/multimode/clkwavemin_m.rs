@@ -5,6 +5,7 @@ use crate::algo::{
     finish_outcome, prepare_run, solve_each_intersection, solve_prepared, Outcome, PreparedRun,
 };
 use crate::assignment::Assignment;
+use crate::checkpoint::ZoneCache;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -24,9 +25,10 @@ use crate::observe::{Instruments, Stage};
 /// "ADB-embedded-only" baseline of Table VII when ADBs were needed.
 ///
 /// The solve itself is the shared interval framework with k-window
-/// intersections as its unit of work, so the zone store, its memory budget
-/// and fault containment are the single-mode ones; with one mode this
-/// is exactly ClkWaveMin.
+/// intersections as its unit of work, so zone residency under the memory
+/// budget, the zone-result store (checkpoint journal or in-memory cache)
+/// and fault containment are the single-mode ones; with one mode this is
+/// exactly ClkWaveMin.
 ///
 /// # Example
 ///
@@ -63,27 +65,35 @@ impl ClkWaveMinM {
     }
 
     /// Runs the flow on a multi-mode design, instrumented as the config
-    /// asks ([`Instruments::from_config`]).
+    /// asks ([`Instruments::from_config`]), without a zone store.
     ///
     /// # Errors
     ///
     /// [`WaveMinError::AdbInsertionFailed`] when even ADBs cannot meet the
     /// bound; timing/solver errors otherwise.
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        self.run_instrumented(design, &Instruments::from_config(&self.config))
+        self.run_instrumented(design, None, &Instruments::from_config(&self.config))
     }
 
-    /// [`Self::run`] observed through the caller's [`Instruments`]: the
-    /// run report comes from their registry, and their journal receives
-    /// the stage spans (`intersection` included), zone-solve spans and
-    /// solver events of every margin retry.
+    /// [`Self::run`] against the caller's zone store, observed through the
+    /// caller's [`Instruments`], as
+    /// [`crate::algo::ClkWaveMin::run_instrumented`]: every zone solve of
+    /// every margin and ADB retry looks up and records its zone in
+    /// `store`. Chain keys hash each zone's content and restriction over
+    /// every mode, so an entry is as safe to splice here as in the
+    /// single-mode flow. The run report comes from the instruments'
+    /// registry, and their journal receives the stage spans
+    /// (`intersection` included), zone-solve spans and solver events of
+    /// every retry.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::run`].
+    /// Same as [`Self::run`], plus [`WaveMinError::Checkpoint`] when a
+    /// journal write fails.
     pub fn run_instrumented(
         &self,
         design: &Design,
+        store: Option<&ZoneCache>,
         ins: &Instruments,
     ) -> Result<Outcome, WaveMinError> {
         self.config.validate()?;
@@ -93,7 +103,7 @@ impl ClkWaveMinM {
         // registry keeps accumulating across them (zone ids are stable
         // between retries).
         let solver = MospZoneSolver::new(&self.config, self.config.budget(), ins);
-        let mut outcome = self.run_ladder(design, &solver)?;
+        let mut outcome = self.run_ladder(design, &solver, store)?;
         outcome.degradation = solver.ladder.degradation();
         outcome.attach_report(&self.config, ins, Some(&solver.ladder));
         Ok(outcome)
@@ -103,6 +113,7 @@ impl ClkWaveMinM {
         &self,
         design: &Design,
         solver: &MospZoneSolver,
+        store: Option<&ZoneCache>,
     ) -> Result<Outcome, WaveMinError> {
         let ins = &solver.ladder.ins;
         // Estimation error (sibling-load feedback, slew drift, quantized
@@ -118,7 +129,7 @@ impl ClkWaveMinM {
         // shared across all margin retries.
         let mut prep = self.prepare(design, ins)?;
         for &margin in &margins {
-            match self.optimize(design, &mut prep, margin, solver) {
+            match self.optimize(design, &mut prep, margin, solver, store) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {}
                 Err(e) => return Err(e),
@@ -140,7 +151,7 @@ impl ClkWaveMinM {
                 }
             }
             let mut prep = self.prepare(&embedded, ins)?;
-            match self.optimize(&embedded, &mut prep, margin, solver) {
+            match self.optimize(&embedded, &mut prep, margin, solver, store) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {
                     last_err = WaveMinError::NoFeasibleInterval;
@@ -234,10 +245,11 @@ impl ClkWaveMinM {
         prep: &mut PreparedRun,
         margin: f64,
         solver: &MospZoneSolver,
+        store: Option<&ZoneCache>,
     ) -> Result<Outcome, WaveMinError> {
         let ins = &solver.ladder.ins;
         prep.intersections = self.intersections(&prep.tables, margin, ins)?;
-        solve_prepared(design, &self.config, prep, solver, None, ins)?
+        solve_prepared(design, &self.config, prep, solver, store, ins)?
             .outcome
             .ok_or(WaveMinError::NoFeasibleInterval)
     }

@@ -622,15 +622,12 @@ impl Instruments {
     }
 
     /// What a config asks for: a collecting registry iff it sets
-    /// [`crate::config::WaveMinConfig::collect_metrics`] or
-    /// [`crate::config::WaveMinConfig::trace_spans`], the latter also
-    /// printing each finished stage span to stderr.
+    /// [`crate::config::WaveMinConfig::collect_metrics`].
     #[must_use]
     pub fn from_config(config: &crate::config::WaveMinConfig) -> Self {
-        if config.collect_metrics || config.trace_spans {
+        if config.collect_metrics {
             Self {
                 registry: MetricsRegistry::enabled(),
-                trace: config.trace_spans,
                 ..Self::default()
             }
         } else {

@@ -195,9 +195,6 @@ impl CharacterizedDesign {
             cfg.threads = opts.threads;
         }
         cfg.collect_metrics = cfg.collect_metrics || opts.collect_metrics;
-        // The session never journals to disk; the cache is the store.
-        cfg.checkpoint_path = None;
-        cfg.resume = false;
         cfg
     }
 }

@@ -24,6 +24,7 @@ use crate::assignment::Assignment;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
+use crate::observe::Instruments;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::CellKind;
 use wavemin_clocktree::shard::{shard_by_sinks, SubtreeShard};
@@ -45,7 +46,8 @@ pub struct ShardedOutcome {
 
 /// Optimizes a design shard-by-shard: at most `max_sinks_per_shard`
 /// sinks are solved per ClkWaveMin invocation, so peak memory scales
-/// with the shard size rather than the design size.
+/// with the shard size rather than the design size. Every shard solve
+/// is observed through `ins`; the merged outcome carries no run report.
 ///
 /// # Errors
 ///
@@ -56,6 +58,7 @@ pub fn optimize_sharded(
     design: &Design,
     config: &WaveMinConfig,
     max_sinks_per_shard: usize,
+    ins: &Instruments,
 ) -> Result<ShardedOutcome, WaveMinError> {
     config.validate()?;
     let shards = shard_by_sinks(&design.tree, max_sinks_per_shard);
@@ -70,7 +73,7 @@ pub fn optimize_sharded(
     for shard in &shards {
         shard_sinks.push(shard.tree.leaves().len());
         let sub = shard_design(design, shard);
-        let out = solver.run(&sub)?;
+        let out = solver.run_instrumented(&sub, None, ins)?;
         intervals_tried += out.intervals_tried;
         runtime += out.runtime;
         degenerate_zones += out.degenerate_zones;
@@ -191,7 +194,8 @@ mod tests {
         let design = scale_design();
         let config = WaveMinConfig::default();
         let plain = ClkWaveMin::new(config.clone()).run(&design).expect("plain");
-        let sharded = optimize_sharded(&design, &config, usize::MAX).expect("sharded");
+        let sharded = optimize_sharded(&design, &config, usize::MAX, &Instruments::disabled())
+            .expect("sharded");
         assert_eq!(sharded.shard_count, 1);
         assert!(!sharded.merge_fallback);
         assert_eq!(sharded.outcome.assignment, plain.assignment);
@@ -209,7 +213,8 @@ mod tests {
     fn many_shards_cover_all_sinks_and_validate_globally() {
         let design = scale_design();
         let config = WaveMinConfig::default();
-        let sharded = optimize_sharded(&design, &config, 48).expect("sharded");
+        let sharded =
+            optimize_sharded(&design, &config, 48, &Instruments::disabled()).expect("sharded");
         assert!(sharded.shard_count > 1, "expected a real split");
         assert_eq!(
             sharded.shard_sinks.iter().sum::<usize>(),

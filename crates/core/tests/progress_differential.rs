@@ -49,7 +49,7 @@ fn progress_streaming_is_bit_identical_across_thread_counts() {
             ..Instruments::from_config(&small_config(threads))
         };
         let with_progress = ClkWaveMin::new(small_config(threads))
-            .run_instrumented(&design, &ins)
+            .run_instrumented(&design, None, &ins)
             .expect("progress run");
         assert_outcomes_identical(&plain, &with_progress, &format!("threads={threads}"));
         assert!(
@@ -81,7 +81,7 @@ fn progress_ticks_are_monotone_and_finish_with_done() {
         ..Instruments::from_config(&small_config(2))
     };
     ClkWaveMin::new(small_config(2))
-        .run_instrumented(&design, &ins)
+        .run_instrumented(&design, None, &ins)
         .expect("run");
     let ticks = seen.lock().expect("final lock");
     assert!(!ticks.is_empty(), "at least the final tick fires");
@@ -131,7 +131,7 @@ fn progress_ticks_total_the_answered_cells_at_every_thread_count() {
             ..Instruments::from_config(&small_config(threads))
         };
         let out = ClkWaveMin::new(small_config(threads))
-            .run_instrumented(&design, &ins)
+            .run_instrumented(&design, None, &ins)
             .expect("run");
         let counters = &out.report.as_ref().expect("report").counters;
         let last = last
@@ -184,7 +184,7 @@ fn multimode_progress_ticks_alike_at_every_thread_count() {
             ..Instruments::from_config(&cfg)
         };
         ClkWaveMinM::new(cfg)
-            .run_instrumented(&design, &ins)
+            .run_instrumented(&design, None, &ins)
             .expect("multimode run");
         let ticks = seen.lock().expect("final lock");
         let done: Vec<(u64, u64, u64)> = ticks

@@ -58,7 +58,7 @@ fn traced_runs_are_identical_to_untraced_runs() {
         let journal = &ins.journal;
         let algo = ClkWaveMin::new(cfg);
         let plain = algo.run(&d).expect("untraced run");
-        let traced = algo.run_instrumented(&d, &ins).expect("traced run");
+        let traced = algo.run_instrumented(&d, None, &ins).expect("traced run");
         let label = format!("threads={threads}");
         assert_outcomes_identical(&plain, &traced, &label);
         assert_eq!(
@@ -93,7 +93,7 @@ fn s15850_trace_export_and_attribution_meet_acceptance() {
     };
     let journal = &ins.journal;
     let out = ClkWaveMin::new(cfg)
-        .run_instrumented(&d, &ins)
+        .run_instrumented(&d, None, &ins)
         .expect("traced run");
 
     // The attribution decomposes the reported worst-mode peak exactly.
@@ -210,7 +210,7 @@ fn report_stage_times_equal_journal_span_sums() {
         ..Instruments::from_config(&cfg)
     };
     let out = ClkWaveMin::new(cfg)
-        .run_instrumented(&d, &ins)
+        .run_instrumented(&d, None, &ins)
         .expect("traced run");
     let report = out.report.as_ref().expect("report");
     for stage in ["characterization", "zoning", "zone_solve", "validation"] {
@@ -241,7 +241,7 @@ fn multimode_journal_carries_intersection_stage_spans() {
         ..Instruments::from_config(&cfg)
     };
     let out = ClkWaveMinM::new(cfg)
-        .run_instrumented(&d, &ins)
+        .run_instrumented(&d, None, &ins)
         .expect("traced multi-mode run");
     let merged = ins.journal.merged().expect("enabled journal");
     let intersections = merged
@@ -277,7 +277,7 @@ fn rejected_validation_candidates_are_journaled_in_rank_order() {
         ..Instruments::from_config(&cfg)
     };
     let out = ClkWaveMin::new(cfg)
-        .run_instrumented(&d, &ins)
+        .run_instrumented(&d, None, &ins)
         .expect("traced run");
     let merged = ins.journal.merged().expect("enabled journal");
     let rejected: Vec<(usize, f64, f64)> = merged

@@ -2,6 +2,7 @@
 //! through different layers (characterizer ↔ noise table ↔ evaluator ↔
 //! power grid) must agree.
 
+use wavemin::noise_table::PROFILING_SLEW;
 use wavemin::prelude::*;
 use wavemin_cells::characterize::{ClockEdge, Rail};
 use wavemin_cells::units::{MicroAmps, Microns, Picoseconds};
@@ -28,7 +29,7 @@ fn noise_table_matches_direct_characterization() {
             .iter()
             .find(|o| o.cell == "BUF_X8")
             .expect("initial cell is a candidate");
-        let slew = timing.input_slew[entry.node.0].max(cfg.profiling_slew);
+        let slew = timing.input_slew[entry.node.0].max(PROFILING_SLEW);
         let (t_d, _) = d.chr.timing(
             d.lib.get("BUF_X8").unwrap(),
             node.sink_cap,
@@ -100,7 +101,7 @@ fn charge_conservation_through_the_stack() {
     let table = NoiseTable::build(&d, &cfg, 0).unwrap();
     let timing = d.timing(0).unwrap();
     let entry = &table.sinks[0];
-    let slew = timing.input_slew[entry.node.0].max(cfg.profiling_slew);
+    let slew = timing.input_slew[entry.node.0].max(PROFILING_SLEW);
     let profile = d.chr.characterize(
         d.lib.get("INV_X8").unwrap(),
         entry.load,
